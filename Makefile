@@ -3,9 +3,9 @@
 PYTHON ?= python3
 GOLDEN_DIR ?= tests/data/golden
 
-.PHONY: install test bench bench-cache bench-tensor bench-warm report \
-	check check-inject check-chaos doctor serve serve-smoke \
-	refresh-golden figures export metrics trace fuzz clean
+.PHONY: install test bench bench-cache bench-tensor bench-warm \
+	bench-harness report check check-inject check-chaos doctor serve \
+	serve-smoke refresh-golden figures export metrics trace fuzz clean
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop
@@ -35,6 +35,11 @@ bench-tensor:
 # BENCH_PR9.json (see docs/performance.md, "Warm path").
 bench-warm:
 	$(PYTHON) -m pytest benchmarks/test_warm_latency.py --benchmark-only
+
+# The repository benchmark's own tests (bench/), including a --smoke
+# run of every workload; ~20 s (see bench/README.md).
+bench-harness:
+	$(PYTHON) -m pytest bench/tests
 
 report:
 	$(PYTHON) -m repro report

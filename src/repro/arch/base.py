@@ -53,6 +53,10 @@ class KernelRun:
     with the *performance* outcome (``breakdown`` of cycles by category,
     operation census, and free-form ``metrics`` such as ALU utilization
     or percent-of-peak that the paper quotes).
+
+    Runs served by the cache tiers carry no ``output`` array, only its
+    ``output_digest`` (see :func:`repro.perf.cache.cached_form`); a
+    ``cache=False`` run carries the array.
     """
 
     kernel: str
@@ -63,6 +67,7 @@ class KernelRun:
     output: Optional[np.ndarray] = None
     functional_ok: bool = True
     metrics: Dict[str, Any] = field(default_factory=dict)
+    output_digest: Optional[str] = None
 
     @property
     def cycles(self) -> float:

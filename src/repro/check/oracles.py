@@ -15,6 +15,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.check.report import FAIL, PASS, SKIP, CheckResult
+from repro.perf.cache import content_digest
 
 #: Differential comparisons are exact by default: both paths run the
 #: same deterministic arithmetic, so even the float results must match
@@ -40,6 +41,8 @@ def diff_runs(a, b, rtol: float = 0.0) -> List[str]:
     Returns human-readable difference strings; empty means the runs are
     value-identical (to ``rtol`` on floats; ``rtol=0`` demands bitwise
     equality, which determinism guarantees for same-path re-execution).
+    Outputs compare by content digest, so a cache-served run (digest
+    only) diffs against a cold one (array) exactly.
     """
     diffs: List[str] = []
     for field in ("kernel", "machine"):
@@ -66,11 +69,20 @@ def diff_runs(a, b, rtol: float = 0.0) -> List[str]:
         diffs.append(
             f"functional_ok: {a.functional_ok} != {b.functional_ok}"
         )
-    if (a.output is None) != (b.output is None):
+    da, db = _output_digest(a), _output_digest(b)
+    if (da is None) != (db is None):
         diffs.append("output: present on one run only")
-    elif a.output is not None and not np.array_equal(a.output, b.output):
+    elif da != db:
         diffs.append("output: arrays differ")
     return diffs
+
+
+def _output_digest(run) -> Optional[str]:
+    """The digest of ``run``'s output: computed from the array when the
+    run carries one, else the digest its cached form recorded."""
+    if run.output is not None:
+        return content_digest(run.output)
+    return run.output_digest
 
 
 def cache_oracle(

@@ -11,10 +11,13 @@ Runs are memoized through two tiers: the in-process
 of their arguments, so a repeated ``(kernel, machine, kwargs)`` request
 is served from the first result instead of re-simulated — within this
 process from tier 1, across processes (CI jobs, fresh CLI invocations,
-pool workers) from tier 2, whose hits are promoted into tier 1.  Pass
-``cache=False`` to force a fresh simulation (the opt-out for stateful
-experiments), or disable the tiers globally with ``REPRO_RUN_CACHE=0``
-/ ``REPRO_DISK_CACHE=0``.
+pool workers) from tier 2, whose hits are promoted into tier 1.  A
+cached call returns the run's cached form
+(:func:`repro.perf.cache.cached_form`) on a miss as well as on a hit:
+``output_digest`` is set and ``output`` is ``None``.  Pass
+``cache=False`` to force a fresh simulation that carries the output
+array (also the opt-out for stateful experiments), or disable the
+tiers globally with ``REPRO_RUN_CACHE=0`` / ``REPRO_DISK_CACHE=0``.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 from repro.arch.base import KernelRun
 from repro.errors import MappingError
 from repro.perf import timers
-from repro.perf.cache import RUN_CACHE, cache_key
+from repro.perf.cache import RUN_CACHE, cache_key, cached_form
 from repro.perf.diskcache import DISK_CACHE
 from repro.trace.tracer import active_tracer
 from repro.mappings import (
@@ -136,8 +139,9 @@ def run(kernel: str, machine: str, *, cache: bool = True, **kwargs) -> KernelRun
     mapping-specific options such as ``balanced=`` or
     ``tables_in_srf=``).
 
-    Results are memoized (see the module docstring); ``cache=False``
-    bypasses the cache for this call.
+    Results are memoized in their cached form, without the output
+    array (see the module docstring); ``cache=False`` bypasses the
+    cache for this call and returns the array.
     """
     try:
         fn = _REGISTRY[(kernel, machine)]
@@ -182,11 +186,13 @@ def run(kernel: str, machine: str, *, cache: bool = True, **kwargs) -> KernelRun
         # promoted into tier 1 so the rest of this session hits there.
         persisted = DISK_CACHE.lookup(key)
         if persisted is not None:
+            persisted = cached_form(persisted)
             RUN_CACHE.insert(key, persisted)
             return persisted
     with timers.timer(f"run:{kernel}/{machine}"):
         result = fn(**kwargs)
     _post_run(result, kwargs)
+    result = cached_form(result)
     RUN_CACHE.insert(key, result)
     DISK_CACHE.insert(key, result)
     return result

@@ -14,9 +14,17 @@ element-wise.  Arguments the encoder does not recognise make the call
 *uncacheable* — it runs normally and is counted as a bypass, never an
 error.
 
+Both tiers hold runs in their *cached form* (:func:`cached_form`): the
+functional ``output`` array, already checked against its reference by
+the mapping, is replaced by its ``output_digest``.  A cached run is
+about 1 KB where the array alone can be 16 MB, and the differential
+oracles compare digests.  A cache-enabled call returns the cached form
+on a hit and on a miss alike; ``run(..., cache=False)`` returns the
+array.
+
 Returned runs are defensively independent: the cache stores and serves
-deep copies, so mutating a result (its ``metrics`` dict, its ``output``
-array) can never corrupt later hits.
+deep copies, so mutating a result (its ``metrics`` dict, its
+``breakdown``) can never corrupt later hits.
 
 ``repro.mappings.registry.run`` consults the process-wide
 :data:`RUN_CACHE`; disable it globally with ``RUN_CACHE.disable()`` or
@@ -159,6 +167,25 @@ def content_digest(obj: Any) -> Optional[str]:
     return hashlib.sha256(b"".join(parts)).hexdigest()
 
 
+def cached_form(run: Any, digest: Optional[str] = None) -> Any:
+    """``run`` as both cache tiers hold it: a shallow copy with
+    ``output=None`` and ``output_digest`` set to the
+    :func:`content_digest` of the dropped array.
+
+    ``digest``, when given, is the output's digest already computed by
+    the caller (the cells of one tensor batch share one output array).
+    A value without an output array — a run already in cached form, or
+    not a run at all — is returned unchanged.
+    """
+    output = getattr(run, "output", None)
+    if output is None:
+        return run
+    form = copy.copy(run)
+    form.output = None
+    form.output_digest = digest or content_digest(output)
+    return form
+
+
 class RunCache:
     """Keyed store of completed runs with hit/miss/bypass counters.
 
@@ -219,8 +246,9 @@ class RunCache:
         return copy.deepcopy(value)
 
     def insert(self, key: str, value: Any) -> None:
-        """Store an independent copy of ``value`` under ``key``."""
-        value = copy.deepcopy(value)
+        """Store an independent copy of ``value``'s
+        :func:`cached_form` under ``key``."""
+        value = copy.deepcopy(cached_form(value))
         with self._lock:
             self._store[key] = value
             self._store.move_to_end(key)

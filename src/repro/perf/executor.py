@@ -77,7 +77,8 @@ def _execute_unit(unit) -> List[Any]:
     its whole calibration grid in one call; a
     :class:`~repro.perf.tensorsweep.SingleCell` goes through
     ``registry.run``.  Either way the worker's cache tiers apply —
-    fresh results are persisted to the shared disk tier per cell."""
+    fresh results are persisted to the shared disk tier in their
+    cached form."""
     from repro.perf import tensorsweep
 
     return tensorsweep.execute_unit(unit)

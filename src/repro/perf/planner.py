@@ -33,8 +33,8 @@ The planner makes the request set a first-class object:
    poisoned cell is isolated, and only an unusable pool transport
    degrades the batch to serial — see docs/robustness.md); workers run
    ``registry.run`` or the batch runner, writing results straight into
-   the shared disk tier per cell, so sibling workers' parents and
-   future processes hit without re-simulating;
+   the shared disk tier (one write per batch group), so sibling
+   workers' parents and future processes hit without re-simulating;
 6. **serve** — duplicate slots are filled with independent copies, and
    drivers index results by the slots they collected.
 
@@ -51,7 +51,7 @@ import copy
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.perf import tensorsweep, timers
-from repro.perf.cache import RUN_CACHE, cache_key
+from repro.perf.cache import RUN_CACHE, cache_key, cached_form
 from repro.perf.diskcache import DISK_CACHE
 
 #: One sweep cell: (kernel, machine, mapping kwargs).
@@ -120,6 +120,7 @@ def execute_requests(
                 for i, key in disk_probe:
                     value = served.get(key)
                     if value is not None:
+                        value = cached_form(value)
                         if RUN_CACHE.enabled:
                             RUN_CACHE.insert(key, value)
                         results[i] = value

@@ -45,7 +45,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.calibration import Calibration
 from repro.perf import timers
-from repro.perf.cache import RUN_CACHE, cache_key
+from repro.perf.cache import RUN_CACHE, cache_key, cached_form
 from repro.perf.diskcache import DISK_CACHE
 from repro.trace.tracer import active_tracer
 
@@ -227,13 +227,17 @@ def plan_units(
 
 
 def run_group(group: BatchGroup) -> List[Any]:
-    """Execute one batch group; returns results in cell order.
+    """Execute one batch group; returns cached-form results in cell
+    order.
 
     The batch runner shares one structure pass across the cells; each
     result is then treated exactly as a fresh scalar run — post-run
-    validated against its original kwargs and inserted into both cache
+    validated against its original kwargs, reduced to its
+    :func:`~repro.perf.cache.cached_form` and inserted into both cache
     tiers under its original content key — so downstream consumers
-    cannot tell the paths apart.
+    cannot tell the paths apart.  The cells share one output array,
+    which is hashed once, and the group reaches the disk tier in one
+    ``put_many``.
     """
     from repro.mappings import registry
 
@@ -244,13 +248,19 @@ def run_group(group: BatchGroup) -> List[Any]:
         )
     with timers.timer(f"batch:{group.kernel}/{group.machine}"):
         results = runner(group.calibrations, **group.base_kwargs)
-    for result, kwargs, key in zip(results, group.cell_kwargs, group.keys):
+    digests: Dict[int, Optional[str]] = {}
+    forms: List[Any] = []
+    for result, kwargs in zip(results, group.cell_kwargs):
         registry.post_run_validate(result, kwargs)
-        if key is not None:
-            if RUN_CACHE.enabled:
-                RUN_CACHE.insert(key, result)
-            DISK_CACHE.insert(key, result)
-    return list(results)
+        form = cached_form(result, digests.get(id(result.output)))
+        digests[id(result.output)] = form.output_digest
+        forms.append(form)
+    items = [(key, form) for key, form in zip(group.keys, forms) if key]
+    if RUN_CACHE.enabled:
+        for key, form in items:
+            RUN_CACHE.insert(key, form)
+    DISK_CACHE.put_many(items)
+    return forms
 
 
 def execute_unit(unit: DispatchUnit) -> List[Any]:

@@ -63,6 +63,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY: headers and body go out as separate writes, and with
+    # Nagle on, a keep-alive client's delayed ACK holds the body ~40 ms.
+    disable_nagle_algorithm = True
 
     # -- plumbing -------------------------------------------------------
 

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -184,13 +186,30 @@ class TestDisconnects:
             SERVICE_STATS.get("client_disconnects") == before
             and deadline > 0
         ):
-            import time
-
             time.sleep(0.05)
             deadline -= 1
         assert SERVICE_STATS.get("client_disconnects") > before
         status, _ = _request("GET", server.url + "/healthz")
         assert status == 200
+
+
+class TestKeepAlive:
+    def test_reused_connection_does_not_stall(self, server):
+        # Headers and body are separate writes; without TCP_NODELAY a
+        # keep-alive client's delayed ACK holds each body ~40 ms.
+        host, port = server.address
+        connection = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            start = time.perf_counter()
+            for _ in range(10):
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                response.read()
+                assert response.status == 200
+            elapsed = time.perf_counter() - start
+        finally:
+            connection.close()
+        assert elapsed < 0.2
 
 
 class TestLifecycle:
