@@ -808,13 +808,9 @@ def prewarm_requests(workloads=None):
     )
     requests.append(("cslc", "imagine", kw("cslc", independent_ffts=True)))
     # The §4.6 scaling sweep ignores workload overrides by design.
-    from repro.eval.scaling import DEFAULT_SIZES, SCALING_MACHINES
-    from repro.kernels.corner_turn import CornerTurnWorkload
+    from repro.eval.scaling import scaling_requests
 
-    for size in DEFAULT_SIZES:
-        workload = CornerTurnWorkload(rows=size, cols=size)
-        for machine in SCALING_MACHINES:
-            requests.append(("corner_turn", machine, {"workload": workload}))
+    requests.extend(scaling_requests())
     return requests
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ExperimentError
 from repro.kernels.corner_turn import CornerTurnWorkload
@@ -50,10 +50,12 @@ def corner_turn_scaling(
     """Run the corner turn at each square ``size`` on each machine.
 
     Results are memoised per (sizes, machines): the sweep is
-    deterministic and each large-matrix run costs seconds.  ``jobs > 1``
-    evaluates the grid on a process pool — the points are independent,
-    so the tuple is identical to serial execution (and the memo is
-    shared across ``jobs`` values).
+    deterministic and a 2048² cell still costs up to a second.
+    The cells go through the run cache with :func:`scaling_requests`'
+    kwargs, so the canonical size answers from Table 3's entries.
+    ``jobs > 1`` evaluates the grid on a process pool — the points are
+    independent, so the tuple is identical to serial execution (and the
+    memo is shared across ``jobs`` values).
     """
     return _corner_turn_scaling(tuple(sizes), tuple(machines), jobs=jobs)
 
@@ -71,6 +73,26 @@ def _scaling_memo(
     return {}
 
 
+def scaling_requests(
+    sizes: Sequence[int] = DEFAULT_SIZES,
+    machines: Sequence[str] = SCALING_MACHINES,
+) -> List[Tuple[str, str, Dict[str, object]]]:
+    """The sweep's ``run_cells`` requests, size-major.
+
+    The canonical matrix size omits ``workload`` — the kwargs Table 3
+    runs it with, as :meth:`Scenario.stage_kwargs` does — so those cells
+    share Table 3's cache keys instead of simulating again.
+    """
+    requests = []
+    for size in sizes:
+        workload = CornerTurnWorkload(rows=size, cols=size)
+        canonical = workload == CornerTurnWorkload()
+        for machine in machines:
+            kwargs = {} if canonical else {"workload": workload}
+            requests.append(("corner_turn", machine, kwargs))
+    return requests
+
+
 def _corner_turn_scaling(
     sizes: Tuple[int, ...], machines: Tuple[str, ...],
     jobs: Optional[int] = None,
@@ -82,17 +104,8 @@ def _corner_turn_scaling(
         return memo["points"]
     from repro.perf.executor import run_cells
 
-    workloads = {
-        size: CornerTurnWorkload(rows=size, cols=size) for size in sizes
-    }
     grid = [(size, machine) for size in sizes for machine in machines]
-    outcomes = run_cells(
-        [
-            ("corner_turn", machine, {"workload": workloads[size]})
-            for size, machine in grid
-        ],
-        jobs=jobs,
-    )
+    outcomes = run_cells(scaling_requests(sizes, machines), jobs=jobs)
     points = []
     for (size, machine), result in zip(grid, outcomes):
         points.append(
@@ -100,7 +113,7 @@ def _corner_turn_scaling(
                 size=size,
                 machine=machine,
                 cycles=result.cycles,
-                cycles_per_word=result.cycles / workloads[size].words,
+                cycles_per_word=result.cycles / (size * size),
                 fits_onchip=bool(
                     result.metrics.get("fits_onchip", True)
                 ),

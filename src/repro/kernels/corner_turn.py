@@ -14,6 +14,7 @@ traversal the cycles are charged for), and the workload parameter record.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,13 +47,27 @@ class CornerTurnWorkload:
         return self.words * WORD_BYTES
 
     def make_matrix(self, seed: int = 0) -> np.ndarray:
-        """A deterministic float32 source matrix."""
-        rng = np.random.default_rng(seed)
-        return rng.standard_normal((self.rows, self.cols)).astype(np.float32)
+        """A deterministic float32 source matrix, read-only and shared.
+
+        Consecutive runs at one (shape, seed) — the machines of Table 3,
+        the §4.6 sweep at each size — get the same array instead of
+        regenerating it; a mapping that wrote into its input would raise
+        rather than corrupt the next run's matrix.
+        """
+        return _source_matrix(self.rows, self.cols, seed)
 
     def op_counts(self) -> OpCounts:
         """The corner turn moves data: one load and one store per element."""
         return OpCounts(loads=float(self.words), stores=float(self.words))
+
+
+@lru_cache(maxsize=1)
+def _source_matrix(rows: int, cols: int, seed: int) -> np.ndarray:
+    """One-entry memo behind :meth:`CornerTurnWorkload.make_matrix`."""
+    rng = np.random.default_rng(seed)
+    matrix = rng.standard_normal((rows, cols)).astype(np.float32)
+    matrix.flags.writeable = False
+    return matrix
 
 
 def corner_turn_reference(matrix: np.ndarray) -> np.ndarray:

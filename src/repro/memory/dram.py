@@ -169,27 +169,66 @@ class DRAMBatchCost:
         )
 
 
-def _bank_and_row(addresses: np.ndarray, config: DRAMConfig) -> Tuple[np.ndarray, np.ndarray]:
-    """Map word addresses to (bank, row-within-bank) arrays.
+def _bank_and_row(
+    dram_rows: np.ndarray, config: DRAMConfig
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Split global DRAM rows into (bank, row-within-bank) arrays."""
+    banks = config.banks
+    if banks & (banks - 1) == 0:
+        bank = np.bitwise_and(dram_rows, banks - 1)
+        row = np.right_shift(dram_rows, banks.bit_length() - 1)
+        return bank, row
+    return dram_rows % banks, dram_rows // banks
 
-    Addresses are non-negative, so when the geometry is a power of two
-    (every modelled machine's is) the divisions reduce to shifts and
-    masks — int64 division has no SIMD path and dominates large runs.
+
+def _row_runs(
+    addresses: np.ndarray, config: DRAMConfig
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where each same-row run starts, and its (bank, row-within-bank).
+
+    A run is a maximal stretch of consecutive addresses in one DRAM row
+    (``a // row_words``).  Addresses are non-negative, so when
+    ``row_words`` is a power of two (every modelled machine's is) the
+    division reduces to a shift — int64 division has no SIMD path and
+    dominates large runs.  Only per-run arrays outlive this call, and
+    the per-address ones are dropped before the bank/row split, which
+    bounds a megaword stream's peak memory.
     """
     row_words = config.row_words
-    banks = config.banks
-    if row_words & (row_words - 1) == 0 and banks & (banks - 1) == 0:
-        # Call the ufuncs directly: the operator form (``addresses >> k``
+    if row_words & (row_words - 1) == 0:
+        # Call the ufunc directly: the operator form (``addresses >> k``
         # with a Python-int scalar) takes numpy's slow scalar-promotion
         # path and costs ~10x more on megaword address runs.
-        dram_row = np.right_shift(addresses, row_words.bit_length() - 1)
-        bank = np.bitwise_and(dram_row, banks - 1)
-        row = np.right_shift(dram_row, banks.bit_length() - 1)
-        return bank, row
-    dram_row = addresses // row_words
-    bank = dram_row % banks
-    row = dram_row // banks
-    return bank, row
+        dram_rows = np.right_shift(addresses, row_words.bit_length() - 1)
+    else:
+        dram_rows = addresses // row_words
+    starts = np.empty(dram_rows.size, dtype=bool)
+    starts[0] = True
+    np.not_equal(dram_rows[1:], dram_rows[:-1], out=starts[1:])
+    positions = np.flatnonzero(starts)
+    run_rows = dram_rows[positions]
+    del dram_rows, starts
+    return (positions, *_bank_and_row(run_rows, config))
+
+
+def _run_segments(run_starts: np.ndarray, seg_starts: np.ndarray) -> np.ndarray:
+    """Segment id of each run-start position (both arrays sorted).
+
+    Equals ``np.searchsorted(seg_starts, run_starts, "right") - 1`` —
+    the last segment starting at or before the position, which skips
+    zero-length segments — but searches once per segment instead of
+    once per position (runs far outnumber segments): bin each segment
+    start at the first run start it does not follow, and the running
+    total of the bins counts the segments starting at or before each
+    run start.
+    """
+    before = np.bincount(
+        np.searchsorted(run_starts, seg_starts),
+        minlength=run_starts.size + 1,
+    )
+    segments = np.cumsum(before[: run_starts.size])
+    segments -= 1
+    return segments
 
 
 class DRAM:
@@ -274,6 +313,11 @@ class DRAM:
         instead of per-segment Python calls — which is what makes
         megaword blocked mappings (the VIRAM corner turn's thousands of
         16x16 tiles) fast.
+
+        The cost is paid per row opened, not per word: consecutive
+        addresses in one DRAM row form a run, only a run's first access
+        can activate, so the per-bank pass walks run starts only.  A
+        sequential stream has one run start per ``row_words`` words.
         """
         addresses = np.ascontiguousarray(addresses, dtype=np.int64)
         seg_lengths = np.ascontiguousarray(seg_lengths, dtype=np.int64)
@@ -307,17 +351,17 @@ class DRAM:
         worst = np.zeros(n_seg, dtype=np.int64)
         activations = np.zeros(n_seg, dtype=np.int64)
         if addresses.size:
-            # Segment id of an address position, recovered lazily from the
-            # segment start offsets — materialising a per-address id array
-            # with ``np.repeat`` costs more than the whole bank pass on
-            # megaword runs, and only the (few) activating positions ever
-            # need their segment resolved.
-            seg_starts = np.cumsum(seg_lengths) - seg_lengths
-            bank, row = _bank_and_row(addresses, self.config)
-            # Per bank, in program order: an access activates when its row
-            # differs from the bank's previous access (or its open row, for
-            # the bank's first access of the run).  Banks are independent,
-            # so each is one vectorised pass.
+            # Only the start of a same-row run can activate: every later
+            # access in the run goes to the bank and row its start left
+            # open.  So the bank pass walks run starts, not words.
+            run_starts, bank, row = _row_runs(addresses, self.config)
+            seg = _run_segments(
+                run_starts, np.cumsum(seg_lengths) - seg_lengths
+            )
+            # Per bank, in program order: a run start activates when its
+            # row differs from the bank's previous run (or its open row,
+            # for the bank's first run).  Banks are independent, so each
+            # is one vectorised pass.
             for b in range(self.config.banks):
                 idx = np.flatnonzero(bank == b)
                 if idx.size == 0:
@@ -326,12 +370,7 @@ class DRAM:
                 changed = np.empty(idx.size, dtype=bool)
                 changed[0] = self._open_rows.get(b) != int(rows_b[0])
                 changed[1:] = rows_b[1:] != rows_b[:-1]
-                per_seg = np.bincount(
-                    np.searchsorted(
-                        seg_starts, idx[changed], side="right"
-                    ) - 1,
-                    minlength=n_seg,
-                )
+                per_seg = np.bincount(seg[idx[changed]], minlength=n_seg)
                 np.maximum(worst, per_seg, out=worst)
                 activations += per_seg
                 self._open_rows[b] = int(rows_b[-1])

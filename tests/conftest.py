@@ -12,6 +12,26 @@ from repro.kernels.workloads import (
 )
 
 
+@pytest.fixture(scope="session", autouse=True)
+def isolated_session_state(tmp_path_factory):
+    """Point every persistent store at a session directory.
+
+    The per-test fixtures below are function-scoped, so they do not
+    cover module-scoped fixtures (a shared ``run_table3()`` or
+    ``full_report()``); without this, those would read and write the
+    user's real disk cache — whose namespace a code change need not
+    move, so a stale build's cycles could satisfy a regression pin —
+    and append sessions to the checkout's ``.repro/``.  Session scope
+    sets the variables before any module fixture runs.
+    """
+    root = tmp_path_factory.mktemp("session-state")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_DISK_CACHE_DIR", str(root / "diskcache"))
+        mp.setenv("REPRO_OBS_DIR", str(root / "obs"))
+        mp.setenv("REPRO_SERVICE_DIR", str(root / "service"))
+        yield root
+
+
 @pytest.fixture(autouse=True)
 def isolated_disk_cache(tmp_path, monkeypatch):
     """Point the run-cache disk tier at a per-test directory.

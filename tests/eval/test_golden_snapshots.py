@@ -67,6 +67,8 @@ class TestSnapshots:
         # The fixture pins what the user-facing command actually emits.
         # The subprocess gets its own disk-cache dir: the snapshot must
         # hold cold, not be inherited from another test's warm tier.
+        # Its flight-recorder session goes to the test's dir too, not
+        # the checkout's ``.repro/obs``.
         proc = subprocess.run(
             [sys.executable, "-m", "repro", "report"],
             capture_output=True,
@@ -75,6 +77,7 @@ class TestSnapshots:
                 "PYTHONPATH": "src",
                 "PATH": "/usr/bin:/bin",
                 "REPRO_DISK_CACHE_DIR": str(tmp_path / "diskcache"),
+                "REPRO_OBS_DIR": str(tmp_path / "obs"),
             },
             cwd=str(GOLDEN_DIR.parents[2]),
             check=True,

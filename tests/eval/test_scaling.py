@@ -4,10 +4,14 @@ import pytest
 
 from repro.errors import ExperimentError
 from repro.eval.scaling import (
+    SCALING_MACHINES,
     corner_turn_scaling,
     crossover_summary,
     render_scaling,
+    scaling_requests,
 )
+from repro.eval.tables import run_table3
+from repro.perf.cache import cache_key
 
 #: Small sweep that still crosses VIRAM's 13 MB boundary (2048^2 x 4 B
 #: matrices are 16 MB each).
@@ -43,6 +47,23 @@ class TestSweep:
         a = corner_turn_scaling(sizes=SWEEP)
         b = corner_turn_scaling(sizes=SWEEP)
         assert a is b
+
+
+class TestRequests:
+    @pytest.mark.parametrize("machine", SCALING_MACHINES)
+    def test_canonical_size_keys_the_table3_cell(self, machine):
+        """The sweep's 1024² cell is a cache hit on Table 3's run, not a
+        second simulation of the same corner turn."""
+        table3 = {}
+
+        def record(kernel_name, machine_name, **kwargs):
+            table3[(kernel_name, machine_name)] = kwargs
+
+        run_table3(runner=record)
+        [(kernel, _, kwargs)] = scaling_requests((1024,), (machine,))
+        assert cache_key(kernel, machine, kwargs) == cache_key(
+            "corner_turn", machine, table3[("corner_turn", machine)]
+        )
 
 
 class TestCrossoverSummary:

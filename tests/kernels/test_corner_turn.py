@@ -28,6 +28,18 @@ class TestWorkload:
         assert np.array_equal(w.make_matrix(1), w.make_matrix(1))
         assert not np.array_equal(w.make_matrix(1), w.make_matrix(2))
 
+    def test_matrix_shared_and_read_only(self):
+        """Equal (rows, cols, seed) returns the one generated array, which
+        no mapping may write into."""
+        matrix = CornerTurnWorkload(rows=8, cols=4).make_matrix(3)
+        assert matrix is CornerTurnWorkload(rows=8, cols=4).make_matrix(3)
+        assert matrix.dtype == np.float32
+        assert not matrix.flags.writeable
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 1.0
+        fresh = np.random.default_rng(3).standard_normal((8, 4))
+        assert np.array_equal(matrix, fresh.astype(np.float32))
+
     def test_op_counts(self):
         c = CornerTurnWorkload(rows=4, cols=8).op_counts()
         assert c.loads == 32

@@ -1,33 +1,42 @@
-"""Property tests for ``DRAM.access_run`` on awkward geometries.
+"""Property tests for ``DRAM.access_run`` on awkward inputs.
 
 The base equivalence suite (``test_dram.py``) samples geometries
-uniformly, so power-of-two bank/row counts — where the address→(bank,
-row) mapping degenerates to masks and shifts — dominate the draws.
-This module pins the hard cases: *every* example here uses a
-non-power-of-two bank count or row size (true modulo arithmetic), and
-zero-length segments are injected deliberately, including runs that are
-empty end to end.
+uniformly.  This module pins the hard cases:
 
-Three paths must agree exactly: one batched :meth:`DRAM.access_run`
-call, per-segment :meth:`DRAM.access` calls on a second instance, and
-the pure-Python :class:`DRAMReference` on a third.
+* geometries with a non-power-of-two bank count or row size (true
+  modulo arithmetic) alongside power-of-two ones (the shift-and-mask
+  fast path every modelled machine takes);
+* zero-length segments, injected deliberately, including runs that are
+  empty end to end;
+* same-row runs that straddle segment boundaries — ``access_run`` costs
+  only the first access of a same-row run, so a run's continuation in
+  the next segment must not activate;
+* a run split over two consecutive ``access_run`` calls, the second
+  continuing a row the first left open;
+* a row cycle large enough (1e6) that bank-parallel exposure is never
+  hidden behind issue time, which pins each segment's most-loaded-bank
+  count (``DRAMBatchCost.worst``) through ``activation_cycles``.
+
+Three paths must agree exactly: batched :meth:`DRAM.access_run` calls,
+per-segment :meth:`DRAM.access` calls on a second instance, and the
+pure-Python :class:`DRAMReference` on a third.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.memory.dram import DRAM, DRAMConfig, DRAMReference
 from repro.memory.streams import Custom, Sequential, Strided
 
 
-def make_config(banks, row_words, policy):
+def make_config(banks, row_words, policy, row_cycle=3.0):
     return DRAMConfig(
-        name="nonpow2-test",
+        name="property-test",
         banks=banks,
         row_words=row_words,
-        row_cycle=3.0,
+        row_cycle=row_cycle,
         access_latency=10.0,
         activation_policy=policy,
     )
@@ -37,23 +46,45 @@ def _is_pow2(n):
     return n & (n - 1) == 0
 
 
-# At least one of (banks, row_words) is never a power of two.
-_geometries = st.tuples(
+# At least one of (banks, row_words) is not a power of two ...
+_nonpow2_geometries = st.tuples(
     st.integers(1, 13), st.integers(5, 130)
 ).filter(lambda g: not (_is_pow2(g[0]) and _is_pow2(g[1])))
+# ... or both are, as on every modelled machine.
+_pow2_geometries = st.tuples(
+    st.sampled_from([1, 2, 4, 8, 16]), st.sampled_from([1, 4, 16, 64, 128])
+)
+_geometries = st.one_of(_nonpow2_geometries, _pow2_geometries)
+
+# 3.0 lets issue time hide activations; 1e6 never does.
+_row_cycles = st.sampled_from([3.0, 1e6])
 
 
 @st.composite
-def patterns_with_empties(draw):
+def patterns_with_empties(draw, row_words):
     """Pattern sequences where zero-length segments are first-class:
-    every sequence embeds at least one, and some are empty throughout."""
+    every sequence embeds at least one, and some are empty throughout.
+
+    A ``same-row`` pattern stays in the DRAM row (of ``row_words``
+    words) where the previous non-empty pattern ended, so a same-row
+    run straddles the segment boundary."""
     n = draw(st.integers(1, 6))
     patterns = []
+    last = None
     for _ in range(n):
         kind = draw(
-            st.sampled_from(["empty", "seq", "zero-seq", "strided", "custom"])
+            st.sampled_from(
+                ["empty", "seq", "zero-seq", "strided", "custom", "same-row"]
+            )
         )
-        if kind == "empty":
+        if kind == "same-row":
+            start = last if last is not None else draw(st.integers(0, 2000))
+            base = start - start % row_words
+            offsets = draw(
+                st.lists(st.integers(0, row_words - 1), min_size=1, max_size=30)
+            )
+            patterns.append(Custom([base + o for o in offsets]))
+        elif kind == "empty":
             patterns.append(Custom([]))
         elif kind == "zero-seq":
             patterns.append(Sequential(draw(st.integers(0, 500)), 0))
@@ -73,6 +104,9 @@ def patterns_with_empties(draw):
             patterns.append(
                 Custom(draw(st.lists(st.integers(0, 2000), max_size=60)))
             )
+        addresses = patterns[-1].addresses()
+        if addresses.size:
+            last = int(addresses[-1])
     # Guarantee the batch contains a zero-length segment somewhere.
     patterns.insert(draw(st.integers(0, len(patterns))), Custom([]))
     return patterns
@@ -87,23 +121,44 @@ def _run_batch(dram, patterns, rate=4.0):
     )
 
 
-@settings(max_examples=80, deadline=None)
+@st.composite
+def geometry_and_patterns(draw):
+    geometry = draw(_geometries)
+    return geometry, draw(patterns_with_empties(row_words=geometry[1]))
+
+
+@settings(max_examples=120, deadline=None)
 @given(
-    patterns_with_empties(),
-    _geometries,
+    geometry_and_patterns(),
     st.sampled_from(["bank-parallel", "serialized"]),
+    _row_cycles,
+    st.integers(0, 8),
 )
-def test_batch_equals_scalar_equals_reference(patterns, geometry, policy):
-    banks, row_words = geometry
-    config = make_config(banks, row_words, policy)
+# The second call's first run continues the row (64..127, bank 1) the
+# first call's sequential stream left open: no activation there.
+@example(
+    case=((8, 64), [Sequential(0, 100), Custom([]), Custom([100, 127, 64])]),
+    policy="bank-parallel",
+    row_cycle=1e6,
+    split=2,
+)
+def test_batch_equals_scalar_equals_reference(case, policy, row_cycle, split):
+    """``split`` cuts the sequence over two consecutive ``access_run``
+    calls; the second continues whatever rows the first left open."""
+    (banks, row_words), patterns = case
+    config = make_config(banks, row_words, policy, row_cycle)
     batched = DRAM(config)
     scalar = DRAM(config)
     reference = DRAMReference(config)
 
-    batch = _run_batch(batched, patterns)
-    assert batch.n_segments == len(patterns)
-    for i, pattern in enumerate(patterns):
-        seg = batch.segment(i)
+    split = min(split, len(patterns))
+    first = _run_batch(batched, patterns[:split])
+    second = _run_batch(batched, patterns[split:])
+    assert first.n_segments + second.n_segments == len(patterns)
+    segments = [first.segment(i) for i in range(first.n_segments)] + [
+        second.segment(i) for i in range(second.n_segments)
+    ]
+    for pattern, seg in zip(patterns, segments):
         scalar_cost = scalar.access(pattern, rate_words_per_cycle=4)
         ref_cost = reference.access(pattern, rate_words_per_cycle=4)
         assert seg.words == scalar_cost.words == ref_cost.words
