@@ -179,54 +179,6 @@ def truncated_disk_entry(
 
 
 @contextlib.contextmanager
-def tampered_migrated_entry(
-    kernel: str = "corner_turn", machine: str = "viram"
-) -> Iterator[str]:
-    """Plant a *legacy* file-per-key entry whose run has a 2x-scaled
-    cycle ledger and a valid digest, then ``cache migrate`` it into the
-    packed index.  Migration verifies digests, so the self-consistent
-    tamper rides through — exactly the stale data a migration can
-    launder into the new store; the disk-tier differential oracle must
-    catch it downstream.  Yields the tampered key."""
-    import copy
-
-    from repro.errors import CheckError
-    from repro.mappings import registry
-    from repro.perf.cache import RUN_CACHE, cache_key
-    from repro.perf.diskcache import DISK_CACHE, DiskCache
-
-    if not DISK_CACHE.enabled:
-        yield ""
-        return
-    kwargs = _oracle_kwargs(kernel)
-    run = registry.run(kernel, machine, **kwargs)
-    key = cache_key(kernel, machine, kwargs)
-    if key is None:
-        raise CheckError(
-            f"could not key the run for {kernel}/{machine}"
-        )
-    bad = copy.deepcopy(run)
-    bad.breakdown = bad.breakdown.scaled(2.0)
-    legacy = DiskCache(DISK_CACHE.root(), respect_env=False)
-    path = legacy._path(key)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(DiskCache.encode(bad))
-    DISK_CACHE.evict(key)  # drop the honest packed copy first
-    outcome = DISK_CACHE.migrate_legacy()
-    if outcome["migrated"] < 1 or not DISK_CACHE.contains(key):
-        raise CheckError(
-            f"migration did not pack the planted entry for "
-            f"{kernel}/{machine}"
-        )
-    RUN_CACHE.evict(key)
-    try:
-        yield key
-    finally:
-        DISK_CACHE.evict(key)
-        RUN_CACHE.clear()
-
-
-@contextlib.contextmanager
 def misdelivered_worker_results() -> Iterator[None]:
     """Patch the process-pool path to swap its first two results —
     the classic dropped/reordered-future bug a parallel executor can
@@ -325,11 +277,6 @@ SCENARIOS: Dict[str, tuple] = {
         truncated_disk_entry,
         "diskcache",
         _disk_integrity_under_fault,
-    ),
-    "migrated-entry-tampered": (
-        tampered_migrated_entry,
-        "diskcache",
-        _disk_oracle_under_fault,
     ),
     "executor-results-misdelivered": (
         misdelivered_worker_results,

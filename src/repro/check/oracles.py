@@ -167,7 +167,8 @@ def disk_cache_oracle(
     from repro.check.probes import probe_workloads
     from repro.mappings import registry
     from repro.perf.cache import RUN_CACHE, cache_key
-    from repro.perf.diskcache import DISK_CACHE, DiskCache
+    from repro.perf.diskcache import DISK_CACHE
+    from repro.perf.index import PackedDiskCache
 
     if pairs is None:
         pairs = DISK_ORACLE_PAIRS
@@ -180,7 +181,7 @@ def disk_cache_oracle(
             tmp = stack.enter_context(
                 tempfile.TemporaryDirectory(prefix="repro-oracle-disk-")
             )
-            store = DiskCache(tmp, respect_env=False)
+            store = PackedDiskCache(tmp, respect_env=False)
         for kernel, machine in pairs:
             name = f"oracle.diskcache.{kernel}.{machine}"
             kwargs: Dict[str, Any] = {}
@@ -243,7 +244,8 @@ def disk_integrity_check() -> List[CheckResult]:
     """
     import tempfile
 
-    from repro.perf.diskcache import DISK_CACHE, DiskCache
+    from repro.perf.diskcache import DISK_CACHE
+    from repro.perf.index import PackedDiskCache
 
     name = "oracle.diskcache.integrity"
     if DISK_CACHE.enabled:
@@ -252,7 +254,7 @@ def disk_integrity_check() -> List[CheckResult]:
         with tempfile.TemporaryDirectory(
             prefix="repro-oracle-disk-"
         ) as tmp:
-            store = DiskCache(tmp, respect_env=False)
+            store = PackedDiskCache(tmp, respect_env=False)
             store.insert("integritycanary", {"canary": 1.0})
             bad = store.verify()
     return [

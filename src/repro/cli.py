@@ -58,8 +58,7 @@ Commands
     (``--json`` adds the packed-index internals — manifest size,
     segment count, probe-latency percentiles), ``clear`` removes every
     persisted entry, ``prune`` evicts oldest entries beyond
-    ``--max-entries`` / ``--max-bytes``, ``migrate`` packs a legacy
-    file-per-key store into the packed index with digests re-verified.
+    ``--max-entries`` / ``--max-bytes``.
     ``stats`` (and ``metrics regress``) never import numpy or the
     modelling stack — the warm fast-start path.
 ``metrics ACTION``
@@ -413,13 +412,10 @@ def build_parser() -> argparse.ArgumentParser:
             "(--json adds the packed-index internals: size, segment "
             "count, probe latency percentiles); clear removes every "
             "persisted entry; prune evicts oldest entries beyond the "
-            "caps; migrate packs a legacy file-per-key store into the "
-            "index, digest-verifying every entry."
+            "caps."
         ),
     )
-    cache_p.add_argument(
-        "action", choices=("stats", "clear", "prune", "migrate")
-    )
+    cache_p.add_argument("action", choices=("stats", "clear", "prune"))
     cache_p.add_argument(
         "--json",
         action="store_true",
@@ -867,14 +863,6 @@ def _cmd_cache(args) -> int:
     elif args.action == "clear":
         removed = DISK_CACHE.clear()
         print(f"disk cache: cleared {removed} entries at {DISK_CACHE.root()}")
-    elif args.action == "migrate":
-        outcome = DISK_CACHE.migrate_legacy()
-        print(
-            f"disk cache: migrated {outcome['migrated']} legacy entries "
-            f"({outcome['corrupt']} corrupt quarantined, "
-            f"{outcome['stamps']} stamp(s)) into the packed index at "
-            f"{DISK_CACHE.root()}"
-        )
     else:  # prune
         removed = DISK_CACHE.prune(
             max_entries=args.max_entries, max_bytes=args.max_bytes

@@ -10,8 +10,7 @@ infrastructure failures that are legitimate to retry or degrade around,
 while its subclasses :class:`WorkerCrashError` and
 :class:`DeadlineExceeded` mark failures that *survived* the retry budget
 and must propagate (re-running a crashing cell serially would take the
-main process down with it).  :class:`CacheCorruptionError` carries a
-structured ``incident`` payload describing a quarantined store entry.
+main process down with it).
 """
 
 from __future__ import annotations
@@ -108,24 +107,6 @@ class DeadlineExceeded(TransientError):
     """A supervised task ran past its per-chunk deadline on every
     attempt.  Carries the same structured ``incident`` payload as
     :class:`WorkerCrashError`."""
-
-    def __init__(
-        self, message: str, incident: Optional[Dict[str, Any]] = None
-    ) -> None:
-        super().__init__(message)
-        self.incident: Dict[str, Any] = dict(incident or {})
-
-
-class CacheCorruptionError(ReproError):
-    """A persisted cache entry failed verification and was quarantined.
-
-    The disk tier never *raises* this on the read path (a damaged store
-    degrades to misses); it is raised by explicit integrity surfaces —
-    ``repro doctor``'s strict probes and
-    :meth:`repro.perf.diskcache.DiskCache.verify` with ``strict=True`` —
-    and carries the structured ``incident`` record written next to the
-    quarantined file.
-    """
 
     def __init__(
         self, message: str, incident: Optional[Dict[str, Any]] = None

@@ -5,10 +5,11 @@ Orthogonal tools, all invisible to the modelled results:
 * :mod:`repro.perf.cache` — tier 1: an in-process content-addressed
   memoization cache for :func:`repro.mappings.registry.run`; identical
   requests are served from defensive copies instead of re-simulated.
-* :mod:`repro.perf.diskcache` — tier 2: a persistent file-per-key store
-  (atomic publish, digest-verified reads, LRU pruning) that shares runs
-  across processes — CI jobs, CLI invocations, and pool workers all
-  warm each other.
+* :mod:`repro.perf.diskcache` — tier 2: a persistent packed store
+  (:mod:`repro.perf.index`: append-only manifest over payload segments,
+  digest-verified reads, LRU pruning) that shares runs across
+  processes — CI jobs, CLI invocations, and pool workers all warm each
+  other.
 * :mod:`repro.perf.planner` — the sweep planner: collects every cell a
   driver will need, dedups the set by content key, probes both tiers,
   and dispatches only the misses.
@@ -39,7 +40,6 @@ _EXPORTS = {
     "cache_key": "repro.perf.cache",
     "model_version_stamp": "repro.perf.cache",
     "DISK_CACHE": "repro.perf.diskcache",
-    "DiskCache": "repro.perf.diskcache",
     "PackedDiskCache": "repro.perf.index",
     "RunRequest": "repro.perf.executor",
     "resolve_jobs": "repro.perf.executor",

@@ -1,686 +1,15 @@
-"""Persistent, content-addressed disk tier for the run cache.
+"""The process-wide persistent tier of the run cache.
 
-:data:`repro.perf.cache.RUN_CACHE` memoizes runs *within* one process;
-this module adds tier 2 — a file-per-key store that survives process
-boundaries, so a CI job, a fresh CLI invocation, or a pool worker can
-serve a run that some earlier process already simulated.
-
-Layout and integrity
---------------------
-Entries live under ``<root>/<model version stamp>/<key[:2]>/<key>.run``.
-The *root* resolves, in order, to ``$REPRO_DISK_CACHE_DIR``,
-``$XDG_CACHE_HOME/repro/runs``, or ``~/.cache/repro/runs`` — re-read on
-every operation so tests and subprocesses can redirect it.  The stamp
-directory comes from :func:`repro.perf.cache.model_version_stamp`: any
-modeling change (library version, default calibration) lands in a fresh
-namespace and can never serve stale results.
-
-Each entry is ``MAGIC + sha256(payload) + payload`` where the payload is
-the pickled :class:`~repro.arch.base.KernelRun`.  Reads verify the
-digest; a corrupt or torn file is counted and reported as a miss —
-never served.
-
-Self-healing
-------------
-A damaged store heals instead of wedging.  An entry that fails
-verification is *moved* to ``<root>/quarantine/`` (never deleted — the
-bytes are forensic evidence) together with a structured JSON incident
-record; the key recomputes on the next run.  A transient read error is
-retried once before the lookup degrades to a miss.  A stale
-interprocess lock file — holder pid dead, file old — is detected and
-broken before acquisition.  ``lookup`` never raises on a damaged store:
-every failure path counts, heals what it can, and returns a miss.
-Recovery actions are tallied both here (``quarantined``) and under the
-``resilience.*`` telemetry namespace.
-
-Concurrency
------------
-Writes go to a unique temporary file in the entry's directory and are
-published with :func:`os.replace`, which is atomic on POSIX: two
-processes racing on the same key both leave a complete, valid entry and
-readers can never observe a torn write.  Pruning holds the
-inter-process advisory lock (``fcntl.flock`` on ``<root>/.lock``) for
-the whole scan-and-evict pass, re-checks each entry's mtime immediately
-before unlinking (an entry refreshed by a concurrent reader or
-re-published by a concurrent inserter since the scan is spared), and
-tolerates entries vanishing underneath it.
-
-Opt-outs
---------
-``REPRO_DISK_CACHE=0`` disables the tier globally; the CLI's
-``--no-disk-cache`` calls :meth:`DiskCache.disable` for one invocation.
-Bypassed lookups are counted so telemetry shows the tier was skipped,
-not silently absent.
+:data:`DISK_CACHE` is the one :class:`~repro.perf.index.PackedDiskCache`
+every layer shares; :mod:`repro.perf.index` documents its layout,
+integrity checks and self-healing.  Constructing it does no I/O (the
+root is resolved on each operation), so importing this module stays on
+the CLI's lazy-import fast path.
 """
 
 from __future__ import annotations
 
-import contextlib
-import hashlib
-import io
-import json
-import os
-import pickle
-import threading
-import time
-from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from repro.perf.index import PackedDiskCache
 
-from repro.trace.tracer import active_tracer
-
-#: Entry header: identifies the format; followed by the payload digest.
-MAGIC = b"repro-diskcache-v1\n"
-
-_DIGEST_LEN = 64  # sha256 hexdigest
-
-#: A lock file whose recorded holder is dead counts as stale once it is
-#: this many seconds old (age guards against breaking a lock whose
-#: holder pid we simply failed to observe mid-handoff).
-STALE_LOCK_AGE = 60.0
-
-
-def _chaos_active() -> bool:
-    """Cheap gate for the chaos-injection hooks (hot paths)."""
-    return bool(os.environ.get("REPRO_CHAOS"))
-
-
-def _pid_alive(pid: int) -> bool:
-    """Whether ``pid`` names a live process (conservative: unknown
-    errors are treated as alive — never break a lock on a guess)."""
-    if pid <= 0:
-        return False
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except OSError:
-        return True
-    return True
-
-
-def _default_root() -> Path:
-    env = os.environ.get("REPRO_DISK_CACHE_DIR")
-    if env:
-        return Path(env)
-    xdg = os.environ.get("XDG_CACHE_HOME")
-    base = Path(xdg) if xdg else Path("~/.cache").expanduser()
-    return base / "repro" / "runs"
-
-
-class DiskCache:
-    """Atomic file-per-key store of pickled runs with integrity hashes.
-
-    All mutating operations are safe under concurrent processes (atomic
-    publish, tolerant prune); the in-process counters are guarded by a
-    thread lock.  ``max_entries``/``max_bytes`` bound the store; inserts
-    trigger an opportunistic prune every ``prune_interval`` writes.
-    """
-
-    def __init__(
-        self,
-        directory: Optional[os.PathLike] = None,
-        max_entries: int = 4096,
-        max_bytes: int = 512 * 1024 * 1024,
-        prune_interval: int = 128,
-        respect_env: bool = True,
-    ) -> None:
-        self._directory = Path(directory) if directory is not None else None
-        self._respect_env = bool(respect_env)
-        self._forced_off = False
-        self._lock = threading.Lock()
-        self.max_entries = int(max_entries)
-        self.max_bytes = int(max_bytes)
-        self.prune_interval = int(prune_interval)
-        self.hits = 0
-        self.misses = 0
-        self.writes = 0
-        self.evictions = 0
-        self.corrupt = 0
-        self.bypasses = 0
-        self.quarantined = 0
-        self.io_retries = 0
-
-    # -- configuration -------------------------------------------------
-
-    @property
-    def enabled(self) -> bool:
-        """Whether lookups/inserts touch the disk at all.
-
-        Re-reads ``REPRO_DISK_CACHE`` on each access so environment
-        changes (tests, subprocess setup) take effect immediately.
-        """
-        if self._forced_off:
-            return False
-        if not self._respect_env:
-            return True
-        return os.environ.get("REPRO_DISK_CACHE", "1") != "0"
-
-    def enable(self) -> None:
-        self._forced_off = False
-
-    def disable(self) -> None:
-        self._forced_off = True
-
-    @contextlib.contextmanager
-    def disabled(self) -> Iterator[None]:
-        """Force the tier off for a scope, restoring the prior state.
-
-        Restores ``_forced_off`` rather than calling :meth:`enable`, so
-        a surrounding ``--no-disk-cache`` opt-out survives the scope.
-        """
-        prev = self._forced_off
-        self._forced_off = True
-        try:
-            yield
-        finally:
-            self._forced_off = prev
-
-    def root(self) -> Path:
-        """The cache root (env-resolved unless pinned at construction)."""
-        return self._directory if self._directory is not None else _default_root()
-
-    def stamp_dir(self) -> Path:
-        """The directory holding entries for the current model version."""
-        from repro.perf.cache import model_version_stamp
-
-        return self.root() / model_version_stamp()
-
-    def _path(self, key: str) -> Path:
-        return self.stamp_dir() / key[:2] / f"{key}.run"
-
-    def quarantine_dir(self) -> Path:
-        """Where verification failures are preserved for forensics."""
-        return self.root() / "quarantine"
-
-    # -- counters ------------------------------------------------------
-
-    def _count(self, attr: str, trace_name: str) -> None:
-        with self._lock:
-            setattr(self, attr, getattr(self, attr) + 1)
-        tracer = active_tracer()
-        if tracer is not None:
-            tracer.count(trace_name)
-
-    def note_bypass(self) -> None:
-        """Record one lookup/insert skipped because the tier is off."""
-        self._count("bypasses", "perf.diskcache.bypass")
-
-    # -- encoding ------------------------------------------------------
-
-    @staticmethod
-    def encode(value: Any) -> bytes:
-        payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        digest = hashlib.sha256(payload).hexdigest().encode("ascii")
-        return MAGIC + digest + b"\n" + payload
-
-    @staticmethod
-    def decode(blob: bytes) -> Any:
-        """Verified payload of one entry; raises ``ValueError`` on any
-        corruption (bad magic, digest mismatch, truncated pickle)."""
-        if not blob.startswith(MAGIC):
-            raise ValueError("disk-cache entry: bad magic header")
-        body = blob[len(MAGIC):]
-        digest, sep, payload = (
-            body[:_DIGEST_LEN],
-            body[_DIGEST_LEN:_DIGEST_LEN + 1],
-            body[_DIGEST_LEN + 1:],
-        )
-        if sep != b"\n" or len(digest) != _DIGEST_LEN:
-            raise ValueError("disk-cache entry: truncated header")
-        if hashlib.sha256(payload).hexdigest().encode("ascii") != digest:
-            raise ValueError("disk-cache entry: payload digest mismatch")
-        try:
-            return pickle.loads(payload)
-        except Exception as exc:  # pickle raises many concrete types
-            raise ValueError(f"disk-cache entry: unpicklable ({exc})") from exc
-
-    # -- store operations ----------------------------------------------
-
-    def contains(self, key: str) -> bool:
-        """Whether an entry file exists (no counters, no verification)."""
-        return self.enabled and self._path(key).exists()
-
-    def _read_entry(self, path: Path) -> Optional[bytes]:
-        """The entry's bytes, retrying one transient I/O error; ``None``
-        when the entry is absent or both attempts failed."""
-        for attempt in (0, 1):
-            try:
-                if _chaos_active():
-                    from repro.resilience import chaos
-
-                    chaos.on_disk_read(path)
-                return path.read_bytes()
-            except FileNotFoundError:
-                return None
-            except OSError:
-                from repro.resilience.stats import RESILIENCE
-
-                RESILIENCE.note("io_errors")
-                if attempt == 0:
-                    with self._lock:
-                        self.io_retries += 1
-                    RESILIENCE.note("io_retries")
-        return None
-
-    def _quarantine(self, key: str, path: Path, reason: str) -> Dict[str, Any]:
-        """Move a damaged entry (and the evidence) out of the store.
-
-        The file is renamed into ``quarantine/`` — never deleted — and a
-        structured incident record is written beside it, so a corruption
-        event can be investigated after the fact.  Returns the incident
-        record; never raises (a failing quarantine degrades to unlink,
-        and a failing unlink to a no-op — the lookup still misses).
-        """
-        incident: Dict[str, Any] = {
-            "key": key,
-            "reason": reason,
-            "source": str(path),
-            "action": "quarantined",
-            "pid": os.getpid(),
-            "detected_at": time.strftime(
-                "%Y-%m-%dT%H:%M:%S%z", time.localtime()
-            ),
-        }
-        try:
-            incident["size"] = path.stat().st_size
-        except OSError:
-            pass
-        qdir = self.quarantine_dir()
-        dest = qdir / f"{key}.run"
-        try:
-            qdir.mkdir(parents=True, exist_ok=True)
-            os.replace(path, dest)
-            incident["quarantined_to"] = str(dest)
-            dest.with_suffix(".incident.json").write_text(
-                json.dumps(incident, indent=2, sort_keys=True) + "\n"
-            )
-        except OSError:
-            incident["action"] = "unlinked"
-            try:
-                path.unlink()
-            except OSError:
-                incident["action"] = "left-in-place"
-        with self._lock:
-            self.quarantined += 1
-        from repro.resilience.stats import RESILIENCE
-
-        RESILIENCE.note("quarantined")
-        tracer = active_tracer()
-        if tracer is not None:
-            tracer.count("perf.diskcache.quarantined")
-        return incident
-
-    def incidents(self) -> List[Dict[str, Any]]:
-        """Every parseable incident record in the quarantine, sorted by
-        key (malformed records are skipped, not raised)."""
-        out: List[Dict[str, Any]] = []
-        qdir = self.quarantine_dir()
-        if not qdir.is_dir():
-            return out
-        for record in sorted(qdir.glob("*.incident.json")):
-            try:
-                out.append(json.loads(record.read_text()))
-            except (OSError, ValueError):
-                continue
-        return out
-
-    def lookup(self, key: str) -> Optional[Any]:
-        """The stored run, digest-verified, or ``None``.
-
-        This method never raises on a damaged store.  A verification
-        failure counts under ``corrupt`` *and* ``misses`` and moves the
-        file to quarantine with an incident record, so a flipped bit
-        can never be served and never permanently wedges the key; a
-        transient read error is retried once before degrading to a
-        miss.
-        """
-        if not self.enabled:
-            self.note_bypass()
-            return None
-        path = self._path(key)
-        blob = self._read_entry(path)
-        if blob is None:
-            self._count("misses", "perf.diskcache.miss")
-            return None
-        try:
-            value = self.decode(blob)
-        except ValueError as exc:
-            self._count("corrupt", "perf.diskcache.corrupt")
-            self._count("misses", "perf.diskcache.miss")
-            self._quarantine(key, path, str(exc))
-            return None
-        try:
-            os.utime(path)  # refresh LRU clock for pruning
-        except OSError:
-            pass
-        self._count("hits", "perf.diskcache.hit")
-        return value
-
-    def insert(self, key: str, value: Any) -> bool:
-        """Atomically publish ``value`` under ``key``.
-
-        Returns whether a write happened; an unpicklable value or a
-        read-only filesystem degrades to a no-op rather than an error —
-        the disk tier is an accelerator, never a correctness dependency.
-        """
-        if not self.enabled:
-            self.note_bypass()
-            return False
-        try:
-            blob = self.encode(value)
-        except Exception:
-            return False
-        path = self._path(key)
-        tmp = path.with_name(f".tmp-{os.getpid()}-{threading.get_ident()}")
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp.write_bytes(blob)
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
-            return False
-        self._count("writes", "perf.diskcache.write")
-        if _chaos_active():
-            from repro.resilience import chaos
-
-            chaos.on_disk_insert(path)
-        if self.prune_interval and self.writes % self.prune_interval == 0:
-            self.prune()
-        return True
-
-    def evict(self, key: str) -> bool:
-        """Drop one entry; returns whether a file was removed."""
-        try:
-            self._path(key).unlink()
-        except OSError:
-            return False
-        return True
-
-    def _entries(self) -> List[Tuple[Path, float, int]]:
-        """(path, mtime, size) of every entry of the current stamp."""
-        out: List[Tuple[Path, float, int]] = []
-        stamp_dir = self.stamp_dir()
-        if not stamp_dir.is_dir():
-            return out
-        for path in stamp_dir.glob("*/*.run"):
-            try:
-                stat = path.stat()
-            except OSError:
-                continue  # vanished under a concurrent prune/evict
-            out.append((path, stat.st_mtime, stat.st_size))
-        return out
-
-    def keys(self) -> List[str]:
-        """Stored keys of the current stamp, oldest first."""
-        entries = sorted(self._entries(), key=lambda e: e[1])
-        return [path.stem for path, _, _ in entries]
-
-    def prune(
-        self,
-        max_entries: Optional[int] = None,
-        max_bytes: Optional[int] = None,
-    ) -> int:
-        """Remove oldest entries until within the caps; returns the
-        number evicted.  Safe under contention: concurrent pruners are
-        serialised by the advisory lock (held for the whole
-        scan-and-evict pass) where available; an entry touched since the
-        scan (``os.utime`` on a hit, re-publish on a racing insert) is
-        re-checked by mtime immediately before unlink and spared; an
-        entry that vanished underneath us is simply skipped."""
-        max_entries = self.max_entries if max_entries is None else max_entries
-        max_bytes = self.max_bytes if max_bytes is None else max_bytes
-        removed = 0
-        with self._interprocess_lock():
-            entries = sorted(self._entries(), key=lambda e: e[1])
-            total = sum(size for _, _, size in entries)
-            while entries and (
-                len(entries) > max_entries or total > max_bytes
-            ):
-                path, mtime, size = entries.pop(0)
-                try:
-                    if path.stat().st_mtime > mtime:
-                        continue  # refreshed since the scan: no longer LRU
-                    path.unlink()
-                except FileNotFoundError:
-                    continue  # a sibling pruner/evictor got here first
-                except OSError:
-                    continue
-                total -= size
-                removed += 1
-        if removed:
-            with self._lock:
-                self.evictions += removed
-            tracer = active_tracer()
-            if tracer is not None:
-                tracer.count("perf.diskcache.evict", removed)
-        return removed
-
-    def clear(self) -> int:
-        """Remove every entry (all stamps) and reset the counters;
-        returns the number of entry files removed."""
-        import shutil
-
-        root = self.root()
-        removed = 0
-        if root.is_dir():
-            removed = sum(1 for _ in root.glob("*/*/*.run"))
-            shutil.rmtree(root, ignore_errors=True)
-        with self._lock:
-            self.hits = self.misses = self.writes = 0
-            self.evictions = self.corrupt = self.bypasses = 0
-            self.quarantined = self.io_retries = 0
-        return removed
-
-    # -- integrity and fault hooks -------------------------------------
-
-    def verify(self) -> List[str]:
-        """Digest-verify every entry of the current stamp; returns the
-        keys that failed (each counted under ``corrupt``)."""
-        bad: List[str] = []
-        for path, _, _ in self._entries():
-            try:
-                self.decode(path.read_bytes())
-            except (OSError, ValueError):
-                self._count("corrupt", "perf.diskcache.corrupt")
-                bad.append(path.stem)
-        return bad
-
-    def tamper(self, key: str, mutate: Callable[[Any], None]) -> bool:
-        """Rewrite the entry under ``key`` with ``mutate`` applied and a
-        *valid* digest — the stale-but-self-consistent corruption only a
-        differential oracle can catch.  Exists for
-        :mod:`repro.check.faults`; production code has no business
-        calling it.  Returns whether the key was present."""
-        path = self._path(key)
-        try:
-            value = self.decode(path.read_bytes())
-        except (OSError, ValueError):
-            return False
-        mutate(value)
-        path.write_bytes(self.encode(value))
-        return True
-
-    def corrupt_bytes(self, key: str, offset: int = -1) -> bool:
-        """Flip one payload byte of the entry on disk (digest left
-        stale), modelling media corruption.  For fault injection only.
-        Returns whether the key was present."""
-        path = self._path(key)
-        try:
-            blob = bytearray(path.read_bytes())
-        except OSError:
-            return False
-        blob[offset] ^= 0xFF
-        path.write_bytes(bytes(blob))
-        return True
-
-    # -- reporting -----------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._entries())
-
-    def total_bytes(self) -> int:
-        return sum(size for _, _, size in self._entries())
-
-    def stats(self) -> Dict[str, int]:
-        return {
-            "entries": len(self),
-            "bytes": self.total_bytes(),
-            "hits": self.hits,
-            "misses": self.misses,
-            "writes": self.writes,
-            "evictions": self.evictions,
-            "corrupt": self.corrupt,
-            "quarantined": self.quarantined,
-            "io_retries": self.io_retries,
-            "bypasses": self.bypasses,
-            "enabled": int(self.enabled),
-        }
-
-    def format_stats(self) -> str:
-        s = self.stats()
-        state = "" if s["enabled"] else " (disabled)"
-        return (
-            f"disk cache: {s['hits']} hits, {s['misses']} misses, "
-            f"{s['writes']} writes, {s['evictions']} evictions, "
-            f"{s['corrupt']} corrupt, {s['quarantined']} quarantined, "
-            f"{s['bypasses']} bypasses, "
-            f"{s['entries']} entries ({s['bytes'] / 1e6:.1f} MB)"
-            f"{state} at {self.root()}"
-        )
-
-    # -- locking -------------------------------------------------------
-
-    def _interprocess_lock(self):
-        """Advisory lock over prune; degrades to a no-op where
-        ``fcntl`` or the lock file is unavailable."""
-        return _FlockGuard(self.root() / ".lock")
-
-
-class _FlockGuard:
-    """Context manager: ``fcntl.flock`` on a lock file, best-effort.
-
-    The holder records ``{"pid", "time"}`` into the lock file once the
-    flock is held.  Before acquiring, a lock file whose *recorded*
-    holder is dead and whose mtime is older than :data:`STALE_LOCK_AGE`
-    is broken (unlinked) — the leftover of a SIGKILLed or rebooted
-    process cannot wedge pruning forever.  The break is deliberately
-    conservative: an empty or unparseable record is left alone (the
-    kernel releases a real ``flock`` with its holder anyway), and a
-    live recorded pid is never broken.
-    """
-
-    def __init__(self, path: Path) -> None:
-        self._path = path
-        self._fh: Optional[io.IOBase] = None
-
-    def _break_if_stale(self) -> None:
-        """Unlink the lock file iff its recorded holder is provably
-        dead and the file has not been touched recently."""
-        try:
-            raw = self._path.read_bytes()
-            age = time.time() - self._path.stat().st_mtime
-        except OSError:
-            return
-        try:
-            record = json.loads(raw)
-            pid = int(record["pid"])
-        except (KeyError, TypeError, ValueError):
-            return  # no recorded holder: nothing provable, leave it
-        if _pid_alive(pid) or age < STALE_LOCK_AGE:
-            return
-        try:
-            self._path.unlink()
-        except OSError:
-            return
-        from repro.resilience.stats import RESILIENCE
-
-        RESILIENCE.note("locks_broken")
-        tracer = active_tracer()
-        if tracer is not None:
-            tracer.count("perf.diskcache.lock_broken")
-
-    #: Fixed width of the holder record: rewriting the same bytes in
-    #: place (space-padded, JSON ignores trailing whitespace) never
-    #: changes the file size, so taking the lock costs no journal
-    #: commit — an ftruncate per acquisition dominated the cold path.
-    _HOLDER_BYTES = 64
-
-    def _record_holder(self) -> None:
-        """Write our pid into the held lock file (flock is exclusive,
-        so the in-place overwrite cannot race another holder)."""
-        try:
-            data = json.dumps(
-                {"pid": os.getpid(), "time": time.time()}
-            ).encode("ascii").ljust(self._HOLDER_BYTES)
-            self._fh.seek(0, os.SEEK_END)
-            size = self._fh.tell()
-            self._fh.seek(0)
-            self._fh.write(data)
-            if size > len(data):
-                # A longer legacy record: shrink once, then the fixed
-                # width holds forever.
-                self._fh.truncate(len(data))
-            self._fh.flush()
-        except OSError:
-            pass
-
-    def __enter__(self) -> "_FlockGuard":
-        fd = None
-        try:
-            import fcntl
-
-            self._path.parent.mkdir(parents=True, exist_ok=True)
-            if _chaos_active():
-                from repro.resilience import chaos
-
-                chaos.on_lock_acquire(self._path)
-            self._break_if_stale()
-            # O_RDWR, not append mode: append-mode writes land at the
-            # end regardless of seek position, which would grow the
-            # lock file on every acquisition.
-            fd = os.open(str(self._path), os.O_RDWR | os.O_CREAT, 0o644)
-            self._fh = os.fdopen(fd, "r+b")
-            fd = None  # owned by the file object now
-            fcntl.flock(self._fh.fileno(), fcntl.LOCK_EX)
-            self._record_holder()
-        except (ImportError, OSError):
-            if fd is not None:
-                try:
-                    os.close(fd)
-                except OSError:
-                    pass
-            if self._fh is not None:
-                self._fh.close()
-            self._fh = None
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        if self._fh is not None:
-            try:
-                import fcntl
-
-                fcntl.flock(self._fh.fileno(), fcntl.LOCK_UN)
-            except (ImportError, OSError):
-                pass
-            self._fh.close()
-
-
-def __getattr__(name: str):
-    """Lazy singleton: the process-wide tier 2 is a packed-index store
-    (:class:`repro.perf.index.PackedDiskCache`), materialised on first
-    access.  Keeping the construction behind a module ``__getattr__``
-    breaks the import cycle with :mod:`repro.perf.index` and keeps
-    ``import repro.perf.diskcache`` free of any store I/O — part of the
-    CLI's lazy-import fast path."""
-    if name == "DISK_CACHE":
-        from repro.perf.index import PackedDiskCache
-
-        instance = PackedDiskCache()
-        globals()["DISK_CACHE"] = instance
-        return instance
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )
+#: The process-wide tier 2 store.
+DISK_CACHE = PackedDiskCache()

@@ -1,9 +1,18 @@
-"""Packed disk-cache index: one manifest, sharded payload segments.
+"""Packed disk store: the persistent tier 2 of the run cache.
 
-The original tier 2 (:mod:`repro.perf.diskcache`) stores one file per
-key; a warm ``repro report`` therefore pays one ``open`` + full-file
-``sha256`` per probe.  This module replaces the *layout* — not the
-semantics — with a packed store:
+:data:`repro.perf.cache.RUN_CACHE` memoizes runs *within* one process;
+:class:`PackedDiskCache` (the singleton
+:data:`repro.perf.diskcache.DISK_CACHE`) persists them across process
+boundaries, so a CI job, a fresh CLI invocation, or a pool worker can
+serve a run that some earlier process already simulated.
+
+Layout
+------
+The *root* resolves, in order, to ``$REPRO_DISK_CACHE_DIR``,
+``$XDG_CACHE_HOME/repro/runs``, or ``~/.cache/repro/runs`` — re-read on
+every operation so tests and subprocesses can redirect it.  Under it,
+one directory per model-version stamp
+(:func:`repro.perf.cache.model_version_stamp`) holds:
 
 * ``<root>/<stamp>/index.manifest`` — an append-only JSON-lines
   manifest.  Line 1 is a header carrying the format name and a
@@ -17,33 +26,37 @@ semantics — with a packed store:
 
 A warm process loads the manifest **once** (a single sequential read),
 then answers every probe from the in-memory map with one ``pread`` per
-payload; :meth:`get_many` batches a whole sweep's probes, grouping by
-segment.  Appends — payload bytes, then the manifest line — happen under
-the same inter-process ``flock`` the legacy store used, so concurrent
-writers serialise and readers can incrementally consume the manifest
-tail from their last-read byte offset.
+payload; :meth:`PackedDiskCache.get_many` batches a whole sweep's
+probes, grouping by segment.  Appends — payload bytes, then the
+manifest line — happen under an inter-process ``flock`` on
+``<root>/.lock``, so concurrent writers serialise and readers can
+incrementally consume the manifest tail from their last-read offset.
 
-Integrity semantics are preserved from the legacy tier, entry for
-entry: payload digests are verified before anything is unpickled, a
-corrupt record is quarantined (payload bytes moved to
-``<root>/quarantine/`` with a structured incident JSON) and tombstoned
-— counted, never served, never wedging the key; a torn manifest tail
-(writer killed mid-append) is quarantined and truncated by the next
-locked writer, mirroring the flight-recorder ledger's recovery; a
-transient read error is retried once before degrading to a miss.
-Pruning rewrites manifest + segments compacted under the lock and bumps
-the header generation so other processes reload.
+Self-healing
+------------
+Payload digests are verified before anything is unpickled.  A corrupt
+record is quarantined (payload bytes copied to ``<root>/quarantine/``
+with a structured incident JSON) and tombstoned — counted, never
+served, never wedging the key.  A torn manifest tail (writer killed
+mid-append) is quarantined and truncated by the next locked writer,
+mirroring the flight-recorder ledger's recovery.  A transient read
+error is retried once before degrading to a miss.  A stale lock file —
+recorded holder dead, file old — is broken before acquisition.
+Pruning rewrites manifest + segments compacted under the lock and
+bumps the header generation so other processes reload; a failed read
+against a stale generation re-syncs before it counts as corruption.
 
-The singleton :data:`repro.perf.diskcache.DISK_CACHE` is an instance of
-:class:`PackedDiskCache`; the legacy :class:`~repro.perf.diskcache.
-DiskCache` class remains for migration (``repro cache migrate``) and
-for its format-coupled tests.
+``REPRO_DISK_CACHE=0`` disables the tier globally; the CLI's
+``--no-disk-cache`` calls :meth:`PackedDiskCache.disable` for one
+invocation.  Bypassed lookups are counted, so telemetry shows the tier
+was skipped, not silently absent.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import io
 import json
 import os
 import pickle
@@ -62,7 +75,7 @@ from typing import (
     Tuple,
 )
 
-from repro.perf.diskcache import DiskCache, _chaos_active, _default_root, _FlockGuard
+from repro.errors import ConfigError
 from repro.trace.tracer import active_tracer
 
 #: Manifest header format tag (line 1 of every manifest).
@@ -75,6 +88,39 @@ DEFAULT_SEGMENT_MB = 64
 #: Probe-latency reservoir size (per process, newest samples win).
 _LATENCY_SAMPLES = 512
 
+#: A lock file whose recorded holder is dead counts as stale once it is
+#: this many seconds old (age guards against breaking a lock whose
+#: holder pid we simply failed to observe mid-handoff).
+STALE_LOCK_AGE = 60.0
+
+
+def _chaos_active() -> bool:
+    """Cheap gate for the chaos-injection hooks (hot paths)."""
+    return bool(os.environ.get("REPRO_CHAOS"))
+
+
+def _pid_alive(pid: int) -> bool:
+    """Whether ``pid`` names a live process (conservative: unknown
+    errors are treated as alive — never break a lock on a guess)."""
+    if pid <= 0:
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except OSError:
+        return True
+    return True
+
+
+def _default_root() -> Path:
+    env = os.environ.get("REPRO_DISK_CACHE_DIR")
+    if env:
+        return Path(env)
+    xdg = os.environ.get("XDG_CACHE_HOME")
+    base = Path(xdg) if xdg else Path("~/.cache").expanduser()
+    return base / "repro" / "runs"
+
 
 def _segment_bytes() -> int:
     try:
@@ -84,6 +130,115 @@ def _segment_bytes() -> int:
     if mb <= 0:
         mb = DEFAULT_SEGMENT_MB
     return int(mb * 1024 * 1024)
+
+
+class _FlockGuard:
+    """Context manager: ``fcntl.flock`` on a lock file, best-effort.
+
+    The holder records ``{"pid", "time"}`` into the lock file once the
+    flock is held.  Before acquiring, a lock file whose *recorded*
+    holder is dead and whose mtime is older than :data:`STALE_LOCK_AGE`
+    is broken (unlinked) — the leftover of a SIGKILLed or rebooted
+    process cannot wedge the store forever.  The break is deliberately
+    conservative: an empty or unparseable record is left alone (the
+    kernel releases a real ``flock`` with its holder anyway), and a
+    live recorded pid is never broken.
+    """
+
+    def __init__(self, path: Path) -> None:
+        self._path = path
+        self._fh: Optional[io.IOBase] = None
+
+    def _break_if_stale(self) -> None:
+        """Unlink the lock file iff its recorded holder is provably
+        dead and the file has not been touched recently."""
+        try:
+            raw = self._path.read_bytes()
+            age = time.time() - self._path.stat().st_mtime
+        except OSError:
+            return
+        try:
+            record = json.loads(raw)
+            pid = int(record["pid"])
+        except (KeyError, TypeError, ValueError):
+            return  # no recorded holder: nothing provable, leave it
+        if _pid_alive(pid) or age < STALE_LOCK_AGE:
+            return
+        try:
+            self._path.unlink()
+        except OSError:
+            return
+        from repro.resilience.stats import RESILIENCE
+
+        RESILIENCE.note("locks_broken")
+        tracer = active_tracer()
+        if tracer is not None:
+            tracer.count("perf.diskcache.lock_broken")
+
+    #: Fixed width of the holder record: rewriting the same bytes in
+    #: place (space-padded, JSON ignores trailing whitespace) never
+    #: changes the file size, so taking the lock costs no journal
+    #: commit — an ftruncate per acquisition dominated the cold path.
+    _HOLDER_BYTES = 64
+
+    def _record_holder(self) -> None:
+        """Write our pid into the held lock file (flock is exclusive,
+        so the in-place overwrite cannot race another holder)."""
+        try:
+            data = json.dumps(
+                {"pid": os.getpid(), "time": time.time()}
+            ).encode("ascii").ljust(self._HOLDER_BYTES)
+            self._fh.seek(0, os.SEEK_END)
+            size = self._fh.tell()
+            self._fh.seek(0)
+            self._fh.write(data)
+            if size > len(data):
+                # A longer legacy record: shrink once, then the fixed
+                # width holds forever.
+                self._fh.truncate(len(data))
+            self._fh.flush()
+        except OSError:
+            pass
+
+    def __enter__(self) -> "_FlockGuard":
+        fd = None
+        try:
+            import fcntl
+
+            self._path.parent.mkdir(parents=True, exist_ok=True)
+            if _chaos_active():
+                from repro.resilience import chaos
+
+                chaos.on_lock_acquire(self._path)
+            self._break_if_stale()
+            # O_RDWR, not append mode: append-mode writes land at the
+            # end regardless of seek position, which would grow the
+            # lock file on every acquisition.
+            fd = os.open(str(self._path), os.O_RDWR | os.O_CREAT, 0o644)
+            self._fh = os.fdopen(fd, "r+b")
+            fd = None  # owned by the file object now
+            fcntl.flock(self._fh.fileno(), fcntl.LOCK_EX)
+            self._record_holder()
+        except (ImportError, OSError):
+            if fd is not None:
+                try:
+                    os.close(fd)
+                except OSError:
+                    pass
+            if self._fh is not None:
+                self._fh.close()
+            self._fh = None
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self._fh is not None:
+            try:
+                import fcntl
+
+                fcntl.flock(self._fh.fileno(), fcntl.LOCK_UN)
+            except (ImportError, OSError):
+                pass
+            self._fh.close()
 
 
 class _Record:
@@ -126,13 +281,14 @@ class _View:
 
 
 class PackedDiskCache:
-    """Tier 2 with a packed manifest+segments layout.
+    """Tier 2: digest-verified runs in a packed manifest+segments store.
 
-    API-compatible with the legacy :class:`~repro.perf.diskcache.
-    DiskCache` (same counters, same quarantine/incident shape, same
-    ``format_stats`` line, same advisory lock), plus the batched
+    Per-key :meth:`lookup` / :meth:`insert` plus the batched
     :meth:`get_many` / :meth:`put_many` the planner uses on the warm
-    path.
+    path.  Cross-process safety comes from the advisory lock; the
+    in-process counters are guarded by a thread lock.
+    ``max_entries``/``max_bytes`` bound the store; inserts trigger an
+    opportunistic :meth:`prune` every ``prune_interval`` writes.
     """
 
     def __init__(
@@ -170,7 +326,8 @@ class PackedDiskCache:
     @property
     def enabled(self) -> bool:
         """Whether lookups/inserts touch the disk at all (re-reads
-        ``REPRO_DISK_CACHE`` on each access, like the legacy tier)."""
+        ``REPRO_DISK_CACHE`` on each access, so environment changes
+        take effect immediately)."""
         if self._forced_off:
             return False
         if not self._respect_env:
@@ -212,8 +369,8 @@ class PackedDiskCache:
         return base / "segments" / f"seg-{index:05d}.bin"
 
     def _interprocess_lock(self):
-        """The same advisory lock the legacy tier used (prune *and*
-        appends serialise on it; degrades to a no-op without fcntl)."""
+        """The store's advisory lock (appends, tombstones and prunes
+        serialise on it; degrades to a no-op without fcntl)."""
         return _FlockGuard(self.root() / ".lock")
 
     # -- counters ------------------------------------------------------
@@ -334,21 +491,11 @@ class PackedDiskCache:
 
     # -- low-level I/O -------------------------------------------------
 
-    def _segment_fd(self, view: _View, index: int) -> Optional[int]:
-        fd = view.fds.get(index)
-        if fd is None:
-            try:
-                fd = os.open(self._segment_path(index), os.O_RDONLY)
-            except OSError:
-                return None
-            view.fds[index] = fd
-        return fd
-
     def _read_payload(
         self, view: _View, record: _Record
     ) -> Tuple[Optional[bytes], str]:
         """``(payload, failure-reason)`` for one record; retries one
-        transient I/O error like the legacy ``_read_entry``."""
+        transient I/O error before giving up."""
         path = self._segment_path(record.segment)
         for attempt in (0, 1):
             try:
@@ -543,10 +690,9 @@ class PackedDiskCache:
     ) -> None:
         """Preserve a damaged record's bytes, tombstone the key, count.
 
-        Mirrors the legacy quarantine: evidence is moved out (here,
-        copied — the segment holds other live records), an incident JSON
-        is written beside it, and the key heals on the next insert.
-        Never raises.
+        The evidence is copied out (the segment holds other live
+        records), an incident JSON is written beside it, and the key
+        heals on the next insert.  Never raises.
         """
         incident: Dict[str, Any] = {
             "key": key,
@@ -808,8 +954,13 @@ class PackedDiskCache:
         rewritten into fresh segments, the manifest is rewritten with a
         new generation token, and other processes reload on their next
         sync.  Recency is the in-process access time where known,
-        falling back to each record's stored-at time.
+        falling back to each record's stored-at time.  A negative cap
+        raises :class:`~repro.errors.ConfigError`.
         """
+        caps = (("max_entries", max_entries), ("max_bytes", max_bytes))
+        for name, cap in caps:
+            if cap is not None and cap < 0:
+                raise ConfigError(f"{name} must be >= 0, got {cap}")
         max_entries = self.max_entries if max_entries is None else max_entries
         max_bytes = self.max_bytes if max_bytes is None else max_bytes
         removed = 0
@@ -966,8 +1117,6 @@ class PackedDiskCache:
         if root.is_dir():
             for manifest in root.glob("*/index.manifest"):
                 removed += len(self._manifest_census(manifest)[0])
-            # Legacy file-per-key entries count too (pre-migration).
-            removed += sum(1 for _ in root.glob("*/*/*.run"))
             shutil.rmtree(root, ignore_errors=True)
         if self._view is not None:
             self._view.close()
@@ -1089,97 +1238,6 @@ class PackedDiskCache:
                 return False
         view.verified.discard(key)
         view.seg_stat.pop(fresh.segment, None)
-        return True
-
-    # -- migration -----------------------------------------------------
-
-    def migrate_legacy(self) -> Dict[str, int]:
-        """Pack legacy file-per-key entries (``<stamp>/<xx>/<key>.run``)
-        under this root into the index, digest-verified, removing each
-        migrated file.  A file that fails verification is quarantined by
-        the legacy store's own rules.  Returns
-        ``{"migrated": n, "corrupt": n, "stamps": n}``.
-        """
-        root = self.root()
-        migrated = corrupt = 0
-        stamps = set()
-        if not root.is_dir():
-            return {"migrated": 0, "corrupt": 0, "stamps": 0}
-        legacy = DiskCache(root, respect_env=False)
-        for path in sorted(root.glob("*/*/*.run")):
-            stamp = path.parent.parent.name
-            if stamp == "quarantine":
-                continue
-            key = path.stem
-            try:
-                blob = path.read_bytes()
-                value = DiskCache.decode(blob)
-            except (OSError, ValueError) as exc:
-                corrupt += 1
-                legacy._quarantine(key, path, f"migrate: {exc}")
-                continue
-            stamps.add(stamp)
-            # Entries live under their own stamp dir; only the current
-            # stamp's entries are reachable by lookups, but pack every
-            # stamp faithfully.
-            payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-            digest = hashlib.sha256(payload).hexdigest()
-            stamp_dir = root / stamp
-            with self._interprocess_lock():
-                if stamp_dir == self.stamp_dir():
-                    view = self._current_view()
-                    ok = self._append(view, [(key, payload, digest)]) == 1
-                else:
-                    ok = self._append_foreign(
-                        stamp_dir, [(key, payload, digest)]
-                    )
-            if not ok:
-                continue
-            migrated += 1
-            try:
-                path.unlink()
-                if not any(path.parent.iterdir()):
-                    path.parent.rmdir()
-            except OSError:
-                pass
-        return {
-            "migrated": migrated, "corrupt": corrupt, "stamps": len(stamps)
-        }
-
-    def _append_foreign(
-        self, stamp_dir: Path, entries: Sequence[Tuple[str, bytes, str]]
-    ) -> bool:
-        """Append records into a non-current stamp's manifest (migration
-        of orphaned stamps); caller holds the flock."""
-        manifest = self._manifest_path(stamp_dir)
-        try:
-            stamp_dir.mkdir(parents=True, exist_ok=True)
-            self._segment_path(0, stamp_dir).parent.mkdir(
-                parents=True, exist_ok=True
-            )
-            if not manifest.exists():
-                self._write_header(manifest)
-            seg_path = self._segment_path(0, stamp_dir)
-            with open(seg_path, "ab") as seg:
-                lines = []
-                for key, payload, digest in entries:
-                    offset = seg.tell()
-                    seg.write(payload)
-                    lines.append(
-                        json.dumps(
-                            {
-                                "k": key, "s": 0, "o": offset,
-                                "n": len(payload), "d": digest,
-                                "t": time.time(),
-                            },
-                            sort_keys=True,
-                        ).encode("ascii")
-                        + b"\n"
-                    )
-            with open(manifest, "ab") as fh:
-                fh.write(b"".join(lines))
-        except OSError:
-            return False
         return True
 
     # -- reporting -----------------------------------------------------

@@ -420,15 +420,17 @@ def run_chaos_check(
             reset_tokens(spec)
             RESILIENCE.reset()
             os.environ["REPRO_CHAOS"] = spec_text
-            chaotic = full_report(
-                workloads=workloads, jobs=max(2, jobs), validate=False
-            )
             if spec.budget("lock"):
-                # Lock acquisitions only happen on prune; force one so
-                # the planted stale lock is actually encountered.
+                # Pool workers take the store lock on every write, and a
+                # worker's RESILIENCE tally never reaches this process;
+                # take the lock here first so the parent claims a lock
+                # token and breaks the stale lock it plants.
                 from repro.perf.diskcache import DISK_CACHE
 
                 DISK_CACHE.prune()
+            chaotic = full_report(
+                workloads=workloads, jobs=max(2, jobs), validate=False
+            )
             os.environ.pop("REPRO_CHAOS", None)
             if spec.budget("corrupt"):
                 # The corrupted entry is only *read* by a later process;

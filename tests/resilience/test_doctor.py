@@ -57,6 +57,19 @@ class TestUnhealthyEnvironment:
         assert result.status == FAIL
         assert key[:12] in result.detail
 
+    def test_verify_failure_names_a_remedy_that_works(self, capsys):
+        from repro.cli import main
+
+        key = "cafef00d" * 8
+        DISK_CACHE.insert(key, {"v": 1})
+        DISK_CACHE.corrupt_bytes(key)
+        result = probe_disk_cache_verify()
+        assert result.status == FAIL
+        assert "`repro cache clear`" in result.detail
+        assert "prune" not in result.detail
+        assert main(["cache", "clear"]) == 0
+        assert probe_disk_cache_verify().status == PASS
+
     def test_corrupt_store_makes_doctor_exit_nonzero(self):
         key = "cafef00d" * 8
         DISK_CACHE.insert(key, {"v": 1})

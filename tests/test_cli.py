@@ -56,6 +56,21 @@ class TestCommands:
         assert main(["run", "matmul3d", "raw"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--max-entries", "--max-bytes"])
+    def test_cache_prune_rejects_negative_caps(self, capsys, flag):
+        from repro.perf.diskcache import DISK_CACHE
+
+        DISK_CACHE.put_many([(f"neg{i:03d}", {"cell": i}) for i in range(3)])
+        assert main(["cache", "prune", flag, "-1"]) == 1
+        name = flag[2:].replace("-", "_")
+        err = capsys.readouterr().err
+        assert f"error: {name} must be >= 0, got -1" in err
+        assert len(DISK_CACHE) == 3
+
+    def test_cache_migrate_is_a_usage_error(self):
+        with pytest.raises(SystemExit):
+            main(["cache", "migrate"])
+
     def test_table(self, capsys):
         assert main(["table", "1"]) == 0
         assert "Peak throughput" in capsys.readouterr().out

@@ -24,7 +24,7 @@ def canonical_results():
     return run_table3()
 
 
-CELL_TOLERANCE = 1.5  # each cell within 1.5x either way
+CELL_TOLERANCE = 1.2  # each cell within 1.2x either way
 
 
 @pytest.mark.parametrize("kernel", KERNELS)

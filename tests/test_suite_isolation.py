@@ -14,7 +14,7 @@ import pytest
 @pytest.fixture(scope="module")
 def module_scope_roots():
     from repro.obs.ledger import obs_root
-    from repro.perf.diskcache import _default_root
+    from repro.perf.index import _default_root
     from repro.service.journal import service_root
 
     return {
