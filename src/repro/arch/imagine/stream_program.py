@@ -15,6 +15,15 @@ and the single cluster array.  The Imagine kernel mappings build their
 host programs explicitly, so memory/compute overlap — §4.2's "87% of the
 cycles ... are due to memory transfers" and §4.3's fully-hidden CSLC
 streams — is an *outcome* of the schedule.
+
+A calibration sweep re-times one program many times.
+:func:`execute_measured` runs the program once through the DRAM model
+and the :class:`~repro.sim.schedule.DependencyScheduler` (the reference
+schedule, and the one that emits trace spans), recording each op's
+calibration-independent :class:`OpCost`.  :func:`replay` then compiles
+those costs into an op table — dependencies resolved to indices — and
+re-runs the same in-order schedule over plain floats once per
+calibration cell.
 """
 
 from __future__ import annotations
@@ -143,12 +152,13 @@ class OpCost:
     """Structural cost coefficients of one stream op.
 
     :func:`execute_measured` records these while it runs the DRAM model
-    in program order; :func:`reschedule` turns them back into task
-    durations under a *different* calibration without touching DRAM
-    state.  ``issue_cycles`` (data transfer at the controller rate) and
+    in program order; :func:`replay` turns them back into op durations
+    under other calibrations without touching DRAM state.
+    ``issue_cycles`` (data transfer at the controller rate),
     ``activations`` (row switches, a pure function of the address stream
-    and bank geometry) are calibration-independent; the row-cycle time,
-    gather derate, and kernel durations re-enter at replay.
+    and bank geometry) and ``n_words`` are calibration-independent; the
+    row-cycle time, gather derate, and kernel durations re-enter at
+    replay.
     """
 
     name: str
@@ -251,54 +261,99 @@ def execute(program: StreamProgram, machine: ImagineMachine) -> StreamSchedule:
     return schedule
 
 
-def reschedule(
+#: Op kinds of a compiled replay table.
+_STREAM, _GATHER, _KERNEL = 0, 1, 2
+
+
+def replay(
     costs: Sequence[OpCost],
     machine: ImagineMachine,
     *,
-    row_cycle: float,
-    gather_derate: float,
-    kernel_cycles: Dict[str, float],
-) -> StreamSchedule:
-    """Replay a measured program under different calibration constants.
+    row_cycle: Sequence[float],
+    gather_derate: Sequence[float],
+    kernel_cycles: Sequence[Sequence[float]],
+) -> List[Tuple[float, float, float]]:
+    """Replay a measured program once per calibration cell.
 
-    Rebuilds every task duration from the structural coefficients —
-    ``issue + activations * row_cycle`` for record streams, the derated
-    word rate for gathers, the caller-supplied per-op durations for
-    kernels — and re-runs the identical dependency schedule.  With the
-    measuring calibration's constants this reproduces
-    :func:`execute_measured`'s timeline bit for bit; no DRAM state is
-    touched and no trace spans are emitted, so a batch sweep can replay
-    one structure pass across many calibration cells.
+    Cell ``i`` rebuilds every op duration from the structural
+    coefficients — ``(issue + activations * row_cycle[i]) /
+    memory_controllers`` for record streams, the derated word rate for
+    gathers, ``kernel_cycles[i]`` (one duration per kernel op, in
+    program order) for kernels — and re-runs :func:`execute_measured`'s
+    in-order earliest-start schedule: an op starts at the later of its
+    dependencies' ends and its resource's free time.  Under the
+    measuring calibration's constants this reproduces that schedule bit
+    for bit.
+
+    The op names are resolved to indices once, so each cell is a loop
+    over plain floats: no DRAM state, scheduler objects or trace spans.
+    Returns ``(makespan, memory_busy, cluster_busy)`` per cell.
     """
-    memory = TimelineResource("memory-system")
-    clusters = TimelineResource("cluster-array")
-    scheduler = DependencyScheduler()
-
-    for op in costs:
+    n_cells = len(kernel_cycles)
+    if len(row_cycle) != n_cells or len(gather_derate) != n_cells:
+        raise ScheduleError(
+            "replay needs one row cycle, gather derate and kernel-cycle "
+            "row per cell"
+        )
+    index: Dict[str, int] = {}
+    dep_index = index.__getitem__
+    table = []
+    n_kernels = 0
+    for i, op in enumerate(costs):
+        deps = tuple(map(dep_index, op.deps))
         if op.kind == "kernel":
-            resource = clusters
-            duration = kernel_cycles[op.name]
+            table.append((_KERNEL, deps, 0.0, 0))
+            n_kernels += 1
+        elif op.gather:
+            table.append((_GATHER, deps, op.n_words, 0))
         else:
-            resource = memory
-            if op.gather:
-                controller_cycles = (
-                    op.n_words
-                    * gather_derate
-                    / machine.config.controller_words_per_cycle
-                )
-            else:
-                controller_cycles = (
-                    op.issue_cycles + op.activations * row_cycle
-                )
-            duration = controller_cycles / machine.config.memory_controllers
-        scheduler.add(Task(op.name, resource, duration, deps=op.deps))
+            table.append((_STREAM, deps, op.issue_cycles, op.activations))
+        index[op.name] = i
+    controllers = machine.config.memory_controllers
+    words_per_cycle = machine.config.controller_words_per_cycle
 
-    intervals = {
-        t.name: (t.start, t.end) for t in scheduler.tasks
-    }
-    return StreamSchedule(
-        makespan=scheduler.makespan,
-        memory_busy=memory.busy_cycles,
-        cluster_busy=clusters.busy_cycles,
-        op_intervals=intervals,
-    )
+    cells: List[Tuple[float, float, float]] = []
+    for rc, derate, kernels in zip(row_cycle, gather_derate, kernel_cycles):
+        if len(kernels) != n_kernels:
+            raise ScheduleError(
+                f"replay needs {n_kernels} kernel durations per cell, "
+                f"got {len(kernels)}"
+            )
+        next_kernel = iter(kernels).__next__
+        ends: List[float] = []
+        append = ends.append
+        memory_free = memory_busy = 0.0
+        cluster_free = cluster_busy = 0.0
+        for kind, deps, a, b in table:
+            # Start at the later of the deps' ends and the resource's
+            # free time, as DependencyScheduler and TimelineResource do.
+            ready = 0.0
+            for d in deps:
+                end = ends[d]
+                if end > ready:
+                    ready = end
+            if kind == _KERNEL:
+                duration = next_kernel()
+                if duration < 0:
+                    raise ScheduleError(f"negative kernel duration {duration}")
+                if cluster_free > ready:
+                    ready = cluster_free
+                cluster_free = ready + duration
+                cluster_busy += duration
+                append(cluster_free)
+            else:
+                if kind == _GATHER:
+                    duration = a * derate / words_per_cycle / controllers
+                else:
+                    duration = (a + b * rc) / controllers
+                if duration < 0:
+                    raise ScheduleError(f"negative stream duration {duration}")
+                if memory_free > ready:
+                    ready = memory_free
+                memory_free = ready + duration
+                memory_busy += duration
+                append(memory_free)
+        cells.append(
+            (max(ends) if ends else 0.0, memory_busy, cluster_busy)
+        )
+    return cells

@@ -1,8 +1,9 @@
 """Golden-fixture generation for the snapshot tests.
 
 The snapshot tests (``tests/eval/test_golden_snapshots.py``) pin the
-``repro report`` stdout and the ``eval/export`` CSV byte-for-byte
-against fixtures under ``tests/data/golden/``.  This module is the one
+``repro report`` stdout, the ``eval/export`` CSV, the canonical pipeline
+renders and a dense sensitivity sweep byte-for-byte against fixtures
+under ``tests/data/golden/``.  This module is the one
 sanctioned way to regenerate them::
 
     make refresh-golden
@@ -25,6 +26,7 @@ from typing import Dict, List
 REPORT_FIXTURE = "report.txt"
 TABLE3_CSV_FIXTURE = "table3.csv"
 PIPELINE_FIXTURE_TEMPLATE = "pipeline_{machine}.txt"
+SENSITIVITY_FIXTURE = "sensitivity_points8.txt"
 
 
 def pipeline_fixture_names() -> Dict[str, str]:
@@ -41,9 +43,11 @@ def golden_documents() -> Dict[str, str]:
     """Every golden document, keyed by fixture file name.
 
     Uses the canonical workloads — exactly what ``python -m repro
-    report`` prints, ``eval/export.write_csv`` writes, and ``repro
-    pipeline run`` renders per machine.
+    report`` prints, ``eval/export.write_csv`` writes, ``repro
+    pipeline run`` renders per machine, and ``repro sensitivity
+    --points 8 --delta 0.25`` prints.
     """
+    from repro.eval import sensitivity
     from repro.eval.export import table3_csv
     from repro.eval.report import full_report
     from repro.eval.tables import run_table3
@@ -61,6 +65,9 @@ def golden_documents() -> Dict[str, str]:
     for name, machine in pipeline_fixture_names().items():
         prun = run_pipeline(canonical_scenario(machine))
         documents[name] = render_pipeline(prun) + "\n"
+    # A dense grid: every column of it is one tensor batch.
+    rows = sensitivity.sweep(delta=0.25, points=8)
+    documents[SENSITIVITY_FIXTURE] = sensitivity.render(rows) + "\n"
     return documents
 
 

@@ -12,16 +12,23 @@ single pass.  Every mapping module supports this by splitting its
   options, and the *structural* calibration fields (integer geometry
   such as TLB entry counts — see :data:`STRUCTURAL_CAL_FIELDS`).
 * ``_evaluate(structure, cals)`` — assembly of the per-cell cycle
-  ledgers from the structure.  Calibration constants enter the models
-  only through closed-form cost expressions, so this half vectorises
-  over a leading batch axis: a term like "activation cycles" becomes a
-  ``(B, S)`` numpy expression reduced along the segment axis.
+  ledgers from the structure.  Where calibration constants enter the
+  models only through closed-form cost expressions, this half
+  vectorises over a leading batch axis: a term like "activation
+  cycles" becomes a ``(B, S)`` numpy expression reduced along the
+  segment axis.  Imagine's ledgers are not a closed form: they come
+  from the host stream program's schedule, whose op start times are a
+  running max over dependencies and resource availability.  Its
+  ``_evaluate`` replays that schedule once per cell over a compiled op
+  table in plain floats
+  (:func:`repro.arch.imagine.stream_program.replay`).
 
 ``run()`` is then exactly the batch of one, which is what makes the
 batch path *bit-identical* to per-cell evaluation: both sides execute
-the same expressions, elementwise over the batch axis, and numpy's
-pairwise summation reduces a row of a C-contiguous 2-D array exactly as
-it reduces the equivalent 1-D array.
+the same expressions, elementwise over the batch axis (or cell by cell
+in the Imagine replay), and numpy's pairwise summation reduces a row of
+a C-contiguous 2-D array exactly as it reduces the equivalent 1-D
+array.
 
 This module holds the pieces the mappings share: the per-machine split
 of calibration fields into batchable (float constants that may vary
@@ -31,7 +38,7 @@ must be uniform), and small helpers for extracting batch-axis vectors.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -93,6 +100,14 @@ def cal_vector(
         [getattr(getattr(cal, group), field) for cal in cals],
         dtype=np.float64,
     )
+
+
+def cal_floats(
+    cals: Sequence[Calibration], group: str, field: str
+) -> List[float]:
+    """:func:`cal_vector` as plain Python floats, for per-cell scalar
+    loops (numpy scalars are slower there and would leak into results)."""
+    return cal_vector(cals, group, field).tolist()
 
 
 #: Cap on elements of a ``(B, S)`` batch-by-segment intermediate; larger

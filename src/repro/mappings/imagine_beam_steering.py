@@ -37,7 +37,7 @@ from repro.arch.imagine.machine import ImagineMachine
 from repro.arch.imagine.stream_program import (
     StreamProgram,
     execute_measured,
-    reschedule,
+    replay,
 )
 from repro.calibration import Calibration
 from repro.kernels.beam_steering import (
@@ -160,44 +160,42 @@ def _structure(
 
 
 def _evaluate(s: Dict, cals: Sequence[Calibration]) -> List[KernelRun]:
-    """Assemble one cycle ledger per calibration: gather, kernel, and
-    prologue timings are rebuilt from each cell's constants and the
-    dependency schedule is replayed."""
+    """Assemble one cycle ledger per calibration: each cell's kernel and
+    prologue duration is rebuilt from its constants, one replay re-times
+    the stream schedule (gathers included) for every cell, and the
+    ledgers follow."""
     workload = s["workload"]
     machine = s["machine"]
     invocations = s["invocations"]
 
-    row_cycle = batch.cal_vector(cals, "imagine", "dram_row_cycle")
-    gather_derate = batch.cal_vector(cals, "imagine", "gather_derate")
-    inefficiency = batch.cal_vector(
+    inefficiency = batch.cal_floats(
         cals, "imagine", "cluster_schedule_inefficiency"
     )
-    comm_exposure = batch.cal_vector(cals, "imagine", "comm_exposure")
-    kernel_startup = batch.cal_vector(cals, "imagine", "kernel_startup")
+    comm_exposure = batch.cal_floats(cals, "imagine", "comm_exposure")
+    kernel_startup = batch.cal_floats(cals, "imagine", "kernel_startup")
+    kernel_per_invocation = [
+        (
+            cluster_schedule_cycles(
+                s["mix_arith"], machine.config, inefficiency=ineff
+            )
+            + s["mix_comms"] * ce
+        )
+        + 1 * ks
+        for ineff, ce, ks in zip(inefficiency, comm_exposure, kernel_startup)
+    ]
+    schedules = replay(
+        s["op_costs"],
+        machine,
+        row_cycle=batch.cal_floats(cals, "imagine", "dram_row_cycle"),
+        gather_derate=batch.cal_floats(cals, "imagine", "gather_derate"),
+        kernel_cycles=[[k] * invocations for k in kernel_per_invocation],
+    )
 
     runs: List[KernelRun] = []
-    for i in range(len(cals)):
-        kernel_per_invocation = (
-            cluster_schedule_cycles(
-                s["mix_arith"],
-                machine.config,
-                inefficiency=float(inefficiency[i]),
-            )
-            + s["mix_comms"] * float(comm_exposure[i])
-        ) + 1 * float(kernel_startup[i])
-        schedule = reschedule(
-            s["op_costs"],
-            machine,
-            row_cycle=float(row_cycle[i]),
-            gather_derate=float(gather_derate[i]),
-            kernel_cycles={
-                f"k{inv}": kernel_per_invocation
-                for inv in range(invocations)
-            },
-        )
-
-        memory = schedule.memory_busy
-        exposed_kernel = schedule.exposed_over_memory
+    for (makespan, memory, _), per_invocation in zip(
+        schedules, kernel_per_invocation
+    ):
+        exposed_kernel = max(0.0, makespan - memory)
         breakdown = CycleBreakdown(
             {"memory": memory, "kernel+prologue (exposed)": exposed_kernel}
         )
@@ -224,7 +222,7 @@ def _evaluate(s: Dict, cals: Sequence[Calibration]) -> List[KernelRun]:
                     ),
                     "kernel_hidden_cycles": max(
                         0.0,
-                        invocations * kernel_per_invocation - exposed_kernel,
+                        invocations * per_invocation - exposed_kernel,
                     ),
                 },
             )

@@ -41,7 +41,7 @@ from repro.arch.imagine.machine import ImagineMachine
 from repro.arch.imagine.stream_program import (
     StreamProgram,
     execute_measured,
-    reschedule,
+    replay,
 )
 from repro.calibration import Calibration
 from repro.kernels.corner_turn import CornerTurnWorkload, corner_turn_reference
@@ -216,42 +216,39 @@ def _structure(
 
 
 def _evaluate(s: Dict, cals: Sequence[Calibration]) -> List[KernelRun]:
-    """Assemble one cycle ledger per calibration: the kernel duration and
-    memory timings are rebuilt from each cell's constants and the
-    dependency schedule is replayed."""
+    """Assemble one cycle ledger per calibration: each cell's kernel
+    duration is rebuilt from its constants, one replay re-times the
+    stream schedule for every cell, and the ledgers follow."""
     workload = s["workload"]
     machine = s["machine"]
     n_strips = s["n_strips"]
 
-    row_cycle = batch.cal_vector(cals, "imagine", "dram_row_cycle")
-    gather_derate = batch.cal_vector(cals, "imagine", "gather_derate")
-    inefficiency = batch.cal_vector(
+    inefficiency = batch.cal_floats(
         cals, "imagine", "cluster_schedule_inefficiency"
     )
-    comm_exposure = batch.cal_vector(cals, "imagine", "comm_exposure")
-    kernel_startup = batch.cal_vector(cals, "imagine", "kernel_startup")
+    comm_exposure = batch.cal_floats(cals, "imagine", "comm_exposure")
+    kernel_startup = batch.cal_floats(cals, "imagine", "kernel_startup")
+    kernel_per_strip = [
+        (
+            cluster_schedule_cycles(
+                s["route_arith"], machine.config, inefficiency=ineff
+            )
+            + s["route_comms"] * ce
+        )
+        + 1 * ks
+        for ineff, ce, ks in zip(inefficiency, comm_exposure, kernel_startup)
+    ]
+    schedules = replay(
+        s["op_costs"],
+        machine,
+        row_cycle=batch.cal_floats(cals, "imagine", "dram_row_cycle"),
+        gather_derate=batch.cal_floats(cals, "imagine", "gather_derate"),
+        kernel_cycles=[[k] * n_strips for k in kernel_per_strip],
+    )
 
     runs: List[KernelRun] = []
-    for i in range(len(cals)):
-        kernel_per_strip = (
-            cluster_schedule_cycles(
-                s["route_arith"],
-                machine.config,
-                inefficiency=float(inefficiency[i]),
-            )
-            + s["route_comms"] * float(comm_exposure[i])
-        ) + 1 * float(kernel_startup[i])
-        schedule = reschedule(
-            s["op_costs"],
-            machine,
-            row_cycle=float(row_cycle[i]),
-            gather_derate=float(gather_derate[i]),
-            kernel_cycles={
-                f"kernel{k}": kernel_per_strip for k in range(n_strips)
-            },
-        )
-        memory = schedule.memory_busy
-        kernel_exposed = schedule.exposed_over_memory
+    for (makespan, memory, _), per_strip in zip(schedules, kernel_per_strip):
+        kernel_exposed = max(0.0, makespan - memory)
         if s["via_network_port"]:
             # §4.2: the network port also peaks at two words/cycle, and
             # the external DRAM behaves the same, so the bound is
@@ -284,7 +281,7 @@ def _evaluate(s: Dict, cals: Sequence[Calibration]) -> List[KernelRun]:
                     "unoverlapped_kernel_fraction": (
                         kernel_exposed / total if total else 0.0
                     ),
-                    "kernel_cycles_total": n_strips * kernel_per_strip,
+                    "kernel_cycles_total": n_strips * per_strip,
                 },
             )
         )

@@ -42,7 +42,7 @@ from repro.arch.imagine.machine import ImagineMachine
 from repro.arch.imagine.stream_program import (
     StreamProgram,
     execute_measured,
-    reschedule,
+    replay,
 )
 from repro.calibration import Calibration
 from repro.kernels.cslc import CSLCWorkload, cslc_oracle, cslc_reference
@@ -190,8 +190,7 @@ def _structure(
             )
             in_base += subband_words
 
-    weighted_kernels = []
-    plain_kernels = []
+    kernel_weighted = []  # per kernel op, in program order
     emit_loads(0)
     for s in range(workload.n_subbands):
         if s + 1 < workload.n_subbands:
@@ -202,11 +201,10 @@ def _structure(
         for t in range(transforms_per_subband):
             cycles = kernel_per_transform + startup_per_kernel
             name = f"k{s}.{t}"
-            if t == workload.n_channels:  # first IFFT carries the weights
+            weighted = t == workload.n_channels  # first IFFT: the weights
+            if weighted:
                 cycles += weight_per_subband
-                weighted_kernels.append(name)
-            else:
-                plain_kernels.append(name)
+            kernel_weighted.append(weighted)
             program.kernel(name, cycles, deps=prev)
             prev = (name,)
         for m in range(workload.n_mains):
@@ -237,8 +235,7 @@ def _structure(
         "weight_mix": weight_mix,
         "free_mix": free_mix,
         "invocations": invocations,
-        "plain_kernels": plain_kernels,
-        "weighted_kernels": weighted_kernels,
+        "kernel_weighted": kernel_weighted,
         "fft_flops": plan.flops() * workload.transforms,
         "ops": workload.op_counts(plan),
         "output": result.outputs,
@@ -248,9 +245,10 @@ def _structure(
 
 
 def _evaluate(s: Dict, cals: Sequence[Calibration]) -> List[KernelRun]:
-    """Assemble one cycle ledger per calibration: kernel, startup, and
-    stream timings are rebuilt from each cell's constants and the
-    dependency schedule is replayed."""
+    """Assemble one cycle ledger per calibration: each cell's kernel and
+    startup durations are rebuilt from its constants, one replay
+    re-times the stream schedule for every cell, and the ledgers
+    follow."""
     workload = s["workload"]
     machine = s["machine"]
     mix = s["mix"]
@@ -258,22 +256,20 @@ def _evaluate(s: Dict, cals: Sequence[Calibration]) -> List[KernelRun]:
     free_mix = s["free_mix"]
     invocations = s["invocations"]
 
-    row_cycle = batch.cal_vector(cals, "imagine", "dram_row_cycle")
-    gather_derate = batch.cal_vector(cals, "imagine", "gather_derate")
-    inefficiency = batch.cal_vector(
+    inefficiency = batch.cal_floats(
         cals, "imagine", "cluster_schedule_inefficiency"
     )
-    comm_exposure = batch.cal_vector(cals, "imagine", "comm_exposure")
-    kernel_startup = batch.cal_vector(cals, "imagine", "kernel_startup")
+    comm_exposure = batch.cal_floats(cals, "imagine", "comm_exposure")
+    kernel_startup = batch.cal_floats(cals, "imagine", "kernel_startup")
 
     alus = machine.config.total_alus
     alus_no_div = alus - machine.config.clusters  # exclude the dividers
 
-    runs: List[KernelRun] = []
-    for i in range(len(cals)):
-        ineff = float(inefficiency[i])
-        ce = float(comm_exposure[i])
-        ks = float(kernel_startup[i])
+    # Everything but the schedule, per cell; the kernel rows give the
+    # replay each kernel op's duration in program order.
+    per_cell = []
+    kernel_rows = []
+    for ineff, ce, ks in zip(inefficiency, comm_exposure, kernel_startup):
         kernel_per_transform = (
             cluster_schedule_cycles(
                 _arith(mix), machine.config, inefficiency=ineff
@@ -288,26 +284,34 @@ def _evaluate(s: Dict, cals: Sequence[Calibration]) -> List[KernelRun]:
         )
         fft_kernel = workload.transforms * kernel_per_transform
         weight_kernel = workload.n_subbands * weight_per_subband
-        kernel = fft_kernel + weight_kernel
-        startup = invocations * ks
-        startup_per_kernel = 1 * ks
-
-        kernel_cycles = {}
-        for name in s["plain_kernels"]:
-            kernel_cycles[name] = kernel_per_transform + startup_per_kernel
-        for name in s["weighted_kernels"]:
-            kernel_cycles[name] = (
-                kernel_per_transform + startup_per_kernel
-            ) + weight_per_subband
-        schedule = reschedule(
-            s["op_costs"],
-            machine,
-            row_cycle=float(row_cycle[i]),
-            gather_derate=float(gather_derate[i]),
-            kernel_cycles=kernel_cycles,
+        comm_free = workload.transforms * (
+            cluster_schedule_cycles(
+                _arith(free_mix), machine.config, inefficiency=ineff
+            )
+            + free_mix.comms * ce
         )
+        per_cell.append(
+            (fft_kernel, fft_kernel + weight_kernel, invocations * ks,
+             comm_free)
+        )
+        plain = kernel_per_transform + 1 * ks
+        weighted = plain + weight_per_subband
+        kernel_rows.append(
+            [weighted if w else plain for w in s["kernel_weighted"]]
+        )
+    schedules = replay(
+        s["op_costs"],
+        machine,
+        row_cycle=batch.cal_floats(cals, "imagine", "dram_row_cycle"),
+        gather_derate=batch.cal_floats(cals, "imagine", "gather_derate"),
+        kernel_cycles=kernel_rows,
+    )
 
-        exposed_memory = max(0.0, schedule.makespan - (kernel + startup))
+    runs: List[KernelRun] = []
+    for (makespan, memory_wall, _), (
+        fft_kernel, kernel, startup, comm_free
+    ) in zip(schedules, per_cell):
+        exposed_memory = max(0.0, makespan - (kernel + startup))
         breakdown = CycleBreakdown(
             {
                 "kernel": kernel,
@@ -315,18 +319,11 @@ def _evaluate(s: Dict, cals: Sequence[Calibration]) -> List[KernelRun]:
                 "memory (exposed)": exposed_memory,
             }
         )
-        memory_wall = schedule.memory_busy
 
         ops = s["ops"]
         total = breakdown.total
         fft_flops = s["fft_flops"]
         fft_time = fft_kernel + startup
-        comm_free = workload.transforms * (
-            cluster_schedule_cycles(
-                _arith(free_mix), machine.config, inefficiency=ineff
-            )
-            + free_mix.comms * ce
-        )
         runs.append(
             KernelRun(
                 kernel="cslc",

@@ -9,7 +9,7 @@ activation counting, cache-trace simulation, functional references) once
 per cell, even though it is identical across the grid.
 
 Every mapping module therefore splits its ``run`` into a ``_structure``
-pass and a vectorised ``_evaluate`` (see :mod:`repro.mappings.batch`),
+pass and a batched ``_evaluate`` (see :mod:`repro.mappings.batch`),
 exposed through ``run_batch(calibrations, **kwargs)`` entry points in
 :data:`repro.mappings.registry._BATCH_REGISTRY`.  This module is the
 piece that lets the *planner* use them:

@@ -356,7 +356,10 @@ def run_chaos_check(
     one, injected faults must actually have fired, recoveries must show
     in ``resilience.*`` telemetry, and the runtime must not have
     degraded to serial.  Both runs use an ephemeral disk-cache root so
-    the user's store is never touched.
+    the user's store is never touched.  A spec with a ``disk`` or
+    ``corrupt`` budget adds a third, serial report replayed from the
+    chaotic store (still under chaos for ``disk``, whose read error
+    only a payload read can meet), which must match too.
 
     The reports are generated with ``validate=False``: the subject here
     is the *runtime* (supervisor, cache tiers, locks), and the rendered
@@ -431,15 +434,22 @@ def run_chaos_check(
             chaotic = full_report(
                 workloads=workloads, jobs=max(2, jobs), validate=False
             )
-            os.environ.pop("REPRO_CHAOS", None)
-            if spec.budget("corrupt"):
-                # The corrupted entry is only *read* by a later process;
-                # replay the report from the damaged store and require
-                # the reader to quarantine, recompute, and still match.
+            if spec.budget("disk") or spec.budget("corrupt"):
+                # Replay the report from the chaotic store and require
+                # it to still match.  The chaotic run starts from an
+                # empty store and answers repeats from memory, so no
+                # payload is read there: this replay is the first read.
+                # Under ``disk`` it runs still armed, so the injected
+                # read error meets the retry; under ``corrupt`` the
+                # reader must quarantine the damaged entry and
+                # recompute.
+                if not spec.budget("disk"):
+                    os.environ.pop("REPRO_CHAOS", None)
                 RUN_CACHE.clear()
                 reread = full_report(
                     workloads=workloads, jobs=1, validate=False
                 )
+            os.environ.pop("REPRO_CHAOS", None)
 
             snap = RESILIENCE.snapshot()
             claimed = tokens_claimed(spec)
@@ -521,6 +531,14 @@ def run_chaos_check(
             PASS if quarantined >= 1 else FAIL,
             f"resilience.quarantined={quarantined}"
             + ("" if quarantined else " — corrupt entry never quarantined"),
+        )
+    if spec.budget("disk"):
+        retried = int(snap.get("io_retries", 0))
+        report.add(
+            "chaos.diskcache.read-retried",
+            PASS if retried >= 1 else FAIL,
+            f"resilience.io_retries={retried}"
+            + ("" if retried else " — injected read error never retried"),
         )
     if spec.budget("lock"):
         broken = int(snap.get("locks_broken", 0))

@@ -1,7 +1,8 @@
 """Golden snapshot tests: the published outputs are pinned byte-for-byte.
 
-``repro report`` stdout and the Table 3 CSV export are compared against
-checked-in fixtures under ``tests/data/golden/``.  Any drift — a changed
+``repro report`` stdout, the Table 3 CSV export, the pipeline renders
+and a dense ``repro sensitivity`` sweep are compared against checked-in
+fixtures under ``tests/data/golden/``.  Any drift — a changed
 constant, a reordered section, a float formatting change — fails with a
 unified diff.  Intentional changes are re-pinned with
 ``make refresh-golden`` and the fixture diff is reviewed like code.
@@ -17,6 +18,7 @@ import pytest
 
 from repro.check.golden import (
     REPORT_FIXTURE,
+    SENSITIVITY_FIXTURE,
     TABLE3_CSV_FIXTURE,
     diff_against_golden,
     golden_documents,
@@ -53,6 +55,15 @@ class TestSnapshots:
         for name in names:
             diff = diff_against_golden(name, documents[name], GOLDEN_DIR)
             assert not diff, diff
+
+    def test_dense_sensitivity_matches_golden(self, documents):
+        # Every column of the 8-point grid is one tensor batch, so this
+        # pins the batched evaluation of every mapping (the Imagine
+        # schedule replay included) to the bytes the CLI prints.
+        diff = diff_against_golden(
+            SENSITIVITY_FIXTURE, documents[SENSITIVITY_FIXTURE], GOLDEN_DIR
+        )
+        assert not diff, diff
 
     def test_pipeline_fixture_content(self, documents):
         for name, machine in pipeline_fixture_names().items():
@@ -126,7 +137,7 @@ class TestDiffMachinery:
 
     def test_write_golden_round_trips(self, documents, tmp_path):
         paths = write_golden(tmp_path)
-        expected = {REPORT_FIXTURE, TABLE3_CSV_FIXTURE}
+        expected = {REPORT_FIXTURE, TABLE3_CSV_FIXTURE, SENSITIVITY_FIXTURE}
         expected.update(pipeline_fixture_names())
         assert {p.name for p in paths} == expected
         for name in sorted(expected):

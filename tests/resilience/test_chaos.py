@@ -175,6 +175,11 @@ class TestChaosCheck:
         assert report.ok, report.render(verbose=True)
         assert names["chaos.report.identical"] == "pass"
         assert names["chaos.supervisor.no-degradation"] == "pass"
+        # The error must actually fire (on the armed re-read from the
+        # chaotic store) and be healed by the retry.
+        assert names["chaos.injections.fired"] == "pass"
+        assert names["chaos.diskcache.read-retried"] == "pass"
+        assert names["chaos.report.reread-identical"] == "pass"
 
     def test_parent_breaks_the_planted_stale_lock(self):
         # Pool workers take the store lock on every write, and their

@@ -8,7 +8,18 @@ polluted) while tracing is active.
 
 import pytest
 
-from repro.mappings import registry
+from repro.calibration import DEFAULT_CALIBRATION
+from repro.kernels.workloads import (
+    small_beam_steering,
+    small_corner_turn,
+    small_cslc,
+)
+from repro.mappings import (
+    imagine_beam_steering,
+    imagine_corner_turn,
+    imagine_cslc,
+    registry,
+)
 from repro.perf.cache import RUN_CACHE, cache_key
 from repro.trace.run import trace_run
 from repro.trace.tracer import active_tracer, tracing
@@ -103,3 +114,39 @@ class TestDisabledTracingIsInert:
         trace_run("corner_turn", "viram")  # exercise tracing in between
         after = table3_csv(run_table3(small_workloads))
         assert before == after
+
+
+class TestImagineResourceSpans:
+    """A traced Imagine run emits each stream op's resource span once:
+    the measured execution's.  The per-cell replay that re-times the
+    program emits none."""
+
+    @pytest.mark.parametrize(
+        "kernel,module,workload",
+        [
+            ("corner_turn", imagine_corner_turn, small_corner_turn()),
+            ("cslc", imagine_cslc, small_cslc()),
+            ("beam_steering", imagine_beam_steering, small_beam_steering()),
+        ],
+        ids=["corner_turn", "cslc", "beam_steering"],
+    )
+    def test_one_span_per_stream_op(self, kernel, module, workload):
+        costs = module._structure(
+            workload, DEFAULT_CALIBRATION, 0, False
+        )["op_costs"]
+        n_kernels = sum(1 for c in costs if c.kind == "kernel")
+        run, tracer = trace_run(kernel, "imagine", workload=workload)
+        counters = tracer.counters
+        assert counters["resource.memory-system.transactions"] == (
+            len(costs) - n_kernels
+        )
+        assert counters["resource.cluster-array.transactions"] == n_kernels
+        memory_busy = tracer.busy_by_track()["resource/memory-system"]
+        ledger = run.breakdown.as_dict()
+        if "memory" in ledger:
+            assert memory_busy == ledger["memory"]
+        else:  # CSLC hides its streams: exposed + hidden is the wall
+            assert memory_busy == pytest.approx(
+                ledger["memory (exposed)"]
+                + run.metrics["memory_hidden_cycles"]
+            )
