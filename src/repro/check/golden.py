@@ -2,8 +2,9 @@
 
 The snapshot tests (``tests/eval/test_golden_snapshots.py``) pin the
 ``repro report`` stdout, the ``eval/export`` CSV, the canonical pipeline
-renders and a dense sensitivity sweep byte-for-byte against fixtures
-under ``tests/data/golden/``.  This module is the one
+renders, a dense sensitivity sweep and the digest of every mapping's
+functional output byte-for-byte against fixtures under
+``tests/data/golden/``.  This module is the one
 sanctioned way to regenerate them::
 
     make refresh-golden
@@ -27,6 +28,10 @@ REPORT_FIXTURE = "report.txt"
 TABLE3_CSV_FIXTURE = "table3.csv"
 PIPELINE_FIXTURE_TEMPLATE = "pipeline_{machine}.txt"
 SENSITIVITY_FIXTURE = "sensitivity_points8.txt"
+FUNCTIONAL_FIXTURE = "functional_digests.txt"
+
+#: Seeds at which every mapping's functional output is pinned.
+FUNCTIONAL_SEEDS = (0, 7)
 
 
 def pipeline_fixture_names() -> Dict[str, str]:
@@ -37,6 +42,29 @@ def pipeline_fixture_names() -> Dict[str, str]:
         PIPELINE_FIXTURE_TEMPLATE.format(machine=machine): machine
         for machine in MACHINES
     }
+
+
+def functional_digests() -> str:
+    """One line per registered (kernel, machine) and seed in
+    :data:`FUNCTIONAL_SEEDS`: the mapping's ``functional_ok`` and the
+    content digest of its output array (``run(..., cache=False)``).
+
+    The cycle goldens cannot see a changed bit in a functional output;
+    this document can.
+    """
+    from repro.mappings.registry import available, run
+    from repro.perf.cache import content_digest
+
+    lines = []
+    for kernel, machine in available():
+        for seed in FUNCTIONAL_SEEDS:
+            result = run(kernel, machine, seed=seed, cache=False)
+            lines.append(
+                f"{kernel} {machine} seed={seed} "
+                f"functional_ok={result.functional_ok} "
+                f"output={content_digest(result.output)}"
+            )
+    return "\n".join(lines) + "\n"
 
 
 def golden_documents() -> Dict[str, str]:
@@ -68,6 +96,7 @@ def golden_documents() -> Dict[str, str]:
     # A dense grid: every column of it is one tensor batch.
     rows = sensitivity.sweep(delta=0.25, points=8)
     documents[SENSITIVITY_FIXTURE] = sensitivity.render(rows) + "\n"
+    documents[FUNCTIONAL_FIXTURE] = functional_digests()
     return documents
 
 

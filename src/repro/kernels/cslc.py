@@ -187,19 +187,23 @@ def estimate_weights(
     if loading < 0:
         raise ConfigError(f"loading must be non-negative, got {loading}")
     lam = loading * float(np.mean(np.abs(aux_fft) ** 2)) * n_sub
-    eye = np.eye(n_aux)
     weights = np.zeros((n_mains, n_aux, bins), dtype=np.complex128)
-    for k in range(bins):
-        # Snapshot matrix over sub-bands: (n_sub, n_aux).
-        a = aux_fft[:, :, k].T
-        gram = a.conj().T @ a + lam * eye
+    # Per-bin snapshot matrices over sub-bands, (bins, n_sub, n_aux),
+    # and their conjugate transposes, stacked so one matmul and one
+    # solve per main cover every bin.
+    a = np.ascontiguousarray(aux_fft.transpose(2, 1, 0))
+    a_h = np.ascontiguousarray(a.conj().transpose(0, 2, 1))
+    if lam > 0:
+        gram = a_h @ a + lam * np.eye(n_aux)
         for m in range(n_mains):
-            b = main_fft[m, :, k]
-            if lam > 0:
-                weights[m, :, k] = np.linalg.solve(gram, a.conj().T @ b)
-            else:
-                w, *_ = np.linalg.lstsq(a, b, rcond=None)
-                weights[m, :, k] = w
+            b = main_fft[m].T
+            weights[m] = np.linalg.solve(gram, a_h @ b[..., None])[..., 0].T
+        return weights
+    # lstsq has no stacked form: the unloaded solve goes bin by bin.
+    for k in range(bins):
+        for m in range(n_mains):
+            w, *_ = np.linalg.lstsq(a[k], main_fft[m, :, k], rcond=None)
+            weights[m, :, k] = w
     return weights
 
 

@@ -12,10 +12,18 @@ needs a real cache.  This module provides:
   stall-cycle total computed from per-level latencies.
 
 Traces are word-address numpy arrays (see :mod:`repro.memory.streams`);
-the simulator converts them to line addresses internally.  For full-size
-workloads the PPC mappings use closed-form miss counts validated against
-this simulator at small sizes (see ``tests/memory/test_cache.py`` and
-``tests/mappings/test_ppc_analytic_vs_trace.py``).
+the simulator converts them to line addresses internally.  The G4 beam
+steering mappings (scalar and AltiVec) run it at full size, on all
+51,456 calibration-table reads of the canonical workload.  The G4 corner
+turn uses closed-form miss counts instead, validated exactly against
+this simulator (``tests/mappings/test_ppc_analytic_vs_trace.py``); the
+G4 CSLC charges compulsory streaming misses.
+
+A lookup visits the accesses set by set, since sets are independent,
+and simulates only the first access of each run of repeats of one line
+within a set: a repeat hits the MRU way and leaves the LRU order as it
+is.  Tallies, missed lines and LRU state equal a per-access simulation
+(``tests/memory/test_cache.py`` keeps one as the reference).
 """
 
 from __future__ import annotations
@@ -128,13 +136,22 @@ class CacheLevel:
     def _lookup(
         self, line_addresses: Sequence[int], collect_misses: bool
     ) -> "tuple[LevelResult, np.ndarray]":
+        lines = np.asarray(line_addresses, dtype=np.int64).reshape(-1)
         n_sets = self.config.n_sets
         assoc = self.config.assoc
+        # Sets are independent: visit the accesses set by set, each set's
+        # in program order.
+        order = np.argsort(lines % n_sets, kind="stable")
+        by_set = lines[order]
+        # A repeat of the line its set just touched hits the MRU way and
+        # leaves the LRU order as it is, so only the first access of each
+        # such run needs simulating.
+        heads = np.ones(lines.size, dtype=bool)
+        heads[1:] = by_set[1:] != by_set[:-1]
+        head_at = np.flatnonzero(heads)
         sets = self._sets
-        hits = 0
-        misses: List[int] = []
-        for line in np.asarray(line_addresses, dtype=np.int64):
-            line = int(line)
+        missed: List[int] = []
+        for i, line in zip(head_at.tolist(), by_set[head_at].tolist()):
             set_idx = line % n_sets
             ways = sets.get(set_idx)
             if ways is None:
@@ -143,21 +160,17 @@ class CacheLevel:
             try:
                 pos = ways.index(line)
             except ValueError:
-                pos = -1
-            if pos >= 0:
-                hits += 1
-                if pos != 0:
-                    ways.insert(0, ways.pop(pos))
-            else:
-                if collect_misses:
-                    misses.append(line)
+                missed.append(i)
                 ways.insert(0, line)
                 if len(ways) > assoc:
                     ways.pop()
+            else:
+                if pos != 0:
+                    ways.insert(0, ways.pop(pos))
         result = LevelResult(
             name=self.config.name,
-            accesses=int(np.asarray(line_addresses).size),
-            hits=hits,
+            accesses=int(lines.size),
+            hits=int(lines.size) - len(missed),
         )
         tracer = active_tracer()
         if tracer is not None and result.accesses:
@@ -176,7 +189,10 @@ class CacheLevel:
             )
         if not collect_misses:
             return result, np.empty(0, dtype=np.int64)
-        return result, np.asarray(misses, dtype=np.int64)
+        # The missed lines in program order, as the next level sees them.
+        in_order = np.zeros(lines.size, dtype=bool)
+        in_order[order[missed]] = True
+        return result, lines[in_order]
 
     def resident_lines(self) -> int:
         """Number of lines currently cached."""

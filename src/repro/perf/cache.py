@@ -107,13 +107,38 @@ def _encode(obj: Any, parts: List[bytes]) -> None:
 _VERSION_STAMP: Optional[str] = None
 
 
+def _source_digest() -> bytes:
+    """sha256 over every ``.py`` file of the ``repro`` package, taken in
+    sorted order of the path relative to the package: each file adds
+    that path, its size and its bytes."""
+    import repro
+
+    root = os.path.dirname(os.path.abspath(repro.__file__))
+    files = []
+    for dirpath, _, filenames in os.walk(root):
+        for name in filenames:
+            if name.endswith(".py"):
+                path = os.path.join(dirpath, name)
+                rel = os.path.relpath(path, root).replace(os.sep, "/")
+                files.append((rel, path))
+    digest = hashlib.sha256()
+    for rel, path in sorted(files):
+        with open(path, "rb") as handle:
+            data = handle.read()
+        digest.update(f"{rel}:{len(data)}:".encode())
+        digest.update(data)
+    return digest.digest()
+
+
 def model_version_stamp() -> str:
-    """Digest of the library version and the default calibration.
+    """Digest of the library version, the default calibration and the
+    package source.
 
     Folded into every :func:`cache_key` (and used by the disk tier as
     its entry namespace) so that a modeling change — a version bump, a
-    retuned default constant — invalidates every previously persisted
-    entry instead of silently serving stale results.
+    retuned default constant, an edited model — invalidates every
+    previously persisted entry instead of silently serving stale
+    results.  Computed once per process.
     """
     global _VERSION_STAMP
     if _VERSION_STAMP is None:
@@ -122,6 +147,7 @@ def model_version_stamp() -> str:
 
         parts: List[bytes] = [f"version={repro.__version__};".encode()]
         _encode(DEFAULT_CALIBRATION, parts)
+        parts.append(b"source=" + _source_digest())
         _VERSION_STAMP = hashlib.sha256(b"".join(parts)).hexdigest()[:16]
     return _VERSION_STAMP
 

@@ -1,8 +1,9 @@
 """Golden snapshot tests: the published outputs are pinned byte-for-byte.
 
-``repro report`` stdout, the Table 3 CSV export, the pipeline renders
-and a dense ``repro sensitivity`` sweep are compared against checked-in
-fixtures under ``tests/data/golden/``.  Any drift — a changed
+``repro report`` stdout, the Table 3 CSV export, the pipeline renders,
+a dense ``repro sensitivity`` sweep and the digests of every mapping's
+functional output are compared against checked-in fixtures under
+``tests/data/golden/``.  Any drift — a changed
 constant, a reordered section, a float formatting change — fails with a
 unified diff.  Intentional changes are re-pinned with
 ``make refresh-golden`` and the fixture diff is reviewed like code.
@@ -17,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.check.golden import (
+    FUNCTIONAL_FIXTURE,
     REPORT_FIXTURE,
     SENSITIVITY_FIXTURE,
     TABLE3_CSV_FIXTURE,
@@ -62,6 +64,15 @@ class TestSnapshots:
         # schedule replay included) to the bytes the CLI prints.
         diff = diff_against_golden(
             SENSITIVITY_FIXTURE, documents[SENSITIVITY_FIXTURE], GOLDEN_DIR
+        )
+        assert not diff, diff
+
+    def test_functional_outputs_match_golden(self, documents):
+        # A changed bit in any mapping's output array (an FFT, a weight
+        # solve, a corner-turn copy) changes its digest here, even when
+        # every cycle count and the allclose checks still hold.
+        diff = diff_against_golden(
+            FUNCTIONAL_FIXTURE, documents[FUNCTIONAL_FIXTURE], GOLDEN_DIR
         )
         assert not diff, diff
 
@@ -137,7 +148,12 @@ class TestDiffMachinery:
 
     def test_write_golden_round_trips(self, documents, tmp_path):
         paths = write_golden(tmp_path)
-        expected = {REPORT_FIXTURE, TABLE3_CSV_FIXTURE, SENSITIVITY_FIXTURE}
+        expected = {
+            REPORT_FIXTURE,
+            TABLE3_CSV_FIXTURE,
+            SENSITIVITY_FIXTURE,
+            FUNCTIONAL_FIXTURE,
+        }
         expected.update(pipeline_fixture_names())
         assert {p.name for p in paths} == expected
         for name in sorted(expected):

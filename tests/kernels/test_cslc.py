@@ -125,6 +125,54 @@ class TestWeights:
             estimate_weights(np.zeros((2, 4, 8)), np.zeros((2, 5, 8)))
 
 
+def per_bin_weights(main_fft, aux_fft, loading=1e-4):
+    """The reference for :func:`estimate_weights`: one Gram matrix and
+    one solve per frequency bin and main channel."""
+    n_mains, n_sub, bins = main_fft.shape
+    n_aux = aux_fft.shape[0]
+    lam = loading * float(np.mean(np.abs(aux_fft) ** 2)) * n_sub
+    eye = np.eye(n_aux)
+    weights = np.zeros((n_mains, n_aux, bins), dtype=np.complex128)
+    for k in range(bins):
+        a = aux_fft[:, :, k].T
+        gram = a.conj().T @ a + lam * eye
+        for m in range(n_mains):
+            b = main_fft[m, :, k]
+            if lam > 0:
+                weights[m, :, k] = np.linalg.solve(gram, a.conj().T @ b)
+            else:
+                w, *_ = np.linalg.lstsq(a, b, rcond=None)
+                weights[m, :, k] = w
+    return weights
+
+
+class TestWeightsMatchPerBinSolve:
+    """The stacked solve equals the per-bin loop bit for bit."""
+
+    @pytest.mark.parametrize("make_workload", [canonical_cslc, small_cslc])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_byte_identical(self, make_workload, seed):
+        workload = make_workload()
+        channels = make_jammed_channels(
+            workload.samples, workload.n_mains, workload.n_aux, seed=seed
+        )
+        plan = FFTPlan(workload.subband_len)
+
+        def spectra(data):
+            return np.stack(
+                [
+                    plan.execute_batch(extract_subbands(c, workload))
+                    for c in data
+                ]
+            )
+
+        main_fft, aux_fft = spectra(channels.mains), spectra(channels.auxes)
+        for loading in (1e-4, 0.0):
+            got = estimate_weights(main_fft, aux_fft, loading=loading)
+            expected = per_bin_weights(main_fft, aux_fft, loading=loading)
+            assert got.tobytes() == expected.tobytes()
+
+
 class TestPipeline:
     def test_small_cslc_cancels_jammer(self, small_cs):
         channels = make_jammed_channels(

@@ -2,7 +2,8 @@
 
 The test oracle for functional results is ``numpy.fft``; op-count claims
 are cross-checked between the analytic stage census and instrumented
-execution.
+execution.  The stage-wise execution is also held byte-for-byte to a
+sub-transform-at-a-time recursion kept here as the reference.
 """
 
 import numpy as np
@@ -18,6 +19,11 @@ from repro.kernels.fft import (
     radix2_radices,
     stage_infos,
 )
+from repro.kernels.opcount import (
+    COMPLEX_ADD_FLOPS,
+    COMPLEX_MUL_ADDS,
+    COMPLEX_MUL_MULS,
+)
 
 SIZES = [2, 4, 8, 16, 32, 64, 128, 256, 512]
 
@@ -26,6 +32,59 @@ def plans_for(n):
     yield FFTPlan(n)
     if n > 2:
         yield FFTPlan(n, radix2_radices(n))
+
+
+class ReferenceFFT:
+    """The mixed-radix DIT recursion one sub-transform at a time: each
+    level recurses on the ``radix`` decimated inputs, then applies the
+    same twiddle products and butterfly sums as :class:`FFTPlan`.
+    Counts operations as it goes, like ``execute_instrumented``."""
+
+    def __init__(self, radices):
+        self.radices = tuple(radices)
+        self.complex_adds = 0
+        self.nontrivial_muls = 0
+
+    def transform(self, x, inverse=False):
+        data = np.asarray(x, dtype=np.complex128)
+        if inverse:
+            n = data.shape[-1]
+            return np.conj(self._recurse(np.conj(data), self.radices)) / n
+        return self._recurse(data, self.radices)
+
+    def _recurse(self, x, radices):
+        if not radices:
+            return x.copy()
+        r = radices[0]
+        n = x.shape[-1]
+        subs = [self._recurse(x[..., j::r], radices[1:]) for j in range(r)]
+        return self._combine(subs, n, r, n // r)
+
+    def _combine(self, subs, size, radix, span):
+        k = np.arange(span)
+        twiddled = [subs[0]]
+        for j in range(1, radix):
+            twiddled.append(np.exp(-2j * np.pi * j * k / size) * subs[j])
+            t = (j * k) % size
+            self.nontrivial_muls += int(np.count_nonzero((t * 4) % size))
+        out = np.empty(subs[0].shape[:-1] + (size,), dtype=np.complex128)
+        if radix == 2:
+            t0, t1 = twiddled
+            out[..., :span] = t0 + t1
+            out[..., span:] = t0 - t1
+            self.complex_adds += 2 * span
+        else:
+            t0, t1, t2, t3 = twiddled
+            a = t0 + t2
+            b = t0 - t2
+            c = t1 + t3
+            d = -1j * (t1 - t3)
+            out[..., 0 * span : 1 * span] = a + c
+            out[..., 1 * span : 2 * span] = b + d
+            out[..., 2 * span : 3 * span] = a - c
+            out[..., 3 * span : 4 * span] = b - d
+            self.complex_adds += 8 * span
+        return out
 
 
 class TestRadices:
@@ -111,6 +170,38 @@ class TestBatchExecution:
     def test_wrong_trailing_axis(self):
         with pytest.raises(ConfigError):
             FFTPlan(8).execute_batch(np.zeros((4, 16), dtype=complex))
+
+
+class TestMatchesReferenceRecursion:
+    """Every execution path equals the recursion bit for bit."""
+
+    @pytest.mark.parametrize("factorize", [default_radices, radix2_radices])
+    @pytest.mark.parametrize("n", [2**e for e in range(11)])
+    def test_byte_identical(self, n, factorize, rng):
+        plan = FFTPlan(n, factorize(n))
+        census = ReferenceFFT(plan.radices)
+        census.transform(np.zeros(n))
+        adds = (
+            census.complex_adds * COMPLEX_ADD_FLOPS
+            + census.nontrivial_muls * COMPLEX_MUL_ADDS
+        )
+        muls = census.nontrivial_muls * COMPLEX_MUL_MULS
+        for inverse in (False, True):
+            for lead in [(), (5,), (3, 2)]:
+                shape = lead + (n,)
+                x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                expected = ReferenceFFT(plan.radices).transform(x, inverse)
+                got = plan.execute_batch(x, inverse=inverse)
+                assert got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes()
+                for row in np.ndindex(lead):
+                    single = plan.execute(x[row], inverse=inverse)
+                    assert single.tobytes() == expected[row].tobytes()
+                    result, counts = plan.execute_instrumented(
+                        x[row], inverse=inverse
+                    )
+                    assert result.tobytes() == expected[row].tobytes()
+                    assert (counts.adds, counts.muls) == (adds, muls)
 
 
 class TestProperties:

@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError
-from repro.memory.cache import CacheConfig, CacheHierarchy, CacheLevel
+from repro.memory.cache import (
+    CacheConfig,
+    CacheHierarchy,
+    CacheLevel,
+    LevelResult,
+)
 
 
 def l1_config(**overrides):
@@ -183,3 +188,91 @@ def test_fully_assoc_equals_infinite_when_capacity_sufficient(words):
     h = CacheHierarchy(big, None, memory_latency=1.0)
     result = h.run_trace(words)
     assert result.l1.misses == len({w // 8 for w in words})
+
+
+class ReferenceLRU:
+    """The per-access LRU that :class:`CacheLevel` must equal: every
+    access looks up its set's MRU-first list, moves a hit to the front,
+    and inserts a miss at the front, evicting the LRU way."""
+
+    def __init__(self, config):
+        self.config = config
+        self.sets = {}
+
+    def lookup(self, lines):
+        hits = 0
+        misses = []
+        for line in np.asarray(lines, dtype=np.int64).tolist():
+            ways = self.sets.setdefault(line % self.config.n_sets, [])
+            if line in ways:
+                hits += 1
+                ways.remove(line)
+            else:
+                misses.append(line)
+                if len(ways) == self.config.assoc:
+                    ways.pop()
+            ways.insert(0, line)
+        result = LevelResult(
+            name=self.config.name, accesses=len(lines), hits=hits
+        )
+        return result, np.asarray(misses, dtype=np.int64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    assoc=st.sampled_from([1, 2, 4, 8]),
+    n_sets=st.sampled_from([1, 2, 16]),
+    calls=st.lists(
+        st.lists(st.integers(-4, 60), max_size=120).flatmap(
+            # Runs of repeats, as a per-word trace of a line produces.
+            lambda lines: st.lists(
+                st.integers(1, 4), min_size=len(lines), max_size=len(lines)
+            ).map(
+                lambda repeats: [
+                    line
+                    for line, count in zip(lines, repeats)
+                    for _ in range(count)
+                ]
+            )
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_level_equals_per_access_lru(assoc, n_sets, calls):
+    """Tallies, missed lines (order and dtype) and per-set LRU order
+    equal the reference after every call of a multi-call trace."""
+    config = CacheConfig(
+        name="l",
+        size_bytes=assoc * n_sets * 32,
+        line_bytes=32,
+        assoc=assoc,
+        hit_cycles=0.0,
+    )
+    level = CacheLevel(config)
+    reference = ReferenceLRU(config)
+    for lines in calls:
+        result, misses = level.lookup_lines_misses(np.array(lines))
+        expected, expected_misses = reference.lookup(lines)
+        assert result == expected
+        assert misses.dtype == expected_misses.dtype
+        assert misses.tolist() == expected_misses.tolist()
+        assert level._sets == reference.sets
+        assert level.resident_lines() == sum(
+            len(ways) for ways in reference.sets.values()
+        )
+
+
+def test_canonical_beam_steering_tally():
+    """The G4 table reads of the canonical beam-steering workload: the
+    tally both G4 beam-steering rows are built on."""
+    from repro.arch.ppc.machine import PpcMachine
+    from repro.kernels.workloads import canonical_beam_steering
+    from repro.mappings.ppc_beam_steering import table_read_trace
+
+    result = PpcMachine().make_hierarchy().run_trace(
+        table_read_trace(canonical_beam_steering())
+    )
+    assert (result.l1.accesses, result.l1.hits) == (51_456, 50_451)
+    assert (result.l2.accesses, result.l2.hits) == (1_005, 0)
+    assert result.memory_accesses == 1_005

@@ -8,6 +8,11 @@ orphans every old entry.
 """
 
 import multiprocessing
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -159,6 +164,52 @@ class TestVersionStamp:
         finally:
             monkeypatch.undo()
             cache_module.reset_model_version_stamp()
+
+
+    def test_model_source_edit_misses_the_store(self, tmp_path):
+        # The stamp hashes the package source: a fresh process running
+        # an edited model must re-simulate, not serve the cycles the
+        # unedited package left in the same store.
+        import repro
+
+        package = Path(repro.__file__).parent
+        edited = tmp_path / "edited"
+        shutil.copytree(
+            package,
+            edited / "repro",
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        mapping = edited / "repro" / "mappings" / "raw_beam_steering.py"
+        line = "    startup = streams * max_latency\n"
+        source = mapping.read_text()
+        assert source.count(line) == 1
+        mapping.write_text(
+            source.replace(line, line.rstrip() + " + 100000\n")
+        )
+
+        def python(root, *args):
+            env = dict(
+                os.environ, PYTHONPATH=str(root), PYTHONDONTWRITEBYTECODE="1"
+            )
+            return subprocess.run(
+                [sys.executable, *args],
+                capture_output=True,
+                text=True,
+                env=env,
+                check=True,
+            ).stdout
+
+        stamp = (
+            "from repro.perf.cache import model_version_stamp; "
+            "print(model_version_stamp())"
+        )
+        assert python(package.parent, "-c", stamp) != python(
+            edited, "-c", stamp
+        )
+        run = ("-m", "repro", "run", "beam_steering", "raw")
+        assert "total cycles: 17,904\n" in python(package.parent, *run)
+        assert DISK_CACHE.stats()["entries"] > 0
+        assert "total cycles: 117,904\n" in python(edited, *run)
 
 
 # -- registry integration ----------------------------------------------
