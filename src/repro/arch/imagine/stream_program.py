@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.arch.imagine.machine import ImagineMachine
 from repro.errors import ScheduleError
-from repro.memory.dram import DRAMCost
+from repro.memory.dram import PIECE_WORDS, DRAMCost
 from repro.memory.streams import AccessPattern
 from repro.sim.resources import TimelineResource
 from repro.sim.schedule import DependencyScheduler, Task
@@ -184,33 +184,48 @@ def execute_measured(
     per cycle; kernels serialise on the single SIMD cluster array.
     Issue is in program order, so a later op can never displace an
     earlier one.
+
+    The memory ops go through the DRAM model in program order, in
+    consecutive groups of about :data:`~repro.memory.dram.PIECE_WORDS`
+    words (an op longer than that alone); open rows carry from group to
+    group, so each op's cost is what a per-op ``access`` call gives.
     """
     memory = TimelineResource("memory-system")
     clusters = TimelineResource("cluster-array")
     scheduler = DependencyScheduler()
     costs: List[OpCost] = []
 
-    # Cost every memory stream in one DRAM pass: the ops' address
-    # streams, concatenated in program order, are one ``access_run``
+    # Each group's address streams, concatenated, are one ``access_run``
     # whose open-row state threads through exactly as per-op ``access``
-    # calls would (that equivalence is the access_run contract, held to
-    # by the DRAM oracle).  A corner-turn program issues hundreds of
-    # short streams; one vectorised pass replaces per-op bank walks.
-    memory_ops = [op for op in program.ops if op.kind != "kernel"]
+    # calls would (the access_run contract, held to by the DRAM oracle).
+    # A corner-turn program issues hundreds of short streams: a few
+    # vectorised passes replace per-op bank walks, and a group's passes
+    # stay in cache.
     op_cost_index: Dict[str, DRAMCost] = {}
-    if memory_ops:
-        address_runs = [op.pattern.addresses() for op in memory_ops]
-        seg_lengths = np.asarray(
-            [a.size for a in address_runs], dtype=np.int64
-        )
-        rate = machine.config.controller_words_per_cycle
+    rate = machine.config.controller_words_per_cycle
+
+    def cost_group(group: List[StreamOp]) -> None:
+        address_runs = [op.pattern.addresses() for op in group]
         batch = machine.dram.access_run(
-            np.concatenate(address_runs) if address_runs else [],
-            seg_lengths,
-            np.full(len(memory_ops), rate, dtype=np.float64),
+            np.concatenate(address_runs),
+            np.asarray([a.size for a in address_runs], dtype=np.int64),
+            np.full(len(group), rate, dtype=np.float64),
         )
-        for i, op in enumerate(memory_ops):
+        for i, op in enumerate(group):
             op_cost_index[op.name] = batch.segment(i)
+
+    group: List[StreamOp] = []
+    group_words = 0
+    for op in program.ops:
+        if op.kind == "kernel":
+            continue
+        if group and group_words + op.pattern.n_words > PIECE_WORDS:
+            cost_group(group)
+            group, group_words = [], 0
+        group.append(op)
+        group_words += op.pattern.n_words
+    if group:
+        cost_group(group)
 
     for op in program.ops:
         if op.kind == "kernel":

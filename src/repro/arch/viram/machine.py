@@ -21,7 +21,7 @@ conflicts" is realised by :func:`padded_pitch`.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -121,26 +121,56 @@ class ViramMachine:
         self.tlb.access_addresses(pattern.addresses())
         return cost
 
-    def stream_batch(self, addresses, seg_lengths, strided) -> DRAMBatchCost:
-        """Cost a program-ordered run of vector memory segments at once.
+    def stream_batch(
+        self, pieces: Iterable[Tuple[np.ndarray, np.ndarray, np.ndarray]]
+    ) -> DRAMBatchCost:
+        """Cost a program-ordered run of vector memory segments.
 
-        ``addresses`` is the concatenated word-address stream; segment
-        ``i`` spans the next ``seg_lengths[i]`` addresses and issues at
-        the strided (4 words/cycle) or sequential (8 words/cycle) rate
-        per ``strided[i]``.  Equivalent to a :meth:`load`/:meth:`store`
-        call per segment — same DRAM open-row evolution, same TLB miss
-        stream — but one vectorised pass, which is what makes blocked
+        ``pieces`` yields consecutive ``(addresses, seg_lengths,
+        strided)`` pieces of the run: segment ``i`` of a piece spans the
+        next ``seg_lengths[i]`` of its addresses and issues at the
+        strided (4 words/cycle) or sequential (8 words/cycle) rate per
+        ``strided[i]``.  Returns the per-segment costs of the whole run.
+        Equivalent to a :meth:`load`/:meth:`store` call per segment —
+        same DRAM open-row evolution, same TLB miss stream — but one
+        vectorised DRAM pass per piece, which is what makes blocked
         mappings with tens of thousands of tiny tiles fast.
+
+        Open rows carry from piece to piece inside the DRAM model, so
+        the split changes no cost; pieces of about
+        :data:`~repro.memory.dram.PIECE_WORDS` addresses keep each pass
+        in cache.  The TLB walks once, over the run's page sequence: the
+        pieces' run-length-encoded pages, joined so that a same-page run
+        crossing a piece boundary stays one lookup.
         """
-        strided = np.asarray(strided, dtype=bool)
-        rates = np.where(
-            strided,
-            float(self.config.strided_words_per_cycle),
-            float(self.config.seq_words_per_cycle),
+        costs = []
+        page_runs = []
+        last_page = None
+        for addresses, seg_lengths, strided in pieces:
+            rates = np.where(
+                strided,
+                float(self.config.strided_words_per_cycle),
+                float(self.config.seq_words_per_cycle),
+            )
+            costs.append(self.dram.access_run(addresses, seg_lengths, rates))
+            pages = self.tlb.page_runs(addresses)
+            if pages.size and pages[0] == last_page:
+                pages = pages[1:]
+            if pages.size:
+                last_page = pages[-1]
+                page_runs.append(pages)
+        if page_runs:
+            self.tlb.access_pages(np.concatenate(page_runs))
+        return DRAMBatchCost(
+            words=np.concatenate([c.words for c in costs]),
+            issue_cycles=np.concatenate([c.issue_cycles for c in costs]),
+            activation_cycles=np.concatenate(
+                [c.activation_cycles for c in costs]
+            ),
+            activations=np.concatenate([c.activations for c in costs]),
+            worst=np.concatenate([c.worst for c in costs]),
+            access_latency=self.dram.config.access_latency,
         )
-        cost = self.dram.access_run(addresses, seg_lengths, rates)
-        self.tlb.access_addresses(addresses)
-        return cost
 
     # ------------------------------------------------------------------
     # Vector issue

@@ -221,8 +221,8 @@ def perturbed_dram_timing(extra_activation_cycles: float = 1.0) -> Iterator[None
 
     original = dram_module.DRAM.access_run
 
-    def perturbed(self, addresses, seg_lengths, rates, kinds=None):
-        batch = original(self, addresses, seg_lengths, rates, kinds)
+    def perturbed(self, addresses, seg_lengths, rates):
+        batch = original(self, addresses, seg_lengths, rates)
         return dataclasses.replace(
             batch,
             activation_cycles=batch.activation_cycles

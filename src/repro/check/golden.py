@@ -2,10 +2,10 @@
 
 The snapshot tests (``tests/eval/test_golden_snapshots.py``) pin the
 ``repro report`` stdout, the ``eval/export`` CSV, the canonical pipeline
-renders, a dense sensitivity sweep and the digest of every mapping's
-functional output byte-for-byte against fixtures under
-``tests/data/golden/``.  This module is the one
-sanctioned way to regenerate them::
+renders, a dense sensitivity sweep, the digest of every mapping's
+functional output and every corner-turn record of the §4.6 size sweep
+byte-for-byte against fixtures under ``tests/data/golden/``.  This
+module is the one sanctioned way to regenerate them::
 
     make refresh-golden
     # equivalently:
@@ -29,6 +29,7 @@ TABLE3_CSV_FIXTURE = "table3.csv"
 PIPELINE_FIXTURE_TEMPLATE = "pipeline_{machine}.txt"
 SENSITIVITY_FIXTURE = "sensitivity_points8.txt"
 FUNCTIONAL_FIXTURE = "functional_digests.txt"
+CORNER_TURN_FIXTURE = "corner_turn_records.txt"
 
 #: Seeds at which every mapping's functional output is pinned.
 FUNCTIONAL_SEEDS = (0, 7)
@@ -67,6 +68,51 @@ def functional_digests() -> str:
     return "\n".join(lines) + "\n"
 
 
+def corner_turn_records() -> str:
+    """One line per corner-turn machine, §4.6 sweep size and seed in
+    :data:`FUNCTIONAL_SEEDS`, plus Imagine's ``via_network_port`` cell
+    at each size (seed 0): the ``repr`` of the cycles, the breakdown
+    items and the metrics, ``functional_ok`` and the output digest of
+    ``run(..., cache=False)``.
+
+    ``report.txt`` prints the sweep's totals only; this pins the
+    per-run counts behind them (DRAM activations, TLB misses, write-row
+    activations) at every size, where the address streams are longest.
+    """
+    from repro.eval.scaling import DEFAULT_SIZES
+    from repro.kernels.corner_turn import CornerTurnWorkload
+    from repro.mappings.registry import available, run
+    from repro.perf.cache import content_digest
+
+    machines = [m for k, m in available() if k == "corner_turn"]
+    cells = []
+    for size in DEFAULT_SIZES:
+        workload = CornerTurnWorkload(rows=size, cols=size)
+        for machine in machines:
+            for seed in FUNCTIONAL_SEEDS:
+                cells.append((
+                    f"{machine} {size} seed={seed}",
+                    machine,
+                    {"workload": workload, "seed": seed},
+                ))
+        cells.append((
+            f"imagine {size} seed=0 via_network_port",
+            "imagine",
+            {"workload": workload, "via_network_port": True},
+        ))
+    lines = []
+    for label, machine, kwargs in cells:
+        result = run("corner_turn", machine, cache=False, **kwargs)
+        lines.append(
+            f"{label} cycles={result.cycles!r} "
+            f"breakdown={result.breakdown.items()!r} "
+            f"metrics={result.metrics!r} "
+            f"functional_ok={result.functional_ok} "
+            f"output={content_digest(result.output)}"
+        )
+    return "\n".join(lines) + "\n"
+
+
 def golden_documents() -> Dict[str, str]:
     """Every golden document, keyed by fixture file name.
 
@@ -97,6 +143,7 @@ def golden_documents() -> Dict[str, str]:
     rows = sensitivity.sweep(delta=0.25, points=8)
     documents[SENSITIVITY_FIXTURE] = sensitivity.render(rows) + "\n"
     documents[FUNCTIONAL_FIXTURE] = functional_digests()
+    documents[CORNER_TURN_FIXTURE] = corner_turn_records()
     return documents
 
 

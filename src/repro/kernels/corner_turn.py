@@ -77,6 +77,16 @@ def corner_turn_reference(matrix: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(matrix.T)
 
 
+def is_transpose(output: np.ndarray, matrix: np.ndarray) -> bool:
+    """Whether ``output`` is exactly ``matrix.T``: shape and every bit.
+
+    A transpose only moves values, so any difference is a bug; a
+    tolerance would let a corrupted element through.  Compares against
+    the transposed view, without building a contiguous copy.
+    """
+    return bool(np.array_equal(output, matrix.T))
+
+
 def blocked_corner_turn(matrix: np.ndarray, block: int) -> np.ndarray:
     """Transpose via square blocks, as every mapping in the paper does
     (VIRAM: 16x16 vector-register blocks; Raw: 64x64 tile-memory blocks).

@@ -44,10 +44,10 @@ from repro.arch.imagine.stream_program import (
     replay,
 )
 from repro.calibration import Calibration
-from repro.kernels.corner_turn import CornerTurnWorkload, corner_turn_reference
+from repro.kernels.corner_turn import CornerTurnWorkload, is_transpose
 from repro.kernels.workloads import canonical_corner_turn
 from repro.mappings import batch
-from repro.mappings.base import functional_match, require, resolve_calibration
+from repro.mappings.base import require, resolve_calibration
 from repro.memory.streams import Custom, Sequential
 from repro.sim.accounting import CycleBreakdown
 from repro.units import WORD_BYTES
@@ -194,7 +194,7 @@ def _structure(
     for strip in range(n_strips):
         r0 = strip * strip_rows
         output[:, r0 : r0 + strip_rows] = matrix[r0 : r0 + strip_rows, :].T
-    ok = functional_match(output, corner_turn_reference(matrix))
+    ok = is_transpose(output, matrix)
 
     return {
         "workload": workload,

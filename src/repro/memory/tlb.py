@@ -9,7 +9,7 @@ streams touch; the model returns the miss count under LRU replacement.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -51,6 +51,11 @@ class TLB:
     @property
     def accesses(self) -> int:
         return self._accesses
+
+    @property
+    def resident_pages(self) -> Tuple[int, ...]:
+        """The resident pages, least recently used first."""
+        return tuple(self._resident)
 
     @property
     def stall_cycles(self) -> float:
@@ -108,15 +113,21 @@ class TLB:
         """Translate a word-address stream; returns misses added.
 
         The stream is compressed to its run-length-encoded page sequence
-        first (consecutive accesses to the same page cost one lookup),
-        which keeps full-size workloads fast without changing the miss
-        count: repeated hits never alter LRU order relative to a single
-        hit.
+        first (:meth:`page_runs`), which keeps full-size workloads fast
+        without changing the miss count.
         """
         addresses = np.asarray(word_addresses, dtype=np.int64)
         if addresses.size == 0:
             return 0
-        pages = addresses // self.page_words
+        return self.access_pages(self.page_runs(addresses))
+
+    def page_runs(self, word_addresses: np.ndarray) -> np.ndarray:
+        """The run-length-encoded page sequence of a word-address stream.
+
+        Consecutive accesses to the same page cost one lookup: repeated
+        hits never alter LRU order relative to a single hit.
+        """
+        pages = word_addresses // self.page_words
         keep = np.ones(pages.size, dtype=bool)
         keep[1:] = pages[1:] != pages[:-1]
-        return self.access_pages(pages[keep])
+        return pages[keep]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.arch.imagine import stream_program
 from repro.arch.imagine.machine import ImagineMachine
 from repro.arch.imagine.stream_program import (
     StreamOp,
@@ -221,6 +222,50 @@ class TestReplayMatchesMappingPrograms:
         assert cells == [
             _timeline(schedule) for _, schedule, _, _ in measured_programs
         ]
+
+
+@pytest.fixture(scope="module")
+def canonical_programs():
+    """The host program of each Imagine mapping's canonical run."""
+    programs = []
+    with pytest.MonkeyPatch.context() as mp:
+        for module in MAPPINGS:
+            def capture(program, machine):
+                programs.append(program)
+                return execute_measured(program, machine)
+
+            mp.setattr(module, "execute_measured", capture)
+            module._structure(None, DEFAULT_CALIBRATION, 0, False)
+    assert len(programs) == len(MAPPINGS)
+    return programs
+
+
+class TestGroupedCosting:
+    """``execute_measured`` costs memory ops in groups of about
+    ``PIECE_WORDS`` words; the grouping must not change a number."""
+
+    @pytest.mark.parametrize("piece_words", [1, 1000, 5000])
+    def test_small_groups_equal_one_group(
+        self, canonical_programs, monkeypatch, piece_words
+    ):
+        for program in canonical_programs:
+            results = []
+            # One group for the whole program, then many.  At 1 word
+            # every op is alone; at 1,000 CSLC's 256-word streams share
+            # groups, and at 5,000 the beam-steering and corner-turn
+            # loads do too; every corner-turn store (8,192 words) is
+            # alone in its own.
+            for words in (1 << 62, piece_words):
+                monkeypatch.setattr(stream_program, "PIECE_WORDS", words)
+                machine = ImagineMachine()
+                schedule, costs = execute_measured(program, machine)
+                results.append((
+                    schedule,
+                    costs,
+                    machine.dram.total_activations,
+                    machine.dram.open_rows,
+                ))
+            assert results[1] == results[0]
 
 
 # A random host program: (kind, deps, payload) per op, where deps index

@@ -1,11 +1,16 @@
 """Tests for :mod:`repro.arch.viram`."""
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.arch.viram.config import ViramConfig
 from repro.arch.viram.machine import VIRAM_SPEC, ViramMachine, padded_pitch
 from repro.errors import CapacityError, ConfigError
 from repro.memory.streams import Sequential, Strided
+from repro.memory.tlb import TLB
+from repro.trace.tracer import tracing
 
 
 class TestConfig:
@@ -62,6 +67,97 @@ class TestMemory:
         m.reset()
         assert m.dram.total_activations == 0
         assert m.tlb.misses == 0
+
+
+PAGE_WORDS = 64
+
+
+def _machine(tlb_entries):
+    """A VIRAM with a small-page TLB, so short streams cross pages."""
+    machine = ViramMachine()
+    machine.tlb = TLB(entries=tlb_entries, page_words=PAGE_WORDS,
+                      miss_cycles=1.0)
+    return machine
+
+
+def _pieces(segments, strided, bounds):
+    """``stream_batch`` pieces: segments ``bounds[k]..bounds[k+1]``."""
+    for a, b in zip(bounds, bounds[1:]):
+        yield (
+            np.asarray([x for seg in segments[a:b] for x in seg],
+                       dtype=np.int64),
+            np.asarray([len(seg) for seg in segments[a:b]], dtype=np.int64),
+            np.asarray(strided[a:b], dtype=bool),
+        )
+
+
+# Addresses on a dozen pages, so same-page runs often cross segment
+# (and so piece) boundaries.
+_segments = st.lists(
+    st.lists(
+        st.builds(lambda page, off: page * PAGE_WORDS + off,
+                  st.integers(0, 11), st.integers(0, PAGE_WORDS - 1)),
+        max_size=12,
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+class TestStreamBatchPieces:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        _segments,
+        st.lists(st.booleans(), min_size=8, max_size=8),
+        st.lists(st.integers(0, 8), max_size=5),
+        st.integers(1, 6),
+    )
+    # The cut falls inside a same-page run (page 0 on both sides): one
+    # lookup, as in the whole stream, not one per piece.
+    @example(
+        segments=[[0, 1], [2, 3], [PAGE_WORDS]],
+        strided=[True, False] * 4,
+        cuts=[1],
+        entries=1,
+    )
+    def test_pieces_leave_dram_and_tlb_as_one_call(
+        self, segments, strided, cuts, entries
+    ):
+        n = len(segments)
+        bounds = [0, *sorted(min(c, n) for c in cuts), n]
+        whole, pieced = _machine(entries), _machine(entries)
+        one = whole.stream_batch(_pieces(segments, strided, [0, n]))
+        many = pieced.stream_batch(_pieces(segments, strided, bounds))
+
+        for name in ("words", "issue_cycles", "activation_cycles",
+                     "activations", "worst"):
+            assert np.array_equal(getattr(many, name), getattr(one, name))
+        assert pieced.dram.open_rows == whole.dram.open_rows
+        assert pieced.dram.total_activations == whole.dram.total_activations
+        assert pieced.tlb.accesses == whole.tlb.accesses
+        assert pieced.tlb.misses == whole.tlb.misses
+        assert pieced.tlb.resident_pages == whole.tlb.resident_pages
+
+        # One call walks the TLB as the whole address stream would.
+        direct = TLB(entries=entries, page_words=PAGE_WORDS, miss_cycles=1.0)
+        direct.access_addresses(
+            np.asarray([x for seg in segments for x in seg], dtype=np.int64)
+        )
+        assert whole.tlb.accesses == direct.accesses
+        assert whole.tlb.misses == direct.misses
+        assert whole.tlb.resident_pages == direct.resident_pages
+
+    def test_one_refill_span_for_the_whole_run(self):
+        segments = [[0, PAGE_WORDS], [2 * PAGE_WORDS, 0], [PAGE_WORDS]]
+        machine = _machine(tlb_entries=2)
+        with tracing() as tracer:
+            machine.stream_batch(
+                _pieces(segments, [True, False, True], [0, 1, 2, 3])
+            )
+        # Pages 0,1 | 2,0 | 1 against two entries: every lookup misses.
+        refills = [e for e in tracer.events if e.track == "tlb"]
+        assert len(refills) == 1
+        assert refills[0].dur == machine.tlb.misses == 5
 
 
 class TestVectorIssue:

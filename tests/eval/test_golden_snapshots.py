@@ -1,11 +1,11 @@
 """Golden snapshot tests: the published outputs are pinned byte-for-byte.
 
 ``repro report`` stdout, the Table 3 CSV export, the pipeline renders,
-a dense ``repro sensitivity`` sweep and the digests of every mapping's
-functional output are compared against checked-in fixtures under
-``tests/data/golden/``.  Any drift — a changed
-constant, a reordered section, a float formatting change — fails with a
-unified diff.  Intentional changes are re-pinned with
+a dense ``repro sensitivity`` sweep, the digests of every mapping's
+functional output and the corner-turn records of the §4.6 size sweep
+are compared against checked-in fixtures under ``tests/data/golden/``.
+Any drift — a changed constant, a reordered section, a float formatting
+change — fails with a unified diff.  Intentional changes are re-pinned with
 ``make refresh-golden`` and the fixture diff is reviewed like code.
 """
 
@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.check.golden import (
+    CORNER_TURN_FIXTURE,
     FUNCTIONAL_FIXTURE,
     REPORT_FIXTURE,
     SENSITIVITY_FIXTURE,
@@ -73,6 +74,15 @@ class TestSnapshots:
         # every cycle count and the allclose checks still hold.
         diff = diff_against_golden(
             FUNCTIONAL_FIXTURE, documents[FUNCTIONAL_FIXTURE], GOLDEN_DIR
+        )
+        assert not diff, diff
+
+    def test_corner_turn_records_match_golden(self, documents):
+        # The per-run counts behind the §4.6 totals (DRAM activations,
+        # TLB misses, write-row activations) at every sweep size, where
+        # the VIRAM and Imagine address streams are megawords long.
+        diff = diff_against_golden(
+            CORNER_TURN_FIXTURE, documents[CORNER_TURN_FIXTURE], GOLDEN_DIR
         )
         assert not diff, diff
 
@@ -153,6 +163,7 @@ class TestDiffMachinery:
             TABLE3_CSV_FIXTURE,
             SENSITIVITY_FIXTURE,
             FUNCTIONAL_FIXTURE,
+            CORNER_TURN_FIXTURE,
         }
         expected.update(pipeline_fixture_names())
         assert {p.name for p in paths} == expected

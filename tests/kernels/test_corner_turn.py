@@ -10,6 +10,7 @@ from repro.kernels.corner_turn import (
     CornerTurnWorkload,
     blocked_corner_turn,
     corner_turn_reference,
+    is_transpose,
 )
 
 
@@ -58,6 +59,32 @@ class TestReference:
     def test_non_2d_rejected(self):
         with pytest.raises(ConfigError):
             corner_turn_reference(np.zeros(4))
+
+
+class TestIsTranspose:
+    """The mappings' functional check: exact, with no tolerance."""
+
+    @pytest.fixture
+    def matrix(self, rng):
+        return rng.normal(size=(6, 4)).astype(np.float32)
+
+    def test_exact_transpose_passes(self, matrix):
+        assert is_transpose(corner_turn_reference(matrix), matrix)
+        assert is_transpose(blocked_corner_turn(matrix, 2), matrix)
+
+    def test_one_ulp_off_fails(self, matrix):
+        out = corner_turn_reference(matrix)
+        out[3, 1] = np.nextafter(out[3, 1], np.float32(np.inf))
+        assert not is_transpose(out, matrix)
+
+    def test_two_swapped_elements_fail(self, matrix):
+        out = corner_turn_reference(matrix)
+        out[0, 0], out[2, 5] = out[2, 5], out[0, 0]
+        assert not is_transpose(out, matrix)
+
+    def test_wrong_shape_fails(self, matrix):
+        assert not is_transpose(matrix.copy(), matrix)
+        assert not is_transpose(corner_turn_reference(matrix)[:, :3], matrix)
 
 
 class TestBlocked:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.arch.base import KernelRun
+from repro.mappings import ppc_corner_turn, raw_corner_turn, viram_corner_turn
 from repro.mappings.registry import KERNELS, MACHINES, run
 
 CELLS = [(k, m) for k in KERNELS for m in MACHINES]
@@ -103,3 +104,30 @@ class TestDeterminism:
         assert a.cycles == b.cycles
         assert a.output is not None
         assert np.array_equal(a.output, b.output)
+
+
+@pytest.mark.parametrize(
+    "machine,mapping",
+    [
+        ("viram", viram_corner_turn),
+        ("raw", raw_corner_turn),
+        ("altivec", ppc_corner_turn),
+    ],
+    ids=["viram", "raw", "altivec"],
+)
+def test_one_ulp_wrong_transpose_fails_the_check(
+    machine, mapping, small_ct, monkeypatch
+):
+    """The corner-turn check is exact: a transpose one ulp off in one
+    element must read ``functional_ok=False`` (a tolerance accepts it)."""
+    blocked = mapping.blocked_corner_turn
+
+    def one_ulp_off(matrix, block):
+        out = blocked(matrix, block)
+        out[1, 2] = np.nextafter(out[1, 2], np.float32(np.inf))
+        return out
+
+    kwargs = dict(cache=False, workload=small_ct)
+    assert run("corner_turn", machine, **kwargs).functional_ok
+    monkeypatch.setattr(mapping, "blocked_corner_turn", one_ulp_off)
+    assert not run("corner_turn", machine, **kwargs).functional_ok

@@ -12,7 +12,9 @@ uniformly.  This module pins the hard cases:
   only the first access of a same-row run, so a run's continuation in
   the next segment must not activate;
 * a run split over two consecutive ``access_run`` calls, the second
-  continuing a row the first left open;
+  continuing a row the first left open, and a run cut into many
+  consecutive pieces at random segment boundaries (how the megaword
+  mappings submit their streams), which must equal one call exactly;
 * a row cycle large enough (1e6) that bank-parallel exposure is never
   hidden behind issue time, which pins each segment's most-loaded-bank
   count (``DRAMBatchCost.worst``) through ``activation_cycles``.
@@ -217,3 +219,55 @@ def test_empty_segments_leave_state_untouched(geometry, policy, addresses):
     assert gap_batch.segment(2).activations == flat_batch.segment(1).activations
     assert with_gap.open_rows == without_gap.open_rows
     assert with_gap.total_activations == without_gap.total_activations
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    geometry_and_patterns(),
+    st.sampled_from(["bank-parallel", "serialized"]),
+    _row_cycles,
+    st.lists(st.integers(0, 7), max_size=6),
+)
+# A same-row run crosses the one cut: the second piece's first access
+# must not activate the row the first piece left open.
+@example(
+    case=((8, 64), [Sequential(0, 40), Custom([41, 63]), Custom([100])]),
+    policy="bank-parallel",
+    row_cycle=1e6,
+    cuts=[1],
+)
+def test_pieces_equal_one_call(case, policy, row_cycle, cuts):
+    """Costing a run in consecutive pieces, cut at random segment
+    boundaries (empty pieces included), equals costing it in one call:
+    the same per-segment arrays, open rows and totals, and the
+    reference's per-segment costs."""
+    (banks, row_words), patterns = case
+    n = len(patterns)
+    bounds = [0, *sorted(min(c, n) for c in cuts), n]
+    config = make_config(banks, row_words, policy, row_cycle)
+    whole_dram = DRAM(config)
+    pieced_dram = DRAM(config)
+    reference = DRAMReference(config)
+
+    whole = _run_batch(whole_dram, patterns)
+    pieces = [
+        _run_batch(pieced_dram, patterns[a:b])
+        for a, b in zip(bounds, bounds[1:])
+    ]
+    for name in ("words", "issue_cycles", "activation_cycles",
+                 "activations", "worst"):
+        joined = np.concatenate([getattr(p, name) for p in pieces])
+        assert np.array_equal(joined, getattr(whole, name)), name
+    assert pieced_dram.open_rows == whole_dram.open_rows
+    assert pieced_dram.total_activations == whole_dram.total_activations
+    assert pieced_dram.total_words == whole_dram.total_words
+
+    for i, pattern in enumerate(patterns):
+        ref_cost = reference.access(pattern, rate_words_per_cycle=4)
+        seg = whole.segment(i)
+        assert seg.words == ref_cost.words
+        assert seg.activations == ref_cost.activations
+        assert seg.issue_cycles == pytest.approx(ref_cost.issue_cycles)
+        assert seg.activation_cycles == pytest.approx(
+            ref_cost.activation_cycles
+        )
