@@ -56,7 +56,7 @@ cold = time.perf_counter() - t0
 from repro.perf.tensorsweep import TENSOR_STATS
 
 with open(sys.argv[1], "w") as fh:
-    json.dump({"seconds": cold, "tensor": TENSOR_STATS.stats()}, fh)
+    json.dump({"seconds": cold, "tensor": TENSOR_STATS.snapshot()}, fh)
 sys.stdout.write(text + "\\n")
 """
 
@@ -88,7 +88,7 @@ def _timed_sweep():
     TENSOR_STATS.reset()
     t0 = time.perf_counter()
     rows = sensitivity.sweep(points=POINTS)
-    return time.perf_counter() - t0, rows, TENSOR_STATS.stats()
+    return time.perf_counter() - t0, rows, TENSOR_STATS.snapshot()
 
 
 def test_tensor_engine_cold_report_and_dense_sweep(benchmark, tmp_path):

@@ -4,8 +4,10 @@ The packed disk-cache layout (:mod:`repro.perf.index`) concentrates
 every persisted run behind one manifest; a bug there corrupts the whole
 store at once instead of one file.  These checks exercise the layout's
 load-bearing guarantees against a *scratch* store in a temporary
-directory — hermetic, deterministic, and independent of whether the
-user's disk tier is enabled — plus one digest sweep of the live store:
+directory — hermetic, deterministic, independent of whether the
+user's disk tier is enabled, and counted in ``RESILIENCE.scoped()`` so
+its staged quarantine stays out of the process's telemetry — plus one
+digest sweep of the live store:
 
 * ``invariant.index.roundtrip`` — ``put_many`` → ``get_many`` over a
   fresh store returns byte-equal values, the digest sweep is clean, and
@@ -50,9 +52,14 @@ def index_checks() -> List[CheckResult]:
 
     from repro.perf.diskcache import DISK_CACHE
     from repro.perf.index import PackedDiskCache
+    from repro.resilience.stats import RESILIENCE
 
     results: List[CheckResult] = []
-    with tempfile.TemporaryDirectory(prefix="repro-check-index-") as tmp:
+    # The scratch store's healing (the torn tail's quarantine) is
+    # staged, so it is counted in a scope.  The live sweep is not: a
+    # read error or retry on the user's store really happened.
+    scratch = tempfile.TemporaryDirectory(prefix="repro-check-index-")
+    with scratch as tmp, RESILIENCE.scoped():
         store = PackedDiskCache(tmp, respect_env=False)
         written = store.put_many(_PAYLOADS)
         served = store.get_many([key for key, _ in _PAYLOADS])
@@ -127,7 +134,8 @@ def index_checks() -> List[CheckResult]:
         # Tier off → sweep the scratch store's final state through the
         # identical verify path, so the row (and the report bytes) do
         # not depend on cache configuration.
-        bad = DISK_CACHE.verify() if DISK_CACHE.enabled else healed.verify()
+        scratch_bad = None if DISK_CACHE.enabled else healed.verify()
+    bad = DISK_CACHE.verify() if scratch_bad is None else scratch_bad
     results.append(
         _result(
             "invariant.index.live-verify",

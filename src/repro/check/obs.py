@@ -5,7 +5,9 @@ claims to witness what the planner, the supervisor, and the caches did.
 Derived evidence drifts — an instrumentation site gets moved, a payload
 field is renamed, a counter is bumped on a path the ledger no longer
 sees — so the fast tier re-proves the reconciliation contract on every
-run with a controlled experiment under a scratch in-memory recorder:
+run with a controlled experiment under a scratch in-memory recorder and
+a scoped resilience tally, which keeps its staged degradation out of
+the process's telemetry:
 
 * ``invariant.obs.seq`` — event sequence numbers are gapless and
   monotonic from 0 (a gap is a lost event, a repeat a duplicated one);
@@ -67,11 +69,13 @@ def obs_checks(
         ("cslc", "viram", {"workload": workloads["cslc"]}),
         ("corner_turn", "viram", {"workload": workloads["corner_turn"]}),
     ]
+    # The staged degradation is counted in a scope: it never happened
+    # to the process, so the live resilience tally must not see it.
     before = timers.snapshot()["counters"]
-    incidents_before = len(RESILIENCE.incidents())
-    with recording() as recorder:
+    with RESILIENCE.scoped(), recording() as recorder:
         execute_requests(requests, jobs=1)
         RESILIENCE.note_degradation("obs.invariant probe")
+        incidents = RESILIENCE.incidents()
     after = timers.snapshot()["counters"]
 
     # -- seq: gapless, monotonic from 0 -------------------------------
@@ -164,7 +168,6 @@ def obs_checks(
         )
 
     # -- supervisor incidents mirror byte-for-byte --------------------
-    incidents = RESILIENCE.incidents()[incidents_before:]
     mirrored = recorder.events_of("supervisor")
     if len(incidents) != len(mirrored):
         results.append(

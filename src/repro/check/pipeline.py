@@ -197,16 +197,19 @@ def pipeline_checks(
     overridden — by the time the fast tier runs these, every cell is
     already in the memoization cache, so composition is nearly free),
     plus the batch-vs-serial differential, which cold-simulates a small
-    VIRAM scenario population both ways on every run.
+    VIRAM scenario population both ways on every run.  The pipelines
+    are composed in ``SCENARIO_STATS.scoped()``: they are the check's
+    own, not the process's.
     """
+    from repro.mappings import registry
     from repro.scenarios.model import scenario_for_workloads
     from repro.scenarios.pipeline import run_pipeline
+    from repro.scenarios.stats import SCENARIO_STATS
 
     results: List[CheckResult] = []
-    from repro.mappings import registry
-
-    for machine in registry.MACHINES:
-        prun = run_pipeline(scenario_for_workloads(machine, workloads))
-        results.extend(validate_pipeline_run(prun))
-    results.append(_batch_vs_serial(workloads))
+    with SCENARIO_STATS.scoped():
+        for machine in registry.MACHINES:
+            prun = run_pipeline(scenario_for_workloads(machine, workloads))
+            results.extend(validate_pipeline_run(prun))
+        results.append(_batch_vs_serial(workloads))
     return results

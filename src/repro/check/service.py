@@ -6,8 +6,9 @@ life, and deduplication conserves work (N identical requests cost one
 computation).  Like the obs reconciliation checks, these are *derived*
 properties that drift silently when an instrumentation site moves, so
 the fast tier re-proves them with a controlled experiment against a
-scratch runtime (temp service root, counting stub executor — no HTTP,
-no real kernels, milliseconds):
+scratch runtime (temp service root, counting stub executor, service
+counters in ``SERVICE_STATS.scoped()`` — no HTTP, no real kernels, no
+counts left in the process's telemetry, milliseconds):
 
 * ``invariant.service.journal`` — a full job lifecycle leaves a
   parseable journal with a gapless ``seq`` from 0 and schema-complete
@@ -68,9 +69,10 @@ def service_checks(
 
     results: List[CheckResult] = []
     calls: List[Dict[str, Any]] = []
-    stats_before = SERVICE_STATS.snapshot()
 
-    with tempfile.TemporaryDirectory(prefix="repro-svc-check-") as tmp:
+    # The scratch runtime's jobs are staged, so they count in a scope.
+    scratch = tempfile.TemporaryDirectory(prefix="repro-svc-check-")
+    with scratch as tmp, SERVICE_STATS.scoped():
         root = Path(tmp) / "svc"
         config = ServiceConfig(
             root=root, workers=0, executor=_stub_executor(calls)
@@ -86,9 +88,8 @@ def service_checks(
 
         # -- dedup conservation ---------------------------------------
         outcomes = [s.outcome for s in submissions]
-        stats_after = SERVICE_STATS.snapshot()
-        deduped = stats_after["deduped"] - stats_before["deduped"]
-        admitted = stats_after["admitted"] - stats_before["admitted"]
+        deduped = SERVICE_STATS.get("deduped")
+        admitted = SERVICE_STATS.get("admitted")
         same_job = len({s.job.id for s in submissions}) == 1
         executions = sum(
             1 for c in calls if c["params"] == params
@@ -112,7 +113,7 @@ def service_checks(
                 CheckResult(
                     "invariant.service.dedup", FAIL,
                     f"outcomes={outcomes} same_job={same_job} "
-                    f"deduped+={deduped} admitted+={admitted} "
+                    f"deduped={deduped} admitted={admitted} "
                     f"executions={executions} — expected 1 admission and "
                     "1 execution for 3 identical requests",
                 )

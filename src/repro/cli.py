@@ -787,9 +787,8 @@ def _print_perf_stats() -> None:
     print(timers.render(), file=sys.stderr)
     print(RUN_CACHE.format_stats(), file=sys.stderr)
     print(DISK_CACHE.format_stats(), file=sys.stderr)
-    print(TENSOR_STATS.format_stats(), file=sys.stderr)
-    print(SCENARIO_STATS.format_stats(), file=sys.stderr)
-    print(RESILIENCE.render(), file=sys.stderr)
+    for tally in (TENSOR_STATS, SCENARIO_STATS, RESILIENCE):
+        print(tally.render(), file=sys.stderr)
 
 
 def _cmd_sensitivity(args) -> int:

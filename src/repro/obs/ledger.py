@@ -46,6 +46,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.ioutil import append_jsonl
+from repro.trace.telemetry import TELEMETRY
 
 __all__ = [
     "FlightRecorder",
@@ -326,3 +327,6 @@ def _obs_telemetry_source() -> Dict[str, Any]:
     if recorder is None:
         return {}
     return recorder.telemetry()
+
+
+TELEMETRY.register("obs", _obs_telemetry_source)

@@ -45,6 +45,7 @@ from typing import Any, Dict, List, Mapping, Optional
 
 import numpy as np
 
+from repro.trace.telemetry import TELEMETRY
 from repro.trace.tracer import active_tracer
 
 
@@ -336,3 +337,4 @@ class RunCache:
 RUN_CACHE = RunCache(
     enabled=os.environ.get("REPRO_RUN_CACHE", "1") != "0"
 )
+TELEMETRY.register("perf.cache", RUN_CACHE.stats)

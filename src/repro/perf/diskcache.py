@@ -10,6 +10,9 @@ the CLI's lazy-import fast path.
 from __future__ import annotations
 
 from repro.perf.index import PackedDiskCache
+from repro.trace.telemetry import TELEMETRY
 
 #: The process-wide tier 2 store.
 DISK_CACHE = PackedDiskCache()
+TELEMETRY.register("perf.diskcache", DISK_CACHE.stats)
+TELEMETRY.register("perf.index", DISK_CACHE.index_stats)

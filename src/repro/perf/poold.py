@@ -38,6 +38,8 @@ import os
 import threading
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.trace.telemetry import TELEMETRY
+
 __all__ = [
     "acquire",
     "discard",
@@ -93,6 +95,9 @@ def pool_stats() -> Dict[str, int]:
         out["alive"] = int(_POOL is not None)
         out["persistent"] = int(persistent_enabled())
     return out
+
+
+TELEMETRY.register("perf.pool", pool_stats)
 
 
 def acquire(n_jobs: int):

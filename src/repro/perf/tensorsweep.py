@@ -39,7 +39,6 @@ via :data:`TENSOR_STATS` and shown by ``repro report --perf``.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -47,61 +46,20 @@ from repro.calibration import Calibration
 from repro.perf import timers
 from repro.perf.cache import RUN_CACHE, cache_key, cached_form
 from repro.perf.diskcache import DISK_CACHE
+from repro.trace.telemetry import TELEMETRY, Counters
 from repro.trace.tracer import active_tracer
 
 #: One sweep cell: (kernel, machine, mapping kwargs).
 RunRequest = Tuple[str, str, Dict[str, Any]]
 
 
-class TensorStats:
-    """Thread-safe counters for the tensor engine (TELEMETRY namespace
-    ``perf.tensor``)."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.batches = 0
-        self.batched_cells = 0
-        self.fallback_cells = 0
-        self.tracer_fallbacks = 0
-
-    def note_batch(self, cells: int) -> None:
-        with self._lock:
-            self.batches += 1
-            self.batched_cells += cells
-
-    def note_fallback(self, cells: int = 1, tracer: bool = False) -> None:
-        with self._lock:
-            self.fallback_cells += cells
-            if tracer:
-                self.tracer_fallbacks += cells
-
-    def reset(self) -> None:
-        with self._lock:
-            self.batches = 0
-            self.batched_cells = 0
-            self.fallback_cells = 0
-            self.tracer_fallbacks = 0
-
-    def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "batches": self.batches,
-                "batched_cells": self.batched_cells,
-                "fallback_cells": self.fallback_cells,
-                "tracer_fallbacks": self.tracer_fallbacks,
-            }
-
-    def format_stats(self) -> str:
-        s = self.stats()
-        return (
-            f"tensor engine: {s['batched_cells']} cells batched in "
-            f"{s['batches']} batches, {s['fallback_cells']} per-cell "
-            f"fallbacks ({s['tracer_fallbacks']} traced)"
-        )
-
-
-#: Process-wide engine counters, exported as TELEMETRY ``perf.tensor``.
-TENSOR_STATS = TensorStats()
+#: Process-wide engine counters.  Updated in the planning process, so
+#: pool workers need not report back.
+TENSOR_STATS = Counters(
+    "perf.tensor",
+    ("batches", "batched_cells", "fallback_cells", "tracer_fallbacks"),
+)
+TELEMETRY.register("perf.tensor", TENSOR_STATS.snapshot)
 
 
 @dataclass
@@ -167,7 +125,8 @@ def plan_units(
         kernel, machine, kwargs = request
         single = SingleCell(request=request, positions=[position])
         if tracing:
-            TENSOR_STATS.note_fallback(tracer=True)
+            TENSOR_STATS.note("fallback_cells")
+            TENSOR_STATS.note("tracer_fallbacks")
             units.append(single)
             continue
         if (
@@ -177,7 +136,7 @@ def plan_units(
             and kwargs["calibration"] is not None
             and not isinstance(kwargs["calibration"], Calibration)
         ):
-            TENSOR_STATS.note_fallback()
+            TENSOR_STATS.note("fallback_cells")
             units.append(single)
             continue
         base_kwargs = {
@@ -187,7 +146,7 @@ def plan_units(
         if base_key is None:
             # Some kwarg has no canonical content encoding; without a
             # signature the cell cannot prove it shares a structure.
-            TENSOR_STATS.note_fallback()
+            TENSOR_STATS.note("fallback_cells")
             units.append(single)
             continue
         cal = resolve_calibration(kwargs.get("calibration"))
@@ -212,7 +171,7 @@ def plan_units(
     planned: List[DispatchUnit] = []
     for unit in units:
         if isinstance(unit, BatchGroup) and len(unit) == 1:
-            TENSOR_STATS.note_fallback()
+            TENSOR_STATS.note("fallback_cells")
             planned.append(
                 SingleCell(
                     request=(unit.kernel, unit.machine, unit.cell_kwargs[0]),
@@ -221,7 +180,8 @@ def plan_units(
             )
             continue
         if isinstance(unit, BatchGroup):
-            TENSOR_STATS.note_batch(len(unit))
+            TENSOR_STATS.note("batches")
+            TENSOR_STATS.note("batched_cells", len(unit))
         planned.append(unit)
     return planned
 

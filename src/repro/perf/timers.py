@@ -35,6 +35,8 @@ import time
 from contextlib import contextmanager
 from typing import Dict, Iterator, Tuple
 
+from repro.trace.telemetry import TELEMETRY
+
 Path = Tuple[str, ...]
 
 _lock = threading.Lock()
@@ -106,6 +108,21 @@ def snapshot() -> Dict[str, object]:
             },
             "counters": dict(_counters),
         }
+
+
+def _telemetry() -> Dict[str, object]:
+    """The ``perf.timers`` telemetry source: the snapshot, flattened."""
+    snap = snapshot()
+    out: Dict[str, object] = {}
+    for path, entry in snap["timings"].items():
+        out[f"timings.{path}.seconds"] = entry["seconds"]
+        out[f"timings.{path}.calls"] = entry["calls"]
+    for name, value in snap["counters"].items():
+        out[f"counters.{name}"] = value
+    return out
+
+
+TELEMETRY.register("perf.timers", _telemetry)
 
 
 def render() -> str:

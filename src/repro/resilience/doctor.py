@@ -149,6 +149,12 @@ def probe_quarantine() -> ProbeResult:
 
 def probe_telemetry() -> ProbeResult:
     """Snapshot the telemetry registry and require the core namespaces."""
+    # A namespace appears once its owner is imported: import the owners
+    # of the required ones, so a missing name means a broken owner.
+    import repro.perf.cache  # noqa: F401
+    import repro.perf.diskcache  # noqa: F401
+    import repro.perf.timers  # noqa: F401
+    import repro.resilience.stats  # noqa: F401
     from repro.trace.telemetry import TELEMETRY
 
     name = "probe.telemetry"

@@ -3,25 +3,28 @@
 The supervisor's whole value is that failures are *absorbed* — a killed
 worker becomes a retried chunk, a corrupt cache entry becomes a
 quarantined file — which means the only external evidence that anything
-happened is telemetry.  This module is that evidence: a process-wide
-tally of retries, degradations, crashes, deadline misses, pool
-resurrections, broken locks, and quarantines, exposed to the
-:data:`~repro.trace.telemetry.TELEMETRY` registry under the
+happened is telemetry.  :data:`RESILIENCE` is that evidence: a
+:class:`~repro.trace.telemetry.Counters` tally of retries,
+degradations, crashes, deadline misses, pool resurrections, broken
+locks, and quarantines, plus the structured incident log behind them,
+registered with :data:`~repro.trace.telemetry.TELEMETRY` as the
 ``resilience.*`` namespace and printed by ``repro report --perf``.
 
 The acceptance contract of the chaos harness reads these directly:
 under an injected worker kill a healthy supervisor shows
 ``resilience.retries >= 1`` and ``resilience.degradations == 0`` —
-recovered in place, never silently downgraded to serial.
+recovered in place, never silently downgraded to serial.  The embedded
+checks that stage a degradation or a quarantine on purpose do it inside
+``RESILIENCE.scoped()``, so those staged events never reach this tally.
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
-import threading
-from typing import Any, Dict, Iterator, List, Union
+from typing import Any, Dict, Iterator, List
 
+from repro.trace.telemetry import TELEMETRY, Counters
 from repro.trace.tracer import active_tracer
 
 #: The service job (by id) on whose behalf the current thread is
@@ -49,9 +52,7 @@ def job_scope(job: str) -> Iterator[None]:
     finally:
         _JOB_CONTEXT.reset(token)
 
-#: Counter names, in render order.  Declared up front so the telemetry
-#: snapshot always carries every key (a zero is information: "no
-#: degradations" is exactly what the chaos acceptance check asserts).
+#: Counter names, in render order.
 COUNTERS = (
     "retries",
     "degradations",
@@ -68,23 +69,12 @@ COUNTERS = (
 )
 
 
-class ResilienceStats:
-    """Thread-safe counters plus a last-degradation-reason gauge."""
+class ResilienceStats(Counters):
+    """The resilience tally plus its structured incident log.
 
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._counters: Dict[str, int] = {name: 0 for name in COUNTERS}
-        self._last_degradation_reason = ""
-        self._incidents: List[Dict[str, Any]] = []
-
-    def note(self, name: str, n: int = 1) -> None:
-        """Increment counter ``name`` by ``n`` (and mirror it onto the
-        active tracer, if any, as ``resilience.<name>``)."""
-        with self._lock:
-            self._counters[name] = self._counters.get(name, 0) + n
-        tracer = active_tracer()
-        if tracer is not None:
-            tracer.count(f"resilience.{name}", n)
+    The snapshot adds ``last_degradation_reason``, read from the newest
+    ``degradation`` incident, so a scope covers it with the log.
+    """
 
     def note_degradation(self, reason: str) -> None:
         """Record one parallel→serial degradation and why it happened.
@@ -94,9 +84,7 @@ class ResilienceStats:
         the metrics manifest, and the ``--perf`` output, where a warning
         would have scrolled away.
         """
-        with self._lock:
-            self._counters["degradations"] += 1
-            self._last_degradation_reason = reason
+        self.note("degradations")
         payload = {"reason": reason}
         job = current_job()
         if job:
@@ -104,7 +92,6 @@ class ResilienceStats:
         self.log_incident("degradation", payload)
         tracer = active_tracer()
         if tracer is not None:
-            tracer.count("resilience.degradations")
             tracer.instant(
                 "degradation",
                 track="resilience/supervisor",
@@ -123,48 +110,29 @@ class ResilienceStats:
         this log byte-for-byte (``json.dumps(..., sort_keys=True)``).
         """
         with self._lock:
-            self._incidents.append({"kind": kind, "payload": dict(payload)})
+            self._tally().incidents.append(
+                {"kind": kind, "payload": dict(payload)}
+            )
 
     def incidents(self) -> List[Dict[str, Any]]:
         """The structured incident log, in occurrence order."""
         with self._lock:
             return [
                 {"kind": i["kind"], "payload": dict(i["payload"])}
-                for i in self._incidents
+                for i in self._tally().incidents
             ]
 
-    def get(self, name: str) -> int:
-        with self._lock:
-            return self._counters.get(name, 0)
-
-    @property
-    def last_degradation_reason(self) -> str:
-        with self._lock:
-            return self._last_degradation_reason
-
-    def snapshot(self) -> Dict[str, Union[int, str]]:
-        """Counters plus the reason gauge, the telemetry-source shape."""
-        with self._lock:
-            out: Dict[str, Union[int, str]] = dict(self._counters)
-            out["last_degradation_reason"] = self._last_degradation_reason
-        return out
-
-    def reset(self) -> None:
-        with self._lock:
-            self._counters = {name: 0 for name in COUNTERS}
-            self._last_degradation_reason = ""
-            self._incidents = []
-
-    def render(self) -> str:
-        """Aligned ``resilience.<name> value`` lines for ``--perf``."""
-        snap = self.snapshot()
-        width = max(len(name) for name in snap) + len("resilience.")
-        lines = ["resilience:"]
-        for name in sorted(snap):
-            lines.append(f"  {f'resilience.{name}':<{width}s}  {snap[name]}")
-        return "\n".join(lines)
+    def snapshot(self) -> Dict[str, Any]:
+        snap = super().snapshot()
+        reasons = [
+            i["payload"]["reason"]
+            for i in self.incidents()
+            if i["kind"] == "degradation"
+        ]
+        snap["last_degradation_reason"] = reasons[-1] if reasons else ""
+        return snap
 
 
-#: Process-wide resilience tally, registered with TELEMETRY at import
-#: of :mod:`repro.trace.telemetry`.
-RESILIENCE = ResilienceStats()
+#: Process-wide resilience tally.
+RESILIENCE = ResilienceStats("resilience", COUNTERS)
+TELEMETRY.register("resilience", RESILIENCE.snapshot)

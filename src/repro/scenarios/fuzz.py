@@ -248,7 +248,7 @@ def generate_scenarios(
         _sample_scenario(np.random.default_rng([seed, i]), machines)
         for i in range(count)
     ]
-    SCENARIO_STATS.note_fuzz_generated(len(scenarios))
+    SCENARIO_STATS.note("fuzz.generated", len(scenarios))
     return scenarios
 
 
@@ -281,8 +281,9 @@ def validate_pipelines(
             )
         if failures:
             violations[prun.scenario_id] = failures
-    SCENARIO_STATS.note_fuzz_validated(
-        len(pruns), sum(len(v) for v in violations.values())
+    SCENARIO_STATS.note("fuzz.validated", len(pruns))
+    SCENARIO_STATS.note(
+        "fuzz.violations", sum(len(v) for v in violations.values())
     )
     return violations
 

@@ -96,15 +96,22 @@ def assemble_pipeline(
     scenario: Scenario, runs: Sequence[KernelRun]
 ) -> PipelineRun:
     """Pair stage runs with priced handoffs into a :class:`PipelineRun`."""
+    note = SCENARIO_STATS.note
+    note("pipelines")
     stages: List[StageResult] = []
     for i, (spec, run) in enumerate(zip(scenario.stages, runs)):
+        note("stages")
+        note("stage_cycles", run.cycles)
+        note(f"stage.{spec.kernel}")
         handoff = None
         if i + 1 < len(scenario.stages):
             handoff = plan_handoff(scenario.machine, spec.output_words())
+            note("handoffs")
+            note("handoff_words", handoff.words)
+            note("handoff_cycles", handoff.cycles)
+            note(f"handoff.{handoff.level}")
         stages.append(StageResult(spec=spec, run=run, handoff=handoff))
-    prun = PipelineRun(scenario=scenario, stages=stages)
-    SCENARIO_STATS.note_pipeline(prun)
-    return prun
+    return PipelineRun(scenario=scenario, stages=stages)
 
 
 def run_pipeline(

@@ -1,100 +1,32 @@
 """Process-wide scenario telemetry (the ``scenario.*`` namespace).
 
-Mirrors :data:`repro.perf.tensorsweep.TENSOR_STATS`: a lock-protected
-counter bundle that the pipeline runner and the fuzzer feed, surfaced
-through the TELEMETRY registry (so ``--perf`` output, metrics
-manifests, and trace ``otherData`` all see it) and rendered as one
-summary line by the CLI.
+:data:`SCENARIO_STATS` is a :class:`~repro.trace.telemetry.Counters`
+tally that :func:`~repro.scenarios.pipeline.assemble_pipeline` and the
+fuzzer feed: pipelines composed, stages and their cycles, handoffs with
+their words and cycles, plus ``stage.<kernel>`` and ``handoff.<level>``
+counts noted on first use.  It is registered with
+:data:`~repro.trace.telemetry.TELEMETRY`, so ``--perf`` output and
+metrics history see it.  The fast tier's pipeline checks compose inside
+``SCENARIO_STATS.scoped()``: a report composes no pipeline of its own.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Dict
+from repro.trace.telemetry import TELEMETRY, Counters
 
-
-class ScenarioStats:
-    """Counters for pipeline composition and fuzzing activity."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.reset()
-
-    def reset(self) -> None:
-        with self._lock:
-            self.pipelines = 0
-            self.stages = 0
-            self.stage_cycles = 0.0
-            self.handoffs = 0
-            self.handoff_words = 0
-            self.handoff_cycles = 0.0
-            self.stage_runs: Dict[str, int] = {}
-            self.handoff_levels: Dict[str, int] = {}
-            self.fuzz_generated = 0
-            self.fuzz_validated = 0
-            self.fuzz_violations = 0
-
-    def note_pipeline(self, prun) -> None:
-        """Account one assembled :class:`~repro.scenarios.PipelineRun`."""
-        with self._lock:
-            self.pipelines += 1
-            for result in prun.stages:
-                self.stages += 1
-                self.stage_cycles += result.run.cycles
-                key = result.spec.kernel
-                self.stage_runs[key] = self.stage_runs.get(key, 0) + 1
-                if result.handoff is not None:
-                    self.handoffs += 1
-                    self.handoff_words += result.handoff.words
-                    self.handoff_cycles += result.handoff.cycles
-                    level = result.handoff.level
-                    self.handoff_levels[level] = (
-                        self.handoff_levels.get(level, 0) + 1
-                    )
-
-    def note_fuzz_generated(self, count: int) -> None:
-        with self._lock:
-            self.fuzz_generated += count
-
-    def note_fuzz_validated(self, count: int, violations: int) -> None:
-        with self._lock:
-            self.fuzz_validated += count
-            self.fuzz_violations += violations
-
-    def snapshot(self) -> Dict[str, float]:
-        """Flat mapping for the TELEMETRY registry."""
-        with self._lock:
-            out: Dict[str, float] = {
-                "pipelines": self.pipelines,
-                "stages": self.stages,
-                "stage_cycles": self.stage_cycles,
-                "handoffs": self.handoffs,
-                "handoff_words": self.handoff_words,
-                "handoff_cycles": self.handoff_cycles,
-                "fuzz.generated": self.fuzz_generated,
-                "fuzz.validated": self.fuzz_validated,
-                "fuzz.violations": self.fuzz_violations,
-            }
-            for kernel, count in sorted(self.stage_runs.items()):
-                out[f"stage.{kernel}"] = count
-            for level, count in sorted(self.handoff_levels.items()):
-                out[f"handoff.{level}"] = count
-        return out
-
-    def format_stats(self) -> str:
-        """One-line summary for the ``--perf`` view."""
-        with self._lock:
-            return (
-                f"scenarios: {self.pipelines} pipelines, "
-                f"{self.stages} stages, "
-                f"{self.handoffs} handoffs "
-                f"({self.handoff_words} words, "
-                f"{self.handoff_cycles:,.0f} cycles), "
-                f"fuzz {self.fuzz_generated} generated / "
-                f"{self.fuzz_validated} validated / "
-                f"{self.fuzz_violations} violations"
-            )
-
-
-#: Process-wide scenario counters (TELEMETRY namespace ``scenario``).
-SCENARIO_STATS = ScenarioStats()
+#: Process-wide scenario counters.
+SCENARIO_STATS = Counters(
+    "scenario",
+    (
+        "pipelines",
+        "stages",
+        "stage_cycles",
+        "handoffs",
+        "handoff_words",
+        "handoff_cycles",
+        "fuzz.generated",
+        "fuzz.validated",
+        "fuzz.violations",
+    ),
+)
+TELEMETRY.register("scenario", SCENARIO_STATS.snapshot)

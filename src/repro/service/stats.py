@@ -3,21 +3,21 @@
 Like :mod:`repro.resilience.stats` one tier down, the service absorbs
 trouble rather than surfacing it — a duplicate request becomes a dedup
 hit, saturation becomes a 429, a crash becomes a replay — so counters
-are the only external evidence of what happened.  This tally is exposed
-to :data:`~repro.trace.telemetry.TELEMETRY` under ``service.*`` and is
-what the dedup-conservation invariant and the chaos service scenarios
-assert against (N identical submissions show ``deduped == N - 1`` and
-exactly one planner execution).
+are the only external evidence of what happened.  :data:`SERVICE_STATS`
+is a :class:`~repro.trace.telemetry.Counters` tally registered with
+:data:`~repro.trace.telemetry.TELEMETRY` as the ``service.*`` namespace;
+the dedup-conservation invariant and the chaos service scenarios assert
+against it (N identical submissions show ``deduped == N - 1`` and
+exactly one planner execution).  The fast tier's scratch-runtime
+experiment counts inside ``SERVICE_STATS.scoped()``, so a report or a
+service job's validation adds nothing here.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Dict
+from repro.trace.telemetry import TELEMETRY, Counters
 
-#: Counter names, in render order.  Declared up front so the telemetry
-#: snapshot always carries every key — a zero is information ("no jobs
-#: were shed" is exactly what a healthy smoke run asserts).
+#: Counter names, in render order.
 COUNTERS = (
     "submitted",
     "admitted",
@@ -37,48 +37,6 @@ COUNTERS = (
     "client_disconnects",
 )
 
-
-class ServiceStats:
-    """Thread-safe service counters (same shape as ResilienceStats)."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._counters: Dict[str, int] = {name: 0 for name in COUNTERS}
-
-    def note(self, name: str, n: int = 1) -> None:
-        """Increment counter ``name`` by ``n`` (and mirror it onto the
-        active tracer, if any, as ``service.<name>``)."""
-        with self._lock:
-            self._counters[name] = self._counters.get(name, 0) + n
-        from repro.trace.tracer import active_tracer
-
-        tracer = active_tracer()
-        if tracer is not None:
-            tracer.count(f"service.{name}", n)
-
-    def get(self, name: str) -> int:
-        with self._lock:
-            return self._counters.get(name, 0)
-
-    def snapshot(self) -> Dict[str, int]:
-        """All counters, the telemetry-source shape."""
-        with self._lock:
-            return dict(self._counters)
-
-    def reset(self) -> None:
-        with self._lock:
-            self._counters = {name: 0 for name in COUNTERS}
-
-    def render(self) -> str:
-        """Aligned ``service.<name> value`` lines for ``--perf``."""
-        snap = self.snapshot()
-        width = max(len(name) for name in snap) + len("service.")
-        lines = ["service:"]
-        for name in sorted(snap):
-            lines.append(f"  {f'service.{name}':<{width}s}  {snap[name]}")
-        return "\n".join(lines)
-
-
-#: Process-wide service tally, registered with TELEMETRY under
-#: ``service`` (lazily, from :mod:`repro.trace.telemetry`).
-SERVICE_STATS = ServiceStats()
+#: Process-wide service tally.
+SERVICE_STATS = Counters("service", COUNTERS)
+TELEMETRY.register("service", SERVICE_STATS.snapshot)

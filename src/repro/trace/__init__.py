@@ -6,8 +6,9 @@ Opt-in observability for the machine models, zero-overhead when off:
   context manager, and the :func:`active_tracer` hook every
   instrumentation site guards on;
 * :mod:`repro.trace.telemetry` — the unified, namespaced metrics
-  registry (:data:`TELEMETRY`) over the perf timers, the run cache, and
-  the active tracer;
+  registry (:data:`TELEMETRY`), which every counter owner registers
+  with, and :class:`~repro.trace.telemetry.Counters`, the one tally
+  class the program's own counters share;
 * :mod:`repro.trace.export` — Chrome ``trace_event`` JSON, per-resource
   utilization-timeline SVGs, and the JSON-lines metrics manifest;
 * :mod:`repro.trace.run` — :func:`trace_run`, the one-call driver.

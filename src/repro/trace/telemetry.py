@@ -1,55 +1,53 @@
 """Unified metrics registry: one namespaced read/snapshot/export API.
 
-Counters grew up scattered: :mod:`repro.perf.timers` keeps wall-time
-trees, :data:`repro.perf.cache.RUN_CACHE` keeps hit/miss/bypass tallies,
-machine models keep :class:`repro.sim.stats.Counter` objects, and every
-:class:`~repro.arch.base.KernelRun` carries a
-:class:`~repro.sim.accounting.CycleBreakdown` ledger.  This module puts
-them behind one registry: *sources* (zero-argument callables returning a
-flat ``{key: value}`` mapping) register under a dotted namespace, and
+*Sources* (zero-argument callables returning a flat ``{key: value}``
+mapping) register under a dotted namespace, and
 :meth:`TelemetryRegistry.snapshot` reads every source into one
 ``{"namespace.key": value}`` dict — the shape the ``--perf`` output, the
-metrics manifest, and the trace ``otherData`` block all consume.
+metrics-history record, and the benchmark's per-layer counts consume.
 
-The process-wide :data:`TELEMETRY` registry starts with these sources:
+Each owner registers its source beside the singleton it reads, so a
+namespace appears once its owner is imported and a snapshot never
+imports anything.  The namespaces and their owners:
 
-* ``perf.timers`` — the wall-time tree and counters (non-deterministic);
-* ``perf.cache`` — memory-tier run-cache entries/hits/misses/bypasses;
-* ``perf.diskcache`` — persistent-tier hits/misses/writes/evictions/
-  corrupt-entry detections/quarantines/bypasses plus entry and byte
-  counts;
-* ``perf.index`` — the packed disk-cache index internals: manifest
-  refreshes, torn records recovered, compactions, segment census, and
-  probe-latency percentiles (see :mod:`repro.perf.index`);
-* ``perf.pool`` — persistent worker-pool lifecycle: spawns, leases,
-  reuses, discards, current width (see :mod:`repro.perf.poold`);
-* ``resilience`` — the supervised executor's recovery ledger (retries,
-  degradations, worker crashes, pool restarts, quarantines, broken
-  locks — see :mod:`repro.resilience.stats`);
-* ``scenario`` — pipeline composition and fuzzing counters (stages run
-  per kernel, handoff words/cycles per level, scenarios generated and
-  validated — see :mod:`repro.scenarios.stats`);
-* ``trace`` — the active tracer's counters and event census (empty when
-  tracing is off);
-* ``obs`` — the flight recorder's event census (session id, events
-  recorded by kind, write errors — empty when no recorder is active,
-  see :mod:`repro.obs.ledger`);
+* ``perf.timers`` — the wall-time tree and counters, flattened
+  (:mod:`repro.perf.timers`; non-deterministic);
+* ``perf.cache`` — memory-tier run-cache entries/hits/misses/bypasses
+  (:mod:`repro.perf.cache`);
+* ``perf.diskcache`` and ``perf.index`` — the persistent tier's
+  hits/misses/writes/evictions/corrupt-entry detections/quarantines/
+  bypasses, and the packed index internals (:mod:`repro.perf.diskcache`);
+* ``perf.pool`` — persistent worker-pool lifecycle
+  (:mod:`repro.perf.poold`);
+* ``perf.tensor`` — tensor-engine batches and fallbacks
+  (:mod:`repro.perf.tensorsweep`);
+* ``resilience`` — the supervisor's and disk tier's recovery actions
+  (:mod:`repro.resilience.stats`);
+* ``scenario`` — pipeline composition and fuzzing
+  (:mod:`repro.scenarios.stats`);
 * ``service`` — the job runtime's admission/lifecycle tallies
-  (submitted, admitted, deduped, rejections by rung, completions,
-  replays, drains — see :mod:`repro.service.stats`).
+  (:mod:`repro.service.stats`);
+* ``obs`` — the active flight recorder's event census
+  (:mod:`repro.obs.ledger`);
+* ``trace`` — the active tracer's counters and event census (this
+  module; empty when tracing is off).
 
-Sources are read lazily at snapshot time, so registration costs nothing
-until someone asks, and a broken source reports its error under
-``<namespace>.error`` instead of killing the snapshot.
+The four tallies the program keeps for itself (``perf.tensor``,
+``resilience``, ``scenario``, ``service``) are :class:`Counters`.  A
+source that raises reports ``<namespace>.error`` instead of killing the
+snapshot.
 """
 
 from __future__ import annotations
 
+import contextvars
 import json
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, Mapping, Tuple
+from typing import (
+    Any, Callable, Dict, Iterator, List, Mapping, Sequence, Tuple, Union,
+)
 
 from repro.trace.tracer import active_tracer
 
@@ -64,47 +62,24 @@ class TelemetryRegistry:
         self._sources: "OrderedDict[str, Source]" = OrderedDict()
         self._lock = threading.Lock()
 
-    def register(
-        self, namespace: str, source: Source, *, replace: bool = False
-    ) -> None:
+    def register(self, namespace: str, source: Source) -> None:
         """Register ``source`` under ``namespace`` (dotted, non-empty).
 
-        Re-registering an existing namespace requires ``replace=True`` so
-        two subsystems cannot silently fight over a name.
+        Registering a namespace twice raises, so two subsystems cannot
+        silently fight over a name.
         """
         if not namespace or namespace.strip(".") != namespace:
             raise ValueError(f"invalid telemetry namespace {namespace!r}")
         with self._lock:
-            if namespace in self._sources and not replace:
+            if namespace in self._sources:
                 raise ValueError(
                     f"telemetry namespace {namespace!r} already registered"
                 )
             self._sources[namespace] = source
 
-    def unregister(self, namespace: str) -> None:
-        with self._lock:
-            self._sources.pop(namespace, None)
-
     def namespaces(self) -> Tuple[str, ...]:
         with self._lock:
             return tuple(self._sources)
-
-    @contextmanager
-    def scoped(self, namespace: str, source: Source) -> Iterator[None]:
-        """Register ``source`` for the duration of the context only.
-
-        Exit removes exactly the source it installed: if the namespace
-        was unregistered mid-scope, or replaced via
-        ``register(..., replace=True)``, the other party's change is
-        left alone instead of being clobbered by this context's exit.
-        """
-        self.register(namespace, source)
-        try:
-            yield
-        finally:
-            with self._lock:
-                if self._sources.get(namespace) is source:
-                    del self._sources[namespace]
 
     def snapshot(self) -> Dict[str, Any]:
         """All sources flattened to one ``{"namespace.key": value}`` dict.
@@ -153,83 +128,101 @@ class TelemetryRegistry:
         return "\n".join(lines)
 
 
-def counter_source(counter: Any) -> Source:
-    """Adapt a :class:`repro.sim.stats.Counter` into a telemetry source
-    (per-label tallies plus the total)."""
+class _Tally:
+    """One set of counts, plus the incident log that
+    :class:`~repro.resilience.stats.ResilienceStats` keeps beside them
+    (empty in every other tally), so a scope swaps both at once."""
 
-    def read() -> Dict[str, Any]:
-        values = {str(k): v for k, v in counter.as_dict().items()}
-        values["total"] = counter.total
-        return values
+    __slots__ = ("counts", "incidents")
 
-    return read
-
-
-def breakdown_source(breakdown: Any) -> Source:
-    """Adapt a :class:`repro.sim.accounting.CycleBreakdown` ledger into a
-    telemetry source (per-category cycles plus the total)."""
-
-    def read() -> Dict[str, Any]:
-        values = {str(k): v for k, v in breakdown.items()}
-        values["total"] = breakdown.total
-        return values
-
-    return read
+    def __init__(self, names: Sequence[str]) -> None:
+        self.counts: Dict[str, Union[int, float]] = dict.fromkeys(names, 0)
+        self.incidents: List[Dict[str, Any]] = []
 
 
-def _timers_source() -> Dict[str, Any]:
-    from repro.perf import timers
-
-    snap = timers.snapshot()
-    out: Dict[str, Any] = {}
-    for path, entry in snap["timings"].items():
-        out[f"timings.{path}.seconds"] = entry["seconds"]
-        out[f"timings.{path}.calls"] = entry["calls"]
-    for name, value in snap["counters"].items():
-        out[f"counters.{name}"] = value
-    return out
+#: The tallies of the :meth:`Counters.scoped` blocks the current
+#: context is inside, by owner.  Context-local, so a scope on one
+#: thread never hides another thread's counts.
+_SCOPES: contextvars.ContextVar[Mapping["Counters", _Tally]] = (
+    contextvars.ContextVar("repro_counter_scopes", default={})
+)
 
 
-def _run_cache_source() -> Dict[str, Any]:
-    from repro.perf.cache import RUN_CACHE
+class Counters:
+    """Thread-safe named tallies under one telemetry namespace.
 
-    return dict(RUN_CACHE.stats())
+    Declared ``names`` start at 0, so a snapshot always carries every
+    key (a zero is information: "no degradations" is exactly what the
+    chaos acceptance check asserts).  :meth:`note` also accepts an
+    undeclared name, for per-kernel and per-level tallies, and mirrors
+    every increment onto the active tracer as ``<namespace>.<name>``.
 
+    :meth:`scoped` gives the code inside it a fresh tally, which is how
+    a controlled experiment counts its own events without adding them
+    to the process's.  Constructing an instance registers nothing; the
+    owner registers its singleton's :meth:`snapshot` with
+    :data:`TELEMETRY`.
+    """
 
-def _disk_cache_source() -> Dict[str, Any]:
-    from repro.perf.diskcache import DISK_CACHE
+    def __init__(self, namespace: str, names: Sequence[str]) -> None:
+        self.namespace = namespace
+        self.names = tuple(names)
+        self._lock = threading.Lock()
+        self._live = _Tally(self.names)
 
-    return dict(DISK_CACHE.stats())
+    def _tally(self) -> _Tally:
+        return _SCOPES.get().get(self, self._live)
 
+    def note(self, name: str, n: Union[int, float] = 1) -> None:
+        """Add ``n`` to ``name`` (and to the active tracer's
+        ``<namespace>.<name>`` counter, if tracing)."""
+        with self._lock:
+            counts = self._tally().counts
+            counts[name] = counts.get(name, 0) + n
+        tracer = active_tracer()
+        if tracer is not None:
+            tracer.count(f"{self.namespace}.{name}", n)
 
-def _tensor_source() -> Dict[str, Any]:
-    from repro.perf.tensorsweep import TENSOR_STATS
+    def get(self, name: str) -> Union[int, float]:
+        with self._lock:
+            return self._tally().counts.get(name, 0)
 
-    return dict(TENSOR_STATS.stats())
+    def snapshot(self) -> Dict[str, Any]:
+        """Every count, the telemetry-source shape."""
+        with self._lock:
+            return dict(self._tally().counts)
 
+    def reset(self) -> None:
+        """Zero the tally the calling context sees."""
+        with self._lock:
+            tally = self._tally()
+            tally.counts = dict.fromkeys(self.names, 0)
+            tally.incidents = []
 
-def _pool_source() -> Dict[str, Any]:
-    from repro.perf import poold
+    def render(self) -> str:
+        """Aligned ``<namespace>.<name> value`` lines for ``--perf``."""
+        snap = self.snapshot()
+        width = max(map(len, snap), default=0) + len(self.namespace) + 1
+        lines = [f"{self.namespace}:"]
+        for name in sorted(snap):
+            label = f"{self.namespace}.{name}"
+            lines.append(f"  {label:<{width}s}  {snap[name]}")
+        return "\n".join(lines)
 
-    return dict(poold.pool_stats())
+    @contextmanager
+    def scoped(self) -> Iterator["Counters"]:
+        """Count the block's events in a fresh tally.
 
-
-def _index_source() -> Dict[str, Any]:
-    from repro.perf.diskcache import DISK_CACHE
-
-    return dict(DISK_CACHE.index_stats())
-
-
-def _resilience_source() -> Dict[str, Any]:
-    from repro.resilience.stats import RESILIENCE
-
-    return dict(RESILIENCE.snapshot())
-
-
-def _scenario_source() -> Dict[str, Any]:
-    from repro.scenarios.stats import SCENARIO_STATS
-
-    return dict(SCENARIO_STATS.snapshot())
+        Inside, every read and write from this context sees a tally
+        that starts at zero; other threads keep counting into the live
+        one.  On exit, even by an exception, the live tally is exactly
+        as it was.
+        """
+        token = _SCOPES.set({**_SCOPES.get(), self: _Tally(self.names)})
+        try:
+            yield self
+        finally:
+            _SCOPES.reset(token)
 
 
 def _trace_source() -> Dict[str, Any]:
@@ -241,28 +234,6 @@ def _trace_source() -> Dict[str, Any]:
     return out
 
 
-def _obs_source() -> Dict[str, Any]:
-    from repro.obs.ledger import _obs_telemetry_source
-
-    return _obs_telemetry_source()
-
-
-def _service_source() -> Dict[str, Any]:
-    from repro.service.stats import SERVICE_STATS
-
-    return dict(SERVICE_STATS.snapshot())
-
-
-#: The process-wide registry with the default sources installed.
+#: The process-wide registry; owners add their sources at import.
 TELEMETRY = TelemetryRegistry()
-TELEMETRY.register("perf.timers", _timers_source)
-TELEMETRY.register("perf.cache", _run_cache_source)
-TELEMETRY.register("perf.diskcache", _disk_cache_source)
-TELEMETRY.register("perf.index", _index_source)
-TELEMETRY.register("perf.pool", _pool_source)
-TELEMETRY.register("perf.tensor", _tensor_source)
-TELEMETRY.register("resilience", _resilience_source)
-TELEMETRY.register("scenario", _scenario_source)
 TELEMETRY.register("trace", _trace_source)
-TELEMETRY.register("obs", _obs_source)
-TELEMETRY.register("service", _service_source)

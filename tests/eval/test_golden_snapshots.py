@@ -11,6 +11,8 @@ change — fails with a unified diff.  Intentional changes are re-pinned with
 
 import csv
 import io
+import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -101,20 +103,41 @@ class TestSnapshots:
         # hold cold, not be inherited from another test's warm tier.
         # Its flight-recorder session goes to the test's dir too, not
         # the checkout's ``.repro/obs``.
+        env = {
+            "PYTHONPATH": "src",
+            "PATH": "/usr/bin:/bin",
+            "REPRO_DISK_CACHE_DIR": str(tmp_path / "diskcache"),
+            "REPRO_OBS_DIR": str(tmp_path / "obs"),
+        }
+        # Bytecode the run leaves under src/ would speed up every later
+        # fresh process, so honour a caller's request not to write it.
+        if "PYTHONDONTWRITEBYTECODE" in os.environ:
+            env["PYTHONDONTWRITEBYTECODE"] = os.environ[
+                "PYTHONDONTWRITEBYTECODE"
+            ]
         proc = subprocess.run(
             [sys.executable, "-m", "repro", "report"],
             capture_output=True,
             text=True,
-            env={
-                "PYTHONPATH": "src",
-                "PATH": "/usr/bin:/bin",
-                "REPRO_DISK_CACHE_DIR": str(tmp_path / "diskcache"),
-                "REPRO_OBS_DIR": str(tmp_path / "obs"),
-            },
+            env=env,
             cwd=str(GOLDEN_DIR.parents[2]),
             check=True,
         )
         assert proc.stdout == documents[REPORT_FIXTURE]
+
+        # A report on a healthy store records nothing that did not
+        # happen to it: the embedded checks stage a degradation, a
+        # quarantine, service jobs and pipelines, all in their own
+        # scopes.
+        history = (tmp_path / "obs" / "history.jsonl").read_text()
+        telemetry = json.loads(history.splitlines()[-1])["telemetry"]
+        assert telemetry["resilience.degradations"] == 0
+        assert telemetry["resilience.last_degradation_reason"] == ""
+        assert telemetry["resilience.quarantined"] == 0
+        service = {k: v for k, v in telemetry.items()
+                   if k.startswith("service.")}
+        assert service and not any(service.values()), service
+        assert telemetry["scenario.pipelines"] == 0
 
 
 class TestCsvShape:

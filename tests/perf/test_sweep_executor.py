@@ -122,7 +122,7 @@ class TestPoolFallbackTelemetry:
         results = run_cells(requests, jobs=2)
         assert RESILIENCE.get("degradations") == before + 1
         # The original exception's type and text must be surfaced.
-        reason = RESILIENCE.last_degradation_reason
+        reason = RESILIENCE.snapshot()["last_degradation_reason"]
         assert "OSError" in reason and "no process spawning" in reason
         assert [repr(r) for r in results] == [repr(r) for r in serial]
 

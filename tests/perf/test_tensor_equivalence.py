@@ -164,7 +164,7 @@ class TestTracerFallback:
         requests = _requests(_sensitivity_grid(), small_ct)
         with tracing() as tracer:
             traced_runs = execute_requests(requests)
-        stats = TENSOR_STATS.stats()
+        stats = TENSOR_STATS.snapshot()
         assert stats["batches"] == 0
         assert stats["batched_cells"] == 0
         assert stats["tracer_fallbacks"] == len(requests)
@@ -176,7 +176,7 @@ class TestTracerFallback:
     def test_same_grid_batches_without_tracer(self, small_ct):
         requests = _requests(_sensitivity_grid(), small_ct)
         execute_requests(requests)
-        stats = TENSOR_STATS.stats()
+        stats = TENSOR_STATS.snapshot()
         assert stats["batches"] == 1
         assert stats["batched_cells"] == len(requests)
         assert stats["fallback_cells"] == 0
@@ -226,7 +226,7 @@ class TestPlanUnits:
             self._pairs(_sensitivity_grid(3), small_ct, cache=False)
         )
         assert all(isinstance(u, SingleCell) for u in units)
-        assert TENSOR_STATS.stats()["fallback_cells"] == 3
+        assert TENSOR_STATS.snapshot()["fallback_cells"] == 3
 
     def test_singleton_group_demotes_to_single(self, small_ct):
         units = tensorsweep.plan_units(
@@ -234,7 +234,7 @@ class TestPlanUnits:
         )
         assert len(units) == 1
         assert isinstance(units[0], SingleCell)
-        assert TENSOR_STATS.stats()["batches"] == 0
+        assert TENSOR_STATS.snapshot()["batches"] == 0
 
     def test_structural_fields_split_groups(self, small_ct):
         # tlb_entries is structural for VIRAM: cells differing in it

@@ -110,7 +110,7 @@ class TestPlannerDemotion:
 
         TENSOR_STATS.reset()
         units = plan_units(pairs)
-        stats = TENSOR_STATS.stats()
+        stats = TENSOR_STATS.snapshot()
 
         odd_units = [
             u
@@ -140,7 +140,7 @@ class TestPlannerDemotion:
         RUN_CACHE.clear()
         TENSOR_STATS.reset()
         pruns = run_scenarios(population)
-        stats = TENSOR_STATS.stats()
+        stats = TENSOR_STATS.snapshot()
         # The population actually exercised both engine paths.
         assert stats["fallback_cells"] >= 1
         assert stats["batched_cells"] >= 3

@@ -1,6 +1,7 @@
 """CLI surface for ``repro pipeline run`` and ``repro pipeline fuzz``."""
 
 import json
+import re
 
 import pytest
 
@@ -121,13 +122,20 @@ class TestPipelineFuzz:
         assert "0 scenarios" in capsys.readouterr().out
 
     def test_perf_flag_prints_scenario_stats(self, capsys):
-        assert (
-            main(
-                [
-                    "pipeline", "fuzz", "--seed", "1", "--count", "2",
-                    "--machines", "altivec", "--perf",
-                ]
+        from repro.scenarios.stats import SCENARIO_STATS
+
+        # A scope, so only this command's pipelines are counted.
+        with SCENARIO_STATS.scoped():
+            assert (
+                main(
+                    [
+                        "pipeline", "fuzz", "--seed", "1", "--count", "2",
+                        "--machines", "altivec", "--perf",
+                    ]
+                )
+                == 0
             )
-            == 0
-        )
-        assert "scenarios:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "\nscenario:\n" in err
+        assert re.search(r"scenario\.pipelines +2\n", err)
+        assert re.search(r"scenario\.fuzz\.generated +2\n", err)

@@ -159,6 +159,27 @@ class TestExecution:
         census = runtime.drain(timeout=10)
         assert census["done"] == 1
 
+    def test_validated_report_job_counts_only_itself(self, tmp_path):
+        # The report's embedded checks run their own scratch jobs, a
+        # staged degradation and a staged quarantine; none of that may
+        # reach the counters a live server's /v1/telemetry returns.
+        from repro.resilience.stats import RESILIENCE
+
+        incidents = len(RESILIENCE.incidents())
+        before = RESILIENCE.snapshot()
+        runtime = JobRuntime(ServiceConfig(root=tmp_path / "svc", workers=0))
+        job = runtime.submit("report", {"validate": True}).job
+        runtime.run_pending()
+        assert job.state == DONE
+        assert "verdict: OK" in runtime.result_text(job.id)
+        counts = SERVICE_STATS.snapshot()
+        assert counts["submitted"] == 1
+        assert counts["admitted"] == 1
+        assert counts["completed"] == 1
+        assert counts["deduped"] == counts["replayed"] == 0
+        assert len(RESILIENCE.incidents()) == incidents
+        assert RESILIENCE.snapshot() == before
+
 
 class TestReplay:
     def test_running_job_is_replayed_on_restart(self, tmp_path, calls):
