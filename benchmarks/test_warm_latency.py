@@ -133,7 +133,7 @@ def test_warm_report_meets_interactive_budget(benchmark, tmp_path):
         "cold_report_seconds": cold_seconds,
         "warm_speedup_vs_cold": cold_seconds / warm_seconds,
         "index_entries": warm2["index"]["entries"],
-        "index_segments": warm2["index"]["segments"],
+        "index_logs": warm2["index"]["logs"],
         "index_probe_p99_us": warm2["index"]["p99_us"],
         "warm_disk_stats": warm2["disk"],
     }

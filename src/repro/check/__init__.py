@@ -31,9 +31,9 @@ Tiers (the CLI's ``--fast`` / ``--full`` / ``--inject``):
   schema/seq with torn-tail healing, job-state-machine legality, dedup
   conservation, crash-replay convergence), plus
   the disk-tier differential oracle (disk-hit vs memory-hit vs cold),
-  an integrity sweep of the persisted entries, and the packed-index
-  layout invariants (``invariant.index.*``, :mod:`repro.check.
-  indexcheck`: round-trip, manifest replay, tombstones, torn-tail
+  an integrity sweep of the persisted entries, and the store log's
+  invariants (``invariant.index.*``, :mod:`repro.check.
+  indexcheck`: round-trip, log replay, tombstones, torn-tail
   recovery, live digest sweep).  Cheap enough that ``full_report`` runs
   it automatically, so every published table ships pre-validated.
 * **full** — fast, plus the cache oracle on every pair and the

@@ -1,8 +1,8 @@
-"""Packed-index invariants (``invariant.index.*``) for the fast tier.
+"""Disk-store invariants (``invariant.index.*``) for the fast tier.
 
-The packed disk-cache layout (:mod:`repro.perf.index`) concentrates
-every persisted run behind one manifest; a bug there corrupts the whole
-store at once instead of one file.  These checks exercise the layout's
+The disk store (:mod:`repro.perf.index`) keeps every persisted run of a
+model version in one record log; a bug there corrupts the whole store
+at once instead of one entry.  These checks exercise the log's
 load-bearing guarantees against a *scratch* store in a temporary
 directory — hermetic, deterministic, independent of whether the
 user's disk tier is enabled, and counted in ``RESILIENCE.scoped()`` so
@@ -11,15 +11,15 @@ digest sweep of the live store:
 
 * ``invariant.index.roundtrip`` — ``put_many`` → ``get_many`` over a
   fresh store returns byte-equal values, the digest sweep is clean, and
-  the index census agrees with what was written;
+  the store's census agrees with what was written;
 * ``invariant.index.reopen`` — a *second* handle on the same directory
-  (a fresh process, as far as the index code can tell) serves the same
-  entries purely from the manifest;
-* ``invariant.index.torn-tail`` — a manifest with a torn final record
+  (a fresh process, as far as the store code can tell) serves the same
+  entries purely from the log;
+* ``invariant.index.torn-tail`` — a log with a torn final record
   (crash mid-append) still serves every complete entry, and the next
-  locked writer truncates and quarantines the torn bytes;
+  locked writer moves the torn bytes to quarantine;
 * ``invariant.index.tombstone`` — an evicted key stays evicted across
-  reopen (the append-only manifest's last-record-wins rule);
+  reopen (the append-only log's last-record-wins rule);
 * ``invariant.index.live-verify`` — the user's live store passes the
   digest sweep.  When the tier is off the sweep runs against the
   scratch store's final state instead — the same fallback the
@@ -80,7 +80,7 @@ def index_checks() -> List[CheckResult]:
         )
 
         # A second handle = a fresh process: no in-memory view to lean
-        # on, everything must come back from manifest + segments.
+        # on, everything must come back from the log.
         reopened = PackedDiskCache(tmp, respect_env=False)
         again = reopened.get_many([key for key, _ in _PAYLOADS])
         results.append(
@@ -88,7 +88,7 @@ def index_checks() -> List[CheckResult]:
                 "invariant.index.reopen",
                 all(again.get(k) == v for k, v in _PAYLOADS),
                 f"reopened store served {len(again)}/{len(_PAYLOADS)} "
-                "entries from the manifest",
+                "entries from the log",
             )
         )
 
@@ -103,31 +103,30 @@ def index_checks() -> List[CheckResult]:
                 store.lookup(victim) is None
                 and shadowed.lookup(victim) is None
                 and shadowed.lookup(_PAYLOADS[1][0]) == _PAYLOADS[1][1],
-                "evicted key resurfaced after manifest replay",
+                "evicted key resurfaced after log replay",
             )
         )
 
-        # Crash mid-append: tear the manifest tail, then require a
-        # reader to serve every complete record and the next locked
-        # writer to truncate + quarantine the torn bytes.
-        manifest = store.stamp_dir() / "index.manifest"
-        with open(manifest, "ab") as fh:
-            fh.write(b'{"k": "torn-entry", "s": 0, "o": 0, "n": 99')
+        # Crash mid-append: tear the log's tail, then require a reader
+        # to serve every complete entry and the next locked writer to
+        # move the torn bytes to quarantine.
+        with open(store.log_path(), "ab") as fh:
+            fh.write(b'{"d": "00", "k": "torn-entry", "n": 99}\ntorn')
         torn = PackedDiskCache(tmp, respect_env=False)
-        before = torn.torn_records
         survivors = torn.get_many([key for key, _ in _PAYLOADS[1:]])
         torn.put_many([("post-tear", {"healed": True})])
         healed = PackedDiskCache(tmp, respect_env=False)
+        moved = torn.counters.get("torn_records")
         results.append(
             _result(
                 "invariant.index.torn-tail",
                 all(survivors.get(k) == v for k, v in _PAYLOADS[1:])
-                and torn.torn_records > before
+                and moved == 1
                 and healed.lookup("post-tear") == {"healed": True}
                 and healed.lookup("torn-entry") is None,
-                f"torn manifest tail mishandled: {len(survivors)}/"
+                f"torn log tail mishandled: {len(survivors)}/"
                 f"{len(_PAYLOADS) - 1} survivors, "
-                f"{torn.torn_records - before} torn records recovered",
+                f"{moved} torn tails quarantined",
             )
         )
 

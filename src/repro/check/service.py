@@ -59,11 +59,8 @@ def service_checks(
 
     from repro.errors import ServiceError
     from repro.service import jobs as jobmod
-    from repro.service.journal import (
-        JobJournal,
-        read_journal,
-        validate_records,
-    )
+    from repro.ioutil import read_log
+    from repro.service.journal import JobJournal, validate_records
     from repro.service.runtime import JobRuntime, ServiceConfig
     from repro.service.stats import SERVICE_STATS
 
@@ -120,7 +117,7 @@ def service_checks(
             )
 
         # -- journal schema/seq, with torn-tail healing ---------------
-        records, corrupt = read_journal(runtime.journal.path)
+        records, corrupt, _end = read_log(runtime.journal.path)
         problems = validate_records(records)
         if corrupt:
             problems.append(f"{len(corrupt)} unparseable line(s)")
@@ -129,7 +126,7 @@ def service_checks(
         with open(runtime.journal.path, "ab") as fh:
             fh.write(b'{"schema": 1, "seq": 9999, "job": "tor')
         healed = JobJournal(runtime.journal.path)
-        records2, corrupt2 = read_journal(healed.path)
+        records2, corrupt2, _end = read_log(healed.path)
         quarantine = healed.path.with_suffix(".quarantine")
         if (
             not problems

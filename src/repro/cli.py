@@ -55,8 +55,8 @@ Commands
 ``cache ACTION``
     Manage the persistent disk tier of the run cache (see
     docs/performance.md).  ``stats`` prints counters and footprint
-    (``--json`` adds the packed-index internals — manifest size,
-    segment count, probe-latency percentiles), ``clear`` removes every
+    (``--json`` adds the store log's shape — log count and bytes,
+    probe-latency percentiles), ``clear`` removes every
     persisted entry, ``prune`` evicts oldest entries beyond
     ``--max-entries`` / ``--max-bytes``.
     ``stats`` (and ``metrics regress``) never import numpy or the
@@ -409,8 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "The disk tier persists simulated runs across processes "
             "(docs/performance.md).  stats prints counters and footprint "
-            "(--json adds the packed-index internals: size, segment "
-            "count, probe latency percentiles); clear removes every "
+            "(--json adds the store log's shape: log count and bytes, "
+            "probe latency percentiles); clear removes every "
             "persisted entry; prune evicts oldest entries beyond the "
             "caps."
         ),
@@ -1000,10 +1000,15 @@ def _cmd_metrics(args) -> int:
 
     # metrics history
     if args.heal:
-        healed = obs_history.quarantine_corrupt()
-        if healed:
+        from repro.ioutil import heal_log
+
+        try:
+            moved = heal_log(obs_history.history_path())
+        except OSError:
+            moved = b""
+        if moved:
             print(
-                f"history: quarantined {healed} corrupt line(s)",
+                f"history: quarantined a {len(moved)}-byte torn tail",
                 file=sys.stderr,
             )
     records, corrupt = obs_history.read_history()

@@ -42,7 +42,6 @@ from repro.obs.ledger import (
     end_session,
     obs_enabled,
     obs_root,
-    read_ledger,
     record,
     recording,
     start_session,
@@ -62,7 +61,6 @@ __all__ = [
     "obs_enabled",
     "obs_root",
     "progress_reporting",
-    "read_ledger",
     "record",
     "recording",
     "start_session",

@@ -18,8 +18,10 @@ had: every ``repro report``, ``run``, ``sensitivity``, ``check``, and
   cache, so recording costs microseconds).
 
 ``repro metrics regress`` (:mod:`repro.obs.regress`) consumes these
-records as its current-vs-baseline evidence; ``repro doctor`` probes
-the file line-by-line and quarantines, never trusts, a torn tail.
+records as its current-vs-baseline evidence.  The history is a
+:mod:`repro.ioutil` record log: ``repro doctor`` and ``repro metrics
+history --heal`` move a torn tail to ``history.quarantine`` with
+:func:`~repro.ioutil.heal_log`, never trusting it.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.ioutil import append_jsonl, atomic_write_text
+from repro.ioutil import append_jsonl, read_log
 from repro.obs.ledger import obs_root
 
 __all__ = [
@@ -40,7 +42,6 @@ __all__ = [
     "deterministic_run_metrics",
     "history_path",
     "latest_record",
-    "quarantine_corrupt",
     "read_history",
 ]
 
@@ -129,37 +130,23 @@ def append_history(
 def read_history(
     path: Optional[Path] = None,
 ) -> Tuple[List[Dict[str, Any]], List[str]]:
-    """Parse the history line by line.
+    """``(records, corrupt_lines)`` of the history, in file order.
 
-    Returns ``(records, corrupt_lines)``; a line that does not parse as
-    a JSON object (torn tail, editor damage) is returned for quarantine
-    instead of raising, and lines whose ``schema_version`` is newer than
-    this code understands are skipped into the corrupt list too — a
-    future schema is unreadable, not trustable.
+    :func:`~repro.ioutil.read_log` with one filter: a record whose
+    ``schema_version`` is newer than this code understands is returned
+    among the corrupt lines — a future schema is unreadable, not
+    trustable.  An unterminated tail is neither.
     """
-    path = path if path is not None else history_path()
-    records: List[Dict[str, Any]] = []
-    corrupt: List[str] = []
-    try:
-        text = Path(path).read_text(encoding="utf-8", errors="replace")
-    except OSError:
-        return [], []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError:
-            corrupt.append(line)
-            continue
-        if (
-            not isinstance(obj, dict)
-            or int(obj.get("schema_version", 0)) > HISTORY_SCHEMA
-        ):
-            corrupt.append(line)
-            continue
-        records.append(obj)
-    return records, corrupt
+    records, corrupt, _end = read_log(
+        path if path is not None else history_path()
+    )
+    known: List[Dict[str, Any]] = []
+    for record in records:
+        if int(record.get("schema_version", 0)) > HISTORY_SCHEMA:
+            corrupt.append(json.dumps(record, sort_keys=True))
+        else:
+            known.append(record)
+    return known, corrupt
 
 
 def latest_record(
@@ -172,25 +159,3 @@ def latest_record(
         records = [r for r in records if r.get("command") == command]
     return records[-1] if records else None
 
-
-def quarantine_corrupt(path: Optional[Path] = None) -> int:
-    """Rewrite the history without its corrupt lines, saving them next
-    to the file (``history.quarantine``); returns how many lines were
-    quarantined.  Atomic: readers see the old file or the healed one.
-    """
-    path = path if path is not None else history_path()
-    records, corrupt = read_history(path)
-    if not corrupt:
-        return 0
-    quarantine = Path(path).with_suffix(".quarantine")
-    try:
-        with open(quarantine, "a", encoding="utf-8") as fh:
-            for line in corrupt:
-                fh.write(line + "\n")
-        atomic_write_text(
-            path,
-            "".join(json.dumps(r, sort_keys=True) + "\n" for r in records),
-        )
-    except OSError:
-        return 0
-    return len(corrupt)

@@ -28,10 +28,14 @@ active or a test opened :func:`recording`).  Pool *workers* never
 install a recorder — the parent records the dispatch decisions, the
 workers just compute — so a parallel sweep writes one ledger, not five.
 
-Durability: each event is appended with a single ``O_APPEND`` write
-(:func:`repro.ioutil.append_jsonl`), so concurrent appenders cannot
-interleave within a line and a crash can tear at most the final line —
-which :func:`read_ledger` quarantines instead of trusting.
+Durability: the ledger is a :mod:`repro.ioutil` record log.  Each
+event is appended with a single ``O_APPEND`` write
+(:func:`~repro.ioutil.append_jsonl`), so concurrent appenders cannot
+interleave within a line and a crash can tear at most the final line.
+Read a ledger with :func:`~repro.ioutil.read_log`, which returns the
+events, any corrupt lines, and the offset after which an unterminated
+tail was left unread.  A ledger is never healed: each session writes
+its own file, so no later writer appends after a torn tail.
 """
 
 from __future__ import annotations
@@ -54,7 +58,6 @@ __all__ = [
     "end_session",
     "obs_enabled",
     "obs_root",
-    "read_ledger",
     "record",
     "recording",
     "session_id",
@@ -290,35 +293,6 @@ def end_session(exit_code: int) -> Optional[FlightRecorder]:
     )
     _ACTIVE = None
     return recorder
-
-
-def read_ledger(path: Path) -> Tuple[List[Dict[str, Any]], List[str]]:
-    """Parse a ledger file line by line.
-
-    Returns ``(events, corrupt_lines)``: every line that parses as a
-    JSON object becomes an event, every line that does not (a torn tail
-    after a crash, editor damage) is returned verbatim for quarantine —
-    never raised.  Order is file order.
-    """
-    events: List[Dict[str, Any]] = []
-    corrupt: List[str] = []
-    try:
-        text = Path(path).read_text(encoding="utf-8", errors="replace")
-    except OSError:
-        return [], []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError:
-            corrupt.append(line)
-            continue
-        if isinstance(obj, dict):
-            events.append(obj)
-        else:
-            corrupt.append(line)
-    return events, corrupt
 
 
 def _obs_telemetry_source() -> Dict[str, Any]:

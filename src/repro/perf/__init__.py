@@ -5,9 +5,9 @@ Orthogonal tools, all invisible to the modelled results:
 * :mod:`repro.perf.cache` — tier 1: an in-process content-addressed
   memoization cache for :func:`repro.mappings.registry.run`; identical
   requests are served from defensive copies instead of re-simulated.
-* :mod:`repro.perf.diskcache` — tier 2: a persistent packed store
-  (:mod:`repro.perf.index`: append-only manifest over payload segments,
-  digest-verified reads, LRU pruning) that shares runs across
+* :mod:`repro.perf.diskcache` — tier 2: a persistent store
+  (:mod:`repro.perf.index`: one append-only record log per model
+  version, digest-verified reads, LRU pruning) that shares runs across
   processes — CI jobs, CLI invocations, and pool workers all warm each
   other.
 * :mod:`repro.perf.planner` — the sweep planner: collects every cell a

@@ -57,20 +57,6 @@ def _execute(request: RunRequest):
     return registry.run(kernel, machine, **kwargs)
 
 
-def _execute_chunk(chunk: Sequence[RunRequest]) -> List[Any]:
-    """Worker entry point: run one chunk of requests, in order.
-
-    Each run goes through ``registry.run``, so the worker's own cache
-    tiers apply — in particular every fresh result is persisted to the
-    shared disk tier before the chunk is pickled back to the parent.
-    """
-    if os.environ.get("REPRO_CHAOS"):
-        from repro.resilience import chaos
-
-        chaos.on_worker_chunk()
-    return [_execute(request) for request in chunk]
-
-
 def _execute_unit(unit) -> List[Any]:
     """Worker entry point: run one dispatch unit (top-level for
     pickling).  A :class:`~repro.perf.tensorsweep.BatchGroup` evaluates
@@ -153,58 +139,6 @@ def run_cells(
     return execute_requests(requests, jobs=jobs, chunk_size=chunk_size)
 
 
-def _run_pool(
-    requests: Sequence[RunRequest], n_jobs: int,
-    chunk_size: Optional[int] = None,
-) -> Optional[List[Any]]:
-    """Evaluate on a supervised process pool, one submission per chunk;
-    ``None`` if the pool transport cannot be used (caller falls back to
-    serial).
-
-    Failure classification is the supervisor's: worker crashes and
-    deadline misses are retried internally (and raised as
-    :class:`~repro.errors.WorkerCrashError` /
-    :class:`~repro.errors.DeadlineExceeded` only once the retry budget
-    is spent — those propagate, since re-running a crashing cell
-    serially would take this process down too).  A plain
-    :class:`~repro.errors.TransientError` means the pool *itself* is
-    unusable; that degrades to serial here, counted under
-    ``resilience.degradations`` with the reason recorded in telemetry.
-    Mapping errors (``ReproError``) propagate unchanged.
-    """
-    from repro.errors import DeadlineExceeded, WorkerCrashError
-    from repro.obs.ledger import record
-    from repro.resilience.stats import RESILIENCE
-    from repro.resilience.supervisor import Supervisor
-
-    chunks = chunked(requests, n_jobs, chunk_size)
-    record(
-        "pool.dispatch", jobs=n_jobs, chunks=len(chunks),
-        cells=len(requests),
-    )
-    try:
-        with timers.timer("sweep.parallel"):
-            timers.count("sweep.pool_chunks", len(chunks))
-            batched = Supervisor(n_jobs).run(chunks)
-        return [result for batch in batched for result in batch]
-    except (WorkerCrashError, DeadlineExceeded):
-        raise
-    except TransientError as exc:
-        # Pool transport unavailable (sandbox, no fork, unpicklable
-        # payload): run the sweep serially instead.  The fallback keeps
-        # results identical, but silently losing the requested
-        # parallelism hides real environment problems — record the
-        # classified cause where it persists.
-        cause = exc.__cause__
-        reason = (
-            f"{type(cause).__name__}: {cause}" if cause is not None
-            else str(exc)
-        )
-        RESILIENCE.note_degradation(reason)
-        timers.count("sweep.pool_fallback")
-        return None
-
-
 def _run_unit_pool(
     units: Sequence[Any], n_jobs: int,
     chunk_size: Optional[int] = None,
@@ -216,10 +150,16 @@ def _run_unit_pool(
     calibration cells is one dispatch unit and one slot in a chunk, so
     pool load-balancing reflects actual submissions instead of
     inflating the chunk count by the batch width.  Failure
-    classification matches :func:`_run_pool` — crashes and deadline
-    misses propagate once the supervisor's retry budget is spent, a
-    transport-level :class:`~repro.errors.TransientError` degrades to
-    serial with the reason recorded in telemetry.
+    classification is the supervisor's: worker crashes and deadline
+    misses are retried internally (and raised as
+    :class:`~repro.errors.WorkerCrashError` /
+    :class:`~repro.errors.DeadlineExceeded` only once the retry budget
+    is spent — those propagate, since re-running a crashing cell
+    serially would take this process down too).  A plain
+    :class:`~repro.errors.TransientError` means the pool *itself* is
+    unusable; that degrades to serial here, counted under
+    ``resilience.degradations`` with the reason recorded in telemetry.
+    Mapping errors (``ReproError``) propagate unchanged.
     """
     from repro.errors import DeadlineExceeded, WorkerCrashError
     from repro.obs.ledger import record

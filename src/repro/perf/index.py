@@ -1,4 +1,4 @@
-"""Packed disk store: the persistent tier 2 of the run cache.
+"""The persistent disk store: tier 2 of the run cache.
 
 :data:`repro.perf.cache.RUN_CACHE` memoizes runs *within* one process;
 :class:`PackedDiskCache` (the singleton
@@ -10,41 +10,38 @@ Layout
 ------
 The *root* resolves, in order, to ``$REPRO_DISK_CACHE_DIR``,
 ``$XDG_CACHE_HOME/repro/runs``, or ``~/.cache/repro/runs`` — re-read on
-every operation so tests and subprocesses can redirect it.  Under it,
-one directory per model-version stamp
-(:func:`repro.perf.cache.model_version_stamp`) holds:
+every operation so tests and subprocesses can redirect it.  Under it:
 
-* ``<root>/<stamp>/index.manifest`` — an append-only JSON-lines
-  manifest.  Line 1 is a header carrying the format name and a
-  *generation* token; every other line is a record
-  ``{"k": key, "s": segment, "o": offset, "n": length, "d": sha256,
-  "t": stored_at}`` or a tombstone ``{"k": key, "x": 1}``.  Last record
-  for a key wins.
-* ``<root>/<stamp>/segments/seg-NNNNN.bin`` — payload segments holding
-  the raw pickled runs back to back.  A segment rolls over at
-  ``REPRO_INDEX_SEGMENT_MB`` (default 64).
+* ``<root>/<stamp>/store.log`` — one :mod:`repro.ioutil` record log per
+  model-version stamp (:func:`repro.perf.cache.model_version_stamp`).
+  An entry is a header ``{"d": sha256, "k": key, "n": length}``
+  followed by the pickled run; a tombstone is ``{"k": key, "x": 1}``.
+  The last record for a key wins.  No record carries a time, a pid or
+  a generation, so the same writes leave the same bytes;
+* ``<root>/.lock`` — the advisory ``flock`` every append, tombstone and
+  compaction takes;
+* ``<root>/quarantine/<key>.run`` — the bytes of a damaged entry, with
+  an incident JSON beside them.
 
-A warm process loads the manifest **once** (a single sequential read),
-then answers every probe from the in-memory map with one ``pread`` per
-payload; :meth:`PackedDiskCache.get_many` batches a whole sweep's
-probes, grouping by segment.  Appends — payload bytes, then the
-manifest line — happen under an inter-process ``flock`` on
-``<root>/.lock``, so concurrent writers serialise and readers can
-incrementally consume the manifest tail from their last-read offset.
+A handle parses the whole log in one read on first use, then only the
+bytes appended since.  It keeps the descriptor it parsed and reads
+payloads through it, so a compaction that renames a new log into place
+can never pair the handle's offsets with the new file's bytes; a
+handle that finds a different inode at the path, or a shorter file,
+parses afresh.
 
 Self-healing
 ------------
 Payload digests are verified before anything is unpickled.  A corrupt
-record is quarantined (payload bytes copied to ``<root>/quarantine/``
-with a structured incident JSON) and tombstoned — counted, never
-served, never wedging the key.  A torn manifest tail (writer killed
-mid-append) is quarantined and truncated by the next locked writer,
-mirroring the flight-recorder ledger's recovery.  A transient read
-error is retried once before degrading to a miss.  A stale lock file —
-recorded holder dead, file old — is broken before acquisition.
-Pruning rewrites manifest + segments compacted under the lock and
-bumps the header generation so other processes reload; a failed read
-against a stale generation re-syncs before it counts as corruption.
+entry is quarantined and tombstoned — counted, never served, never
+wedging the key.  A torn tail (a writer killed mid-append) is left
+unread by readers and moved to ``store.quarantine`` by the next locked
+writer (:func:`repro.ioutil.heal_log`); :meth:`PackedDiskCache.verify`
+names its key meanwhile.  A transient read error is retried once
+before degrading to a miss.  A stale lock file — recorded holder dead,
+file old — is broken before acquisition.  Pruning writes the surviving
+entries, least recently used first, to a new log and renames it into
+place under the lock.
 
 ``REPRO_DISK_CACHE=0`` disables the tier globally; the CLI's
 ``--no-disk-cache`` calls :meth:`PackedDiskCache.disable` for one
@@ -65,25 +62,23 @@ import time
 from collections import deque
 from pathlib import Path
 from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
+    Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
 )
 
 from repro.errors import ConfigError
+from repro.ioutil import BODY_AT, BODY_FIELD, append_jsonl, heal_log, read_log
+from repro.trace.telemetry import Counters
 from repro.trace.tracer import active_tracer
 
-#: Manifest header format tag (line 1 of every manifest).
-INDEX_FORMAT = "repro-index-v1"
+#: The record log under each stamp directory.
+LOG_NAME = "store.log"
 
-#: Default payload-segment rollover size, overridable per operation via
-#: ``REPRO_INDEX_SEGMENT_MB``.
-DEFAULT_SEGMENT_MB = 64
+#: The caps :meth:`PackedDiskCache.prune` enforces by default.
+MAX_ENTRIES = 4096
+MAX_BYTES = 512 * 1024 * 1024
+
+#: Writes between the opportunistic prunes inserts trigger.
+PRUNE_INTERVAL = 128
 
 #: Probe-latency reservoir size (per process, newest samples win).
 _LATENCY_SAMPLES = 512
@@ -92,6 +87,14 @@ _LATENCY_SAMPLES = 512
 #: this many seconds old (age guards against breaking a lock whose
 #: holder pid we simply failed to observe mid-handoff).
 STALE_LOCK_AGE = 60.0
+
+#: The store's counts: the ``perf.diskcache`` telemetry keys first,
+#: then the log's own (reported under ``perf.index``).
+_STATS = (
+    "hits", "misses", "writes", "evictions", "corrupt", "quarantined",
+    "io_retries", "bypasses",
+)
+_LOG_STATS = ("refreshes", "torn_records", "compactions")
 
 
 def _chaos_active() -> bool:
@@ -120,16 +123,6 @@ def _default_root() -> Path:
     xdg = os.environ.get("XDG_CACHE_HOME")
     base = Path(xdg) if xdg else Path("~/.cache").expanduser()
     return base / "repro" / "runs"
-
-
-def _segment_bytes() -> int:
-    try:
-        mb = float(os.environ.get("REPRO_INDEX_SEGMENT_MB", ""))
-    except ValueError:
-        mb = 0.0
-    if mb <= 0:
-        mb = DEFAULT_SEGMENT_MB
-    return int(mb * 1024 * 1024)
 
 
 class _FlockGuard:
@@ -241,83 +234,72 @@ class _FlockGuard:
             self._fh.close()
 
 
-class _Record:
-    """One live manifest record (kept tiny — a warm store holds many)."""
+class _Entry:
+    """One live entry: where its payload sits in the log, and its
+    digest (kept tiny — a warm store holds many)."""
 
-    __slots__ = ("segment", "offset", "length", "digest", "stored_at")
+    __slots__ = ("offset", "length", "digest")
 
-    def __init__(
-        self, segment: int, offset: int, length: int, digest: str,
-        stored_at: float,
-    ) -> None:
-        self.segment = segment
+    def __init__(self, offset: int, length: int, digest: str) -> None:
         self.offset = offset
         self.length = length
         self.digest = digest
-        self.stored_at = stored_at
 
 
 class _View:
-    """In-memory image of one ``(root, stamp)`` store."""
+    """This process's image of one store log.
 
-    def __init__(self, key: Tuple[str, str]) -> None:
-        self.key = key
-        self.records: Dict[str, _Record] = {}
-        self.manifest_pos = 0
-        self.generation: Optional[str] = None
-        self.current_segment = 0
-        self.atimes: Dict[str, float] = {}
-        self.verified: set = set()
-        self.seg_stat: Dict[int, Tuple[int, int]] = {}
-        self.fds: Dict[int, int] = {}
+    ``fd`` is the descriptor the image was parsed from, and every
+    payload read goes through it; a replaced or shrunken log gets a new
+    view, and the old descriptor closes once no caller holds the old
+    view.  ``entries`` is in file order.
+    """
 
-    def close(self) -> None:
-        for fd in self.fds.values():
+    def __init__(self, path: Path) -> None:
+        self.path = path
+        self.fd: Optional[int] = None
+        self.ino = 0
+        self.pos = 0
+        self.entries: Dict[str, _Entry] = {}
+        try:
+            self.fd = os.open(path, os.O_RDONLY)
+            self.ino = os.fstat(self.fd).st_ino
+        except OSError:
+            pass
+
+    def __del__(self) -> None:
+        if self.fd is not None:
             try:
-                os.close(fd)
+                os.close(self.fd)
             except OSError:
                 pass
-        self.fds.clear()
 
 
 class PackedDiskCache:
-    """Tier 2: digest-verified runs in a packed manifest+segments store.
+    """Tier 2: digest-verified runs in one append-only log per stamp.
 
     Per-key :meth:`lookup` / :meth:`insert` plus the batched
     :meth:`get_many` / :meth:`put_many` the planner uses on the warm
-    path.  Cross-process safety comes from the advisory lock; the
-    in-process counters are guarded by a thread lock.
-    ``max_entries``/``max_bytes`` bound the store; inserts trigger an
-    opportunistic :meth:`prune` every ``prune_interval`` writes.
+    path.  Cross-process safety comes from the advisory lock.  The
+    counts live in :attr:`counters`, a
+    :class:`~repro.trace.telemetry.Counters` the constructor does not
+    register (:mod:`repro.perf.diskcache` registers the shared one).
+    Inserts trigger an opportunistic :meth:`prune` every
+    :data:`PRUNE_INTERVAL` writes.
     """
 
     def __init__(
         self,
         directory: Optional[os.PathLike] = None,
-        max_entries: int = 4096,
-        max_bytes: int = 512 * 1024 * 1024,
-        prune_interval: int = 128,
         respect_env: bool = True,
     ) -> None:
         self._directory = Path(directory) if directory is not None else None
         self._respect_env = bool(respect_env)
         self._forced_off = False
         self._lock = threading.Lock()
-        self._pid = os.getpid()
-        self.max_entries = int(max_entries)
-        self.max_bytes = int(max_bytes)
-        self.prune_interval = int(prune_interval)
-        self.hits = 0
-        self.misses = 0
-        self.writes = 0
-        self.evictions = 0
-        self.corrupt = 0
-        self.bypasses = 0
-        self.quarantined = 0
-        self.io_retries = 0
-        self.refreshes = 0
-        self.torn_records = 0
-        self.compactions = 0
+        self.counters = Counters("perf.diskcache", _STATS + _LOG_STATS)
+        self._unpruned = 0
+        self._used: Dict[str, None] = {}
         self._probe_us: deque = deque(maxlen=_LATENCY_SAMPLES)
         self._view: Optional[_View] = None
 
@@ -358,355 +340,154 @@ class PackedDiskCache:
 
         return self.root() / model_version_stamp()
 
+    def log_path(self) -> Path:
+        return self.stamp_dir() / LOG_NAME
+
     def quarantine_dir(self) -> Path:
         return self.root() / "quarantine"
-
-    def _manifest_path(self, stamp_dir: Optional[Path] = None) -> Path:
-        return (stamp_dir or self.stamp_dir()) / "index.manifest"
-
-    def _segment_path(self, index: int, stamp_dir: Optional[Path] = None) -> Path:
-        base = stamp_dir or self.stamp_dir()
-        return base / "segments" / f"seg-{index:05d}.bin"
 
     def _interprocess_lock(self):
         """The store's advisory lock (appends, tombstones and prunes
         serialise on it; degrades to a no-op without fcntl)."""
         return _FlockGuard(self.root() / ".lock")
 
-    # -- counters ------------------------------------------------------
-
-    def _count(self, attr: str, trace_name: str, n: int = 1) -> None:
-        with self._lock:
-            setattr(self, attr, getattr(self, attr) + n)
-        tracer = active_tracer()
-        if tracer is not None:
-            tracer.count(trace_name, n)
-
     def note_bypass(self) -> None:
-        self._count("bypasses", "perf.diskcache.bypass")
+        self.counters.note("bypasses")
 
-    # -- in-memory view maintenance ------------------------------------
+    def _note_quarantined(self) -> None:
+        from repro.resilience.stats import RESILIENCE
+
+        self.counters.note("quarantined")
+        RESILIENCE.note("quarantined")
+
+    # -- the in-memory view --------------------------------------------
 
     def _current_view(self) -> _View:
-        """The view for the current ``(root, stamp)``, synced to the
-        manifest tail.  Detects root changes (tests redirect the env
-        var), manifest rewrites (prune in another process, via the
-        header generation), and a fork (stale inherited state)."""
-        if self._pid != os.getpid():
-            # Forked child: inherited fds/views are the parent's.
-            self._view = None
-            self._pid = os.getpid()
-        key = (str(self.root()), str(self.stamp_dir().name))
+        """The view of the current ``(root, stamp)`` log, synced to its
+        last complete record.  A new view replaces the old one when the
+        root or stamp changed (tests redirect the env var), the path
+        names another inode (a compaction elsewhere), or the log shrank
+        (a heal or a fault hook).  A forked child may keep its parent's
+        view: ``pread`` through the shared descriptor moves no offset."""
+        path = self.log_path()
+        try:
+            stat = os.stat(path)
+            ino, size = stat.st_ino, stat.st_size
+        except OSError:
+            ino = size = 0
         view = self._view
-        if view is None or view.key != key:
-            if view is not None:
-                view.close()
-            view = _View(key)
-            self._view = view
-        self._sync(view)
+        if (
+            view is None
+            or view.path != path
+            or view.ino != ino
+            or size < view.pos
+        ):
+            view = self._view = _View(path)
+        if view.fd is not None and size > view.pos:
+            self._read_tail(view)
         return view
 
-    def _sync(self, view: _View) -> None:
-        """Consume manifest lines appended since the last sync; reload
-        from scratch when the manifest was rewritten or truncated."""
-        manifest = self._manifest_path()
-        try:
-            size = manifest.stat().st_size
-        except OSError:
-            if view.manifest_pos or view.records:
-                view.close()
-                self._reset_view(view)
-            return
-        try:
-            with open(manifest, "rb") as fh:
-                header = fh.readline()
-                generation = self._parse_generation(header)
-                if (
-                    generation != view.generation
-                    or size < view.manifest_pos
-                ):
-                    self._reset_view(view)
-                    view.generation = generation
-                    view.manifest_pos = fh.tell()
-                elif size == view.manifest_pos:
-                    return
-                fh.seek(view.manifest_pos)
-                tail = fh.read()
-        except OSError:
-            return
-        with self._lock:
-            self.refreshes += 1
-        pos = 0
-        while True:
-            newline = tail.find(b"\n", pos)
-            if newline == -1:
-                break  # torn tail: not yet durable, re-read next sync
-            line = tail[pos:newline]
-            if line:
-                try:
-                    self._apply_line(view, json.loads(line))
-                except (ValueError, KeyError, TypeError):
-                    with self._lock:
-                        self.torn_records += 1
-            pos = newline + 1
-        view.manifest_pos += pos
+    def _read_tail(self, view: _View) -> None:
+        """Apply the records appended since the view last read."""
+        records, corrupt, view.pos = read_log(view.fd, view.pos)
+        self.counters.note("refreshes")
+        if corrupt:
+            self.counters.note("torn_records", len(corrupt))
+        for record in records:
+            try:
+                key = str(record["k"])
+                entry = None if record.get("x") else _Entry(
+                    record[BODY_AT], record[BODY_FIELD], str(record["d"])
+                )
+            except (KeyError, TypeError):
+                self.counters.note("torn_records")
+                continue
+            view.entries.pop(key, None)
+            if entry is not None:
+                view.entries[key] = entry
 
-    @staticmethod
-    def _parse_generation(header: bytes) -> Optional[str]:
-        try:
-            doc = json.loads(header)
-            if doc.get("format") != INDEX_FORMAT:
-                return None
-            return str(doc.get("gen"))
-        except (ValueError, TypeError):
-            return None
-
-    def _reset_view(self, view: _View) -> None:
-        view.close()
-        view.records.clear()
-        view.manifest_pos = 0
-        view.generation = None
-        view.current_segment = 0
-        view.seg_stat.clear()
-        view.verified.clear()
-
-    def _apply_line(self, view: _View, doc: Dict[str, Any]) -> None:
-        key = doc["k"]
-        if doc.get("x"):
-            view.records.pop(key, None)
-            view.verified.discard(key)
-            return
-        record = _Record(
-            int(doc["s"]), int(doc["o"]), int(doc["n"]),
-            str(doc["d"]), float(doc.get("t", 0.0)),
-        )
-        view.records[key] = record
-        view.verified.discard(key)
-        if record.segment >= view.current_segment:
-            view.current_segment = record.segment
-
-    def _record(self, key: str) -> Optional[_Record]:
-        view = self._current_view()
-        return view.records.get(key)
+    def _touch(self, key: str) -> None:
+        """Rank ``key`` most recently used by this process."""
+        self._used.pop(key, None)
+        self._used[key] = None
 
     # -- low-level I/O -------------------------------------------------
 
     def _read_payload(
-        self, view: _View, record: _Record
+        self, view: _View, entry: _Entry
     ) -> Tuple[Optional[bytes], str]:
-        """``(payload, failure-reason)`` for one record; retries one
-        transient I/O error before giving up."""
-        path = self._segment_path(record.segment)
+        """``(payload, failure-reason)`` for one entry, read through the
+        view's descriptor and digest-checked; the reason is empty when
+        the payload is sound.  Retries one transient I/O error."""
+        from repro.resilience.stats import RESILIENCE
+
         for attempt in (0, 1):
             try:
                 if _chaos_active():
                     from repro.resilience import chaos
 
-                    chaos.on_disk_read(path)
-                fd = view.fds.get(record.segment)
-                if fd is None:
-                    fd = os.open(path, os.O_RDONLY)
-                    view.fds[record.segment] = fd
-                try:
-                    stat = os.fstat(fd)
-                    view.seg_stat[record.segment] = (
-                        stat.st_size, stat.st_mtime_ns
-                    )
-                except OSError:
-                    pass
-                blob = os.pread(fd, record.length, record.offset)
-            except FileNotFoundError:
-                return None, "segment file missing"
+                    chaos.on_disk_read(self.log_path())
+                blob = os.pread(view.fd, entry.length, entry.offset)
             except OSError:
-                from repro.resilience.stats import RESILIENCE
-
                 RESILIENCE.note("io_errors")
                 if attempt == 0:
-                    with self._lock:
-                        self.io_retries += 1
+                    self.counters.note("io_retries")
                     RESILIENCE.note("io_retries")
-                    # The fd (if any) may be poisoned; reopen next try.
-                    fd = view.fds.pop(record.segment, None)
-                    if fd is not None:
-                        try:
-                            os.close(fd)
-                        except OSError:
-                            pass
                 continue
-            if len(blob) < record.length:
+            if len(blob) < entry.length:
                 return None, (
-                    f"segment truncated: wanted {record.length} bytes at "
-                    f"offset {record.offset}, got {len(blob)}"
+                    f"log truncated: wanted {entry.length} bytes at "
+                    f"offset {entry.offset}, got {len(blob)}"
                 )
+            if hashlib.sha256(blob).hexdigest() != entry.digest:
+                return blob, "payload digest mismatch"
             return blob, ""
         return None, "io-error"
 
-    def _append(
-        self,
-        view: _View,
-        entries: Sequence[Tuple[str, bytes, str]],
-    ) -> int:
-        """Append ``(key, payload, digest)`` entries (payloads first,
-        then their manifest lines); caller holds the flock.  Returns the
-        number of entries published."""
-        stamp_dir = self.stamp_dir()
-        manifest = self._manifest_path(stamp_dir)
-        limit = _segment_bytes()
-        written = 0
-        lines: List[bytes] = []
-        try:
-            stamp_dir.mkdir(parents=True, exist_ok=True)
-            self._segment_path(0, stamp_dir).parent.mkdir(
-                parents=True, exist_ok=True
-            )
-            if not manifest.exists():
-                self._write_header(manifest)
-                view.generation = None  # forces reload on next sync
-            self._recover_torn_tail(manifest)
-            seg_index = view.current_segment
-            seg_path = self._segment_path(seg_index, stamp_dir)
-            try:
-                seg_size = seg_path.stat().st_size
-            except OSError:
-                seg_size = 0
-            last_path = seg_path
-            seg = open(seg_path, "ab")
-            try:
-                for key, payload, digest in entries:
-                    if seg_size and seg_size + len(payload) > limit:
-                        seg.close()
-                        seg_index += 1
-                        seg_path = self._segment_path(seg_index, stamp_dir)
-                        seg = open(seg_path, "ab")
-                        seg_size = seg.tell()
-                        last_path = seg_path
-                    offset = seg_size
-                    seg.write(payload)
-                    seg_size += len(payload)
-                    stored_at = time.time()
-                    lines.append(
-                        json.dumps(
-                            {
-                                "k": key, "s": seg_index, "o": offset,
-                                "n": len(payload), "d": digest,
-                                "t": stored_at,
-                            },
-                            sort_keys=True,
-                        ).encode("ascii")
-                        + b"\n"
-                    )
-                    record = _Record(
-                        seg_index, offset, len(payload), digest, stored_at
-                    )
-                    view.records[key] = record
-                    view.verified.discard(key)
-                    view.atimes[key] = stored_at
-                    written += 1
-            finally:
-                seg.close()
-            view.current_segment = seg_index
-            with open(manifest, "ab") as fh:
-                fh.write(b"".join(lines))
-                view.manifest_pos = fh.tell()
-        except OSError:
-            return 0
-        if written and _chaos_active():
-            from repro.resilience import chaos
-
-            chaos.on_disk_insert(last_path)
-            # The hook may have flipped the segment tail; nothing to do
-            # here — the digest check catches it on the next read.
-            view.verified.clear()
-        return written
-
-    def _write_header(self, manifest: Path) -> None:
-        header = {
-            "format": INDEX_FORMAT,
-            "gen": f"{os.getpid()}-{time.time_ns()}",
-        }
-        with open(manifest, "xb") as fh:
-            fh.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
-
-    def _recover_torn_tail(self, manifest: Path) -> None:
-        """Truncate a partial final manifest line (writer killed
-        mid-append), preserving the torn bytes as quarantine evidence —
-        the same recovery the flight-recorder ledger applies.  Caller
-        holds the flock."""
-        try:
-            with open(manifest, "r+b") as fh:
-                fh.seek(0, os.SEEK_END)
-                size = fh.tell()
-                if size == 0:
-                    return
-                fh.seek(size - 1)
-                if fh.read(1) == b"\n":
-                    return
-                fh.seek(0)
-                data = fh.read()
-                cut = data.rfind(b"\n") + 1
-                torn = data[cut:]
-                fh.truncate(cut)
-        except OSError:
+    def _heal(self, view: _View) -> None:
+        """Move a torn tail to quarantine before writing; the caller
+        holds the flock and has just synced ``view``, so bytes past its
+        last complete record are a tail no writer is still adding to.
+        A clean log costs one ``fstat``."""
+        if view.fd is None or os.fstat(view.fd).st_size <= view.pos:
             return
-        with self._lock:
-            self.torn_records += 1
-        try:
-            qdir = self.quarantine_dir()
-            qdir.mkdir(parents=True, exist_ok=True)
-            stamp = self.stamp_dir().name
-            evidence = qdir / f"manifest-torn-{stamp}-{cut}.bin"
-            evidence.write_bytes(torn)
-            evidence.with_suffix(".incident.json").write_text(
-                json.dumps(
-                    {
-                        "key": f"manifest-torn-{stamp}-{cut}",
-                        "reason": "torn manifest tail (partial record)",
-                        "source": str(manifest),
-                        "action": "quarantined",
-                        "pid": os.getpid(),
-                        "detected_at": time.strftime(
-                            "%Y-%m-%dT%H:%M:%S%z", time.localtime()
-                        ),
-                        "size": len(torn),
-                        "quarantined_to": str(evidence),
-                    },
-                    indent=2,
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-        except OSError:
-            pass
-        from repro.resilience.stats import RESILIENCE
+        if heal_log(view.path):
+            self.counters.note("torn_records")
+            self._note_quarantined()
+            self._view = None
 
-        RESILIENCE.note("quarantined")
-        with self._lock:
-            self.quarantined += 1
+    def _append(self, records: Sequence[Any]) -> Optional[_View]:
+        """Heal a torn tail, then append ``records`` in one write; the
+        caller holds the flock.  Returns the view synced past them, or
+        ``None`` when the log could not be written."""
+        try:
+            self._heal(self._current_view())
+            append_jsonl(self.log_path(), *records)
+        except OSError:
+            return None
+        return self._current_view()
 
     # -- quarantine ----------------------------------------------------
 
     def _quarantine(
-        self, key: str, record: _Record, blob: Optional[bytes], reason: str
+        self, key: str, entry: _Entry, blob: Optional[bytes], reason: str
     ) -> None:
-        """Preserve a damaged record's bytes, tombstone the key, count.
+        """Preserve a damaged entry's bytes, tombstone the key, count.
 
-        The evidence is copied out (the segment holds other live
-        records), an incident JSON is written beside it, and the key
-        heals on the next insert.  Never raises.
+        The evidence is copied out (the log holds other live entries),
+        an incident JSON is written beside it, and the key heals on the
+        next insert.  Never raises.
         """
         incident: Dict[str, Any] = {
             "key": key,
             "reason": reason,
-            "source": (
-                f"{self._segment_path(record.segment)}"
-                f"@{record.offset}+{record.length}"
-            ),
+            "source": f"{self.log_path()}@{entry.offset}+{entry.length}",
             "action": "quarantined",
             "pid": os.getpid(),
             "detected_at": time.strftime(
                 "%Y-%m-%dT%H:%M:%S%z", time.localtime()
             ),
-            "size": record.length,
+            "size": entry.length,
         }
         try:
             qdir = self.quarantine_dir()
@@ -720,86 +501,63 @@ class PackedDiskCache:
         except OSError:
             incident["action"] = "dropped"
         self.evict(key)
-        with self._lock:
-            self.quarantined += 1
-        from repro.resilience.stats import RESILIENCE
-
-        RESILIENCE.note("quarantined")
-        tracer = active_tracer()
-        if tracer is not None:
-            tracer.count("perf.diskcache.quarantined")
+        self._note_quarantined()
 
     def incidents(self) -> List[Dict[str, Any]]:
-        """Every parseable incident record in the quarantine, sorted."""
+        """Every parseable incident record, sorted: the quarantined
+        entries, then the torn tails healed off each stamp's log."""
         out: List[Dict[str, Any]] = []
-        qdir = self.quarantine_dir()
-        if not qdir.is_dir():
-            return out
-        for record in sorted(qdir.glob("*.incident.json")):
+        root = self.root()
+        for record in sorted(root.glob("quarantine/*.incident.json")):
             try:
                 out.append(json.loads(record.read_text()))
             except (OSError, ValueError):
                 continue
+        quarantine = Path(LOG_NAME).with_suffix(".quarantine").name
+        for evidence in sorted(root.glob(f"*/{quarantine}")):
+            for heal in read_log(evidence)[0]:
+                out.append({
+                    "reason": heal.get("reason", "torn tail"),
+                    "source": str(evidence.with_name(LOG_NAME)),
+                    "at": heal.get("at"),
+                    "size": heal.get(BODY_FIELD),
+                    "quarantined_to": str(evidence),
+                })
         return out
 
     # -- store operations ----------------------------------------------
 
     def contains(self, key: str) -> bool:
-        """Whether a live record exists (no counters, no payload I/O)."""
-        return self.enabled and self._record(key) is not None
+        """Whether a live entry exists (no counters, no payload I/O)."""
+        return self.enabled and key in self._current_view().entries
 
-    def _resync_stale(self, view: _View, key: str) -> Optional[_Record]:
-        """If the manifest generation moved under us (a concurrent
-        compaction replaced the segments), reload and return the key's
-        fresh record — a failed read against a stale view is a race,
-        not corruption.  ``None`` when the view was already current or
-        the key is gone."""
-        try:
-            with open(self._manifest_path(), "rb") as fh:
-                generation = self._parse_generation(fh.readline())
-        except OSError:
-            return None
-        if generation == view.generation:
-            return None
-        view.close()
-        view.seg_stat.clear()
-        self._sync(view)
-        return view.records.get(key)
-
-    def _decode_record(
-        self, view: _View, key: str, record: _Record, retried: bool = False
-    ) -> Optional[Any]:
-        """Verified, unpickled payload of one record; quarantines and
+    def _decode(self, view: _View, key: str) -> Optional[Any]:
+        """Verified, unpickled payload of one entry; quarantines and
         returns ``None`` on corruption (counted corrupt + miss), or on
         an unhealable read error (counted as a plain miss)."""
-        blob, failure = self._read_payload(view, record)
-        if blob is None or hashlib.sha256(blob).hexdigest() != record.digest:
-            if not retried:
-                fresh = self._resync_stale(view, key)
-                if fresh is not None:
-                    return self._decode_record(
-                        view, key, fresh, retried=True
-                    )
-            if blob is None and "truncated" not in failure and (
-                "missing" not in failure
-            ):
-                # Transient I/O failure: a plain miss, not corruption.
-                self._count("misses", "perf.diskcache.miss")
-                return None
-            reason = failure if blob is None else "payload digest mismatch"
-            self._count("corrupt", "perf.diskcache.corrupt")
-            self._count("misses", "perf.diskcache.miss")
-            self._quarantine(key, record, blob, reason)
+        entry = view.entries.get(key)
+        if entry is None:
+            self.counters.note("misses")
+            return None
+        blob, failure = self._read_payload(view, entry)
+        if failure == "io-error":
+            # Transient I/O failure: a plain miss, not corruption.
+            self.counters.note("misses")
+            return None
+        if failure:
+            self.counters.note("corrupt")
+            self.counters.note("misses")
+            self._quarantine(key, entry, blob, failure)
             return None
         try:
             value = pickle.loads(blob)
         except Exception as exc:  # pickle raises many concrete types
-            self._count("corrupt", "perf.diskcache.corrupt")
-            self._count("misses", "perf.diskcache.miss")
-            self._quarantine(key, record, blob, f"unpicklable ({exc})")
+            self.counters.note("corrupt")
+            self.counters.note("misses")
+            self._quarantine(key, entry, blob, f"unpicklable ({exc})")
             return None
-        view.verified.add(key)
-        view.atimes[key] = time.time()
+        self._touch(key)
+        self.counters.note("hits")
         return value
 
     def lookup(self, key: str) -> Optional[Any]:
@@ -809,23 +567,14 @@ class PackedDiskCache:
             self.note_bypass()
             return None
         t0 = time.perf_counter()
-        view = self._current_view()
-        record = view.records.get(key)
-        if record is None:
-            self._count("misses", "perf.diskcache.miss")
-            self._note_probe(time.perf_counter() - t0)
-            return None
-        value = self._decode_record(view, key, record)
-        if value is not None:
-            self._count("hits", "perf.diskcache.hit")
+        value = self._decode(self._current_view(), key)
         self._note_probe(time.perf_counter() - t0)
         return value
 
     def get_many(self, keys: Sequence[str]) -> Dict[str, Any]:
-        """Batched lookups: one manifest sync, payload reads grouped by
-        segment in offset order.  Returns ``{key: value}`` for the keys
-        served; misses and corruption count exactly as per-key lookups.
-        """
+        """Batched lookups: one sync, payload reads in file order.
+        Returns ``{key: value}`` for the keys served; misses and
+        corruption count exactly as per-key lookups."""
         if not keys:
             return {}
         if not self.enabled:
@@ -834,20 +583,17 @@ class PackedDiskCache:
             return {}
         t0 = time.perf_counter()
         view = self._current_view()
-        found: List[Tuple[str, _Record]] = []
-        for key in keys:
-            record = view.records.get(key)
-            if record is None:
-                self._count("misses", "perf.diskcache.miss")
-            else:
-                found.append((key, record))
         out: Dict[str, Any] = {}
-        for key, record in sorted(
-            found, key=lambda kr: (kr[1].segment, kr[1].offset)
-        ):
-            value = self._decode_record(view, key, record)
+        missing = [key for key in keys if key not in view.entries]
+        if missing:
+            self.counters.note("misses", len(missing))
+        found = sorted(
+            (key for key in keys if key in view.entries),
+            key=lambda key: view.entries[key].offset,
+        )
+        for key in found:
+            value = self._decode(view, key)
             if value is not None:
-                self._count("hits", "perf.diskcache.hit")
                 out[key] = value
         elapsed = time.perf_counter() - t0
         for _ in keys:
@@ -864,15 +610,15 @@ class PackedDiskCache:
         return self.put_many([(key, value)]) == 1
 
     def put_many(self, items: Sequence[Tuple[str, Any]]) -> int:
-        """Append many entries under one lock acquisition; returns how
-        many published."""
+        """Append many entries in one write under one lock acquisition;
+        returns how many published."""
         if not items:
             return 0
         if not self.enabled:
             for _ in items:
                 self.note_bypass()
             return 0
-        entries: List[Tuple[str, bytes, str]] = []
+        records = []
         for key, value in items:
             try:
                 payload = pickle.dumps(
@@ -880,65 +626,54 @@ class PackedDiskCache:
                 )
             except Exception:
                 continue
-            entries.append(
-                (key, payload, hashlib.sha256(payload).hexdigest())
+            digest = hashlib.sha256(payload).hexdigest()
+            records.append(({"d": digest, "k": key}, payload))
+        if not records:
+            return 0
+        with self._interprocess_lock():
+            view = self._append(records)
+        if view is None:
+            return 0
+        for header, _payload in records:
+            self._touch(header["k"])
+        written = len(records)
+        self.counters.note("writes", written)
+        last = view.entries.get(records[-1][0]["k"])
+        if last is not None and _chaos_active():
+            from repro.resilience import chaos
+
+            # The hook may flip the last payload byte; the digest check
+            # catches it on the next read.
+            chaos.on_disk_insert(
+                self.log_path(), last.offset + last.length - 1
             )
-        if not entries:
-            return 0
-        try:
-            with self._interprocess_lock():
-                view = self._current_view()
-                written = self._append(view, entries)
-        except OSError:
-            return 0
-        if written:
-            self._count("writes", "perf.diskcache.write", written)
-            if self.prune_interval and (
-                self.writes % self.prune_interval
-            ) < written:
-                self.prune()
+        self._unpruned += written
+        if self._unpruned >= PRUNE_INTERVAL:
+            self._unpruned = 0
+            self.prune()
         return written
 
     def evict(self, key: str) -> bool:
-        """Tombstone one entry; returns whether a live record existed."""
-        view = self._current_view()
-        if key not in view.records:
+        """Tombstone one entry; returns whether a live entry existed."""
+        if key not in self._current_view().entries:
             return False
-        line = json.dumps({"k": key, "x": 1}).encode("ascii") + b"\n"
-        try:
-            with self._interprocess_lock():
-                self._sync(view)
-                manifest = self._manifest_path()
-                if not manifest.exists():
-                    view.records.pop(key, None)
-                    return True
-                self._recover_torn_tail(manifest)
-                with open(manifest, "ab") as fh:
-                    fh.write(line)
-                    view.manifest_pos = fh.tell()
-        except OSError:
-            pass
-        view.records.pop(key, None)
-        view.verified.discard(key)
-        view.atimes.pop(key, None)
+        with self._interprocess_lock():
+            view = self._append([{"k": key, "x": 1}])
+        if view is not None:
+            view.entries.pop(key, None)
+        self._used.pop(key, None)
         return True
 
     def keys(self) -> List[str]:
-        """Live keys of the current stamp, least recently used first."""
-        view = self._current_view()
-        return sorted(
-            view.records,
-            key=lambda k: max(
-                view.atimes.get(k, 0.0), view.records[k].stored_at
-            ),
-        )
+        """Live keys of the current stamp, least recently used first:
+        file order, then the keys this process used, oldest use first."""
+        entries = self._current_view().entries
+        used = [key for key in self._used if key in entries]
+        fresh = [key for key in entries if key not in self._used]
+        return fresh + used
 
     def __len__(self) -> int:
-        return len(self._current_view().records)
-
-    def total_bytes(self) -> int:
-        view = self._current_view()
-        return sum(r.length for r in view.records.values())
+        return len(self._current_view().entries)
 
     # -- prune / clear -------------------------------------------------
 
@@ -947,260 +682,146 @@ class PackedDiskCache:
         max_entries: Optional[int] = None,
         max_bytes: Optional[int] = None,
     ) -> int:
-        """Evict least-recently-used entries until within the caps and
-        compact manifest + segments; returns the number evicted.
+        """Evict least-recently-used entries until within the caps
+        (default :data:`MAX_ENTRIES` and :data:`MAX_BYTES`) and compact
+        the log; returns the number evicted.
 
-        Runs entirely under the inter-process lock: survivors are
-        rewritten into fresh segments, the manifest is rewritten with a
-        new generation token, and other processes reload on their next
-        sync.  Recency is the in-process access time where known,
-        falling back to each record's stored-at time.  A negative cap
-        raises :class:`~repro.errors.ConfigError`.
+        Runs entirely under the inter-process lock: the survivors,
+        least recently used first, are written to a new log that is
+        renamed into place, and other processes re-read on their next
+        operation.  A negative cap raises
+        :class:`~repro.errors.ConfigError`.
         """
         caps = (("max_entries", max_entries), ("max_bytes", max_bytes))
         for name, cap in caps:
             if cap is not None and cap < 0:
                 raise ConfigError(f"{name} must be >= 0, got {cap}")
-        max_entries = self.max_entries if max_entries is None else max_entries
-        max_bytes = self.max_bytes if max_bytes is None else max_bytes
-        removed = 0
+        max_entries = MAX_ENTRIES if max_entries is None else max_entries
+        max_bytes = MAX_BYTES if max_bytes is None else max_bytes
         with self._interprocess_lock():
             view = self._current_view()
             ordered = self.keys()
-            total = sum(r.length for r in view.records.values())
+            total = sum(view.entries[key].length for key in ordered)
             doomed: List[str] = []
             while ordered and (
                 len(ordered) > max_entries or total > max_bytes
             ):
                 key = ordered.pop(0)
-                total -= view.records[key].length
+                total -= view.entries[key].length
                 doomed.append(key)
-            if not doomed:
-                return 0
-            removed = len(doomed)
-            survivors = [
-                (key, view.records[key]) for key in ordered
-            ]
-            self._compact(view, survivors, doomed)
-        if removed:
-            with self._lock:
-                self.evictions += removed
-            tracer = active_tracer()
-            if tracer is not None:
-                tracer.count("perf.diskcache.evict", removed)
-        return removed
+            if doomed:
+                self._compact(view, ordered, doomed)
+        if doomed:
+            self.counters.note("evictions", len(doomed))
+        return len(doomed)
 
     def _compact(
-        self,
-        view: _View,
-        survivors: List[Tuple[str, _Record]],
-        doomed: List[str],
+        self, view: _View, survivors: List[str], doomed: List[str]
     ) -> None:
-        """Rewrite manifest + segments holding only ``survivors``;
-        caller holds the flock.  A failure leaves the old store intact
-        (tombstones are appended instead as a fallback)."""
-        stamp_dir = self.stamp_dir()
-        limit = _segment_bytes()
-        generation = f"{os.getpid()}-{time.time_ns()}"
-        lines = [
-            json.dumps(
-                {"format": INDEX_FORMAT, "gen": generation}, sort_keys=True
-            ).encode("ascii")
-            + b"\n"
-        ]
+        """Rewrite the log holding only ``survivors``, in order; the
+        caller holds the flock.  A failure leaves the old log intact and
+        tombstones the doomed keys instead."""
+        records = []
+        for key in survivors:
+            entry = view.entries[key]
+            blob, failure = self._read_payload(view, entry)
+            if failure:
+                continue  # damaged survivor: drop, key recomputes
+            records.append(({"d": entry.digest, "k": key}, blob))
+        path = self.log_path()
+        staging = path.with_name(f".{LOG_NAME}.compact-{os.getpid()}")
         try:
-            seg_dir = self._segment_path(0, stamp_dir).parent
-            seg_dir.mkdir(parents=True, exist_ok=True)
-            seg_index = 0
-            seg_size = 0
-            tmp_segments: List[Tuple[Path, Path]] = []
-            seg_tmp = seg_dir / f".compact-{os.getpid()}-{seg_index:05d}"
-            seg = open(seg_tmp, "wb")
-            tmp_segments.append(
-                (seg_tmp, self._segment_path(seg_index, stamp_dir))
-            )
-            new_records: Dict[str, _Record] = {}
-            for key, record in survivors:
-                blob, _failure = self._read_payload(view, record)
-                if blob is None or (
-                    hashlib.sha256(blob).hexdigest() != record.digest
-                ):
-                    continue  # damaged survivor: drop, key recomputes
-                if seg_size and seg_size + len(blob) > limit:
-                    seg.close()
-                    seg_index += 1
-                    seg_size = 0
-                    seg_tmp = (
-                        seg_dir / f".compact-{os.getpid()}-{seg_index:05d}"
-                    )
-                    seg = open(seg_tmp, "wb")
-                    tmp_segments.append(
-                        (seg_tmp, self._segment_path(seg_index, stamp_dir))
-                    )
-                offset = seg_size
-                seg.write(blob)
-                seg_size += len(blob)
-                lines.append(
-                    json.dumps(
-                        {
-                            "k": key, "s": seg_index, "o": offset,
-                            "n": len(blob), "d": record.digest,
-                            "t": max(
-                                view.atimes.get(key, 0.0), record.stored_at
-                            ),
-                        },
-                        sort_keys=True,
-                    ).encode("ascii")
-                    + b"\n"
-                )
-                new_records[key] = _Record(
-                    seg_index, offset, len(blob), record.digest,
-                    record.stored_at,
-                )
-            seg.close()
-            manifest = self._manifest_path(stamp_dir)
-            manifest_tmp = manifest.with_name(
-                f".compact-manifest-{os.getpid()}"
-            )
-            manifest_tmp.write_bytes(b"".join(lines))
-            # Publish: segments first (readers of the *old* manifest keep
-            # their old fds — unlinked inodes stay readable), manifest
-            # last with its fresh generation.
-            for tmp, final in tmp_segments:
-                os.replace(tmp, final)
-            stale = seg_index + 1
-            while True:
-                leftover = self._segment_path(stale, stamp_dir)
-                if not leftover.exists():
-                    break
-                try:
-                    leftover.unlink()
-                except OSError:
-                    pass
-                stale += 1
-            os.replace(manifest_tmp, manifest)
+            self._heal(view)
+            staging.unlink(missing_ok=True)
+            append_jsonl(staging, *records)
+            os.replace(staging, path)
         except OSError:
-            # Fall back to tombstoning the doomed keys in place.
             try:
-                with open(self._manifest_path(stamp_dir), "ab") as fh:
-                    for key in doomed:
-                        fh.write(
-                            json.dumps({"k": key, "x": 1}).encode("ascii")
-                            + b"\n"
-                        )
+                staging.unlink(missing_ok=True)
+                append_jsonl(path, *({"k": key, "x": 1} for key in doomed))
             except OSError:
                 pass
             for key in doomed:
-                view.records.pop(key, None)
-                view.atimes.pop(key, None)
-                view.verified.discard(key)
+                view.entries.pop(key, None)
             return
-        with self._lock:
-            self.compactions += 1
-        view.close()
-        view.records = new_records
-        view.generation = generation
-        view.current_segment = seg_index
-        view.manifest_pos = sum(len(line) for line in lines)
-        view.verified.clear()
-        view.seg_stat.clear()
-        for key in doomed:
-            view.atimes.pop(key, None)
+        self.counters.note("compactions")
+        self._used.clear()
+        self._view = None
 
     def clear(self) -> int:
-        """Remove every entry (all stamps) and reset the counters;
-        returns the number of live records removed."""
+        """Remove every entry (all stamps, and any store left in an
+        older layout) and reset the counters; returns the number of
+        live entries removed."""
         import shutil
 
-        root = self.root()
-        removed = 0
-        if root.is_dir():
-            for manifest in root.glob("*/index.manifest"):
-                removed += len(self._manifest_census(manifest)[0])
-            shutil.rmtree(root, ignore_errors=True)
-        if self._view is not None:
-            self._view.close()
-            self._view = None
+        removed = self._census()[0]
+        shutil.rmtree(self.root(), ignore_errors=True)
+        self._view = None
+        self._used.clear()
+        self.counters.reset()
         with self._lock:
-            self.hits = self.misses = self.writes = 0
-            self.evictions = self.corrupt = self.bypasses = 0
-            self.quarantined = self.io_retries = 0
-            self.refreshes = self.torn_records = self.compactions = 0
             self._probe_us.clear()
         return removed
 
     # -- integrity and fault hooks -------------------------------------
 
     def verify(self) -> List[str]:
-        """Digest-verify the current stamp's records (hash only — no
-        unpickling); returns the keys that failed, each counted under
-        ``corrupt``.
-
-        Keys whose bytes were already hash-verified by this process are
-        skipped *unless* their segment changed on disk since we read it
-        (size or mtime drift) — so an external writer's corruption is
-        still caught, while a warm validation pass costs one ``stat``
-        per segment instead of re-hashing the whole store.
-        """
+        """Digest-verify the current stamp's entries (hash only — no
+        unpickling), plus a torn tail; returns the keys that failed,
+        each counted under ``corrupt``."""
         view = self._current_view()
-        for index, (size, mtime_ns) in list(view.seg_stat.items()):
-            try:
-                stat = self._segment_path(index).stat()
-            except OSError:
-                view.verified.clear()
-                break
-            if (stat.st_size, stat.st_mtime_ns) != (size, mtime_ns):
-                view.verified.clear()
-                view.seg_stat.pop(index, None)
         bad: List[str] = []
-        for key, record in sorted(view.records.items()):
-            if key in view.verified:
-                continue
-            blob, _failure = self._read_payload(view, record)
-            if (
-                blob is None
-                or hashlib.sha256(blob).hexdigest() != record.digest
-            ):
-                self._count("corrupt", "perf.diskcache.corrupt")
+        if view.fd is None:
+            return bad
+        for key, entry in sorted(view.entries.items()):
+            if self._read_payload(view, entry)[1]:
                 bad.append(key)
-            else:
-                view.verified.add(key)
+        if os.fstat(view.fd).st_size > view.pos:
+            bad.extend(self._torn_tail())
+        for _ in bad:
+            self.counters.note("corrupt")
         return bad
 
+    def _torn_tail(self) -> List[str]:
+        """The key of the record torn off the log's end, read under the
+        lock so a write still in flight is not mistaken for one."""
+        with self._interprocess_lock():
+            view = self._current_view()
+            try:
+                size = os.fstat(view.fd).st_size
+                tail = os.pread(view.fd, min(size - view.pos, 4096), view.pos)
+            except (OSError, TypeError):
+                return []
+        if not tail:
+            return []
+        try:
+            key = json.loads(tail.split(b"\n", 1)[0])["k"]
+        except (ValueError, KeyError, TypeError):
+            key = "torn-tail"
+        return [str(key)]
+
     def tamper(self, key: str, mutate: Callable[[Any], None]) -> bool:
-        """Re-append the entry with ``mutate`` applied and a *valid*
+        """Re-insert the entry with ``mutate`` applied and a *valid*
         digest — the stale-but-self-consistent corruption only a
         differential oracle can catch.  For :mod:`repro.check.faults`;
         returns whether the key was present."""
-        view = self._current_view()
-        record = view.records.get(key)
-        if record is None:
-            return False
-        blob, _failure = self._read_payload(view, record)
-        if blob is None:
-            return False
-        try:
-            value = pickle.loads(blob)
-        except Exception:
+        value = self.lookup(key)
+        if value is None:
             return False
         mutate(value)
-        payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        digest = hashlib.sha256(payload).hexdigest()
-        with self._interprocess_lock():
-            return self._append(view, [(key, payload, digest)]) == 1
+        return self.insert(key, value)
 
     def corrupt_bytes(self, key: str, offset: int = -1) -> bool:
         """Flip one payload byte in place (digest left stale), modelling
         media corruption.  For fault injection only; returns whether the
         key was present."""
         view = self._current_view()
-        record = view.records.get(key)
-        if record is None:
+        entry = view.entries.get(key)
+        if entry is None:
             return False
-        position = record.offset + (offset % record.length)
-        path = self._segment_path(record.segment)
+        position = entry.offset + (offset % entry.length)
         try:
-            fd = os.open(path, os.O_RDWR)
+            fd = os.open(self.log_path(), os.O_RDWR)
             try:
                 current = os.pread(fd, 1, position)
                 if len(current) != 1:
@@ -1210,34 +831,31 @@ class PackedDiskCache:
                 os.close(fd)
         except OSError:
             return False
-        view.verified.discard(key)
         return True
 
     def truncate_entry(self, key: str) -> bool:
         """Tear the entry mid-payload — the torn tail a crash mid-write
-        leaves.  The record is re-appended at the current segment tail,
-        then the segment is truncated halfway through it, so only this
-        key is damaged.  For fault injection only."""
+        leaves.  A copy of the entry is appended, then the log is cut
+        halfway through its payload: readers keep serving the intact
+        older record, :meth:`verify` names the key, and the next locked
+        writer quarantines the torn bytes.  For fault injection only."""
         view = self._current_view()
-        record = view.records.get(key)
-        if record is None:
+        entry = view.entries.get(key)
+        if entry is None:
             return False
-        blob, _failure = self._read_payload(view, record)
+        blob, _failure = self._read_payload(view, entry)
         if blob is None:
-            blob = b"\x00" * record.length
+            blob = b"\x00" * entry.length
         digest = hashlib.sha256(blob).hexdigest()
         with self._interprocess_lock():
-            if self._append(view, [(key, blob, digest)]) != 1:
+            view = self._append([({"d": digest, "k": key}, blob)])
+            if view is None:
                 return False
-            fresh = view.records[key]
-            path = self._segment_path(fresh.segment)
+            fresh = view.entries[key]
             try:
-                with open(path, "r+b") as fh:
-                    fh.truncate(fresh.offset + fresh.length // 2)
+                os.truncate(self.log_path(), fresh.offset + fresh.length // 2)
             except OSError:
                 return False
-        view.verified.discard(key)
-        view.seg_stat.pop(fresh.segment, None)
         return True
 
     # -- reporting -----------------------------------------------------
@@ -1261,82 +879,48 @@ class PackedDiskCache:
             "p50_us": pct(0.50), "p90_us": pct(0.90), "p99_us": pct(0.99)
         }
 
-    @staticmethod
-    def _manifest_census(
-        manifest: Path,
-    ) -> Tuple[Dict[str, int], int]:
-        """``({key: length}, segment_count)`` of one manifest, parsed
-        without touching the model-version stamp (so ``repro cache
-        stats`` never imports the modelling stack)."""
-        live: Dict[str, int] = {}
-        segments: set = set()
-        try:
-            with open(manifest, "rb") as fh:
-                fh.readline()  # header
-                for line in fh:
-                    if not line.endswith(b"\n"):
-                        break
-                    try:
-                        doc = json.loads(line)
-                        if doc.get("x"):
-                            live.pop(doc["k"], None)
-                        else:
-                            live[doc["k"]] = int(doc["n"])
-                            segments.add(int(doc["s"]))
-                    except (ValueError, KeyError, TypeError):
-                        continue
-        except OSError:
-            return {}, 0
-        return live, len(segments)
-
     def _census(self) -> Tuple[int, int, int, int]:
-        """(entries, bytes, segments, manifest_bytes) across all stamps
-        under the root — stamp-free, so the CLI fast path stays free of
-        numpy imports."""
+        """``(entries, bytes, logs, log_bytes)`` across every stamp's
+        log, live entries only — parsed without touching the
+        model-version stamp, so ``repro cache stats`` never imports the
+        modelling stack."""
         root = self.root()
-        entries = total = segments = manifest_bytes = 0
-        if not root.is_dir():
-            return 0, 0, 0, 0
-        for manifest in sorted(root.glob("*/index.manifest")):
-            live, seg_count = self._manifest_census(manifest)
+        logs = sorted(root.glob(f"*/{LOG_NAME}")) if root.is_dir() else []
+        entries = total = log_bytes = 0
+        for log in logs:
+            live: Dict[str, int] = {}
+            for record in read_log(log)[0]:
+                if record.get("x"):
+                    live.pop(record.get("k"), None)
+                elif BODY_AT in record:
+                    live[record.get("k")] = record[BODY_FIELD]
             entries += len(live)
             total += sum(live.values())
-            segments += seg_count
-            try:
-                manifest_bytes += manifest.stat().st_size
-            except OSError:
-                pass
-        return entries, total, segments, manifest_bytes
+            log_bytes += log.stat().st_size
+        return entries, total, len(logs), log_bytes
 
     def stats(self) -> Dict[str, int]:
-        entries, total, _segments, _manifest_bytes = self._census()
-        return {
-            "entries": entries,
-            "bytes": total,
-            "hits": self.hits,
-            "misses": self.misses,
-            "writes": self.writes,
-            "evictions": self.evictions,
-            "corrupt": self.corrupt,
-            "quarantined": self.quarantined,
-            "io_retries": self.io_retries,
-            "bypasses": self.bypasses,
-            "enabled": int(self.enabled),
-        }
+        """The ``perf.diskcache`` telemetry source: every stamp's live
+        entries and payload bytes, plus this handle's counts."""
+        entries, total, _logs, _log_bytes = self._census()
+        counts = self.counters.snapshot()
+        out = {"entries": entries, "bytes": total}
+        out.update((name, counts[name]) for name in _STATS)
+        out["enabled"] = int(self.enabled)
+        return out
 
     def index_stats(self) -> Dict[str, float]:
-        """The ``perf.index`` telemetry source: packed-layout health."""
-        entries, total, segments, manifest_bytes = self._census()
+        """The ``perf.index`` telemetry source: the logs' shape."""
+        entries, total, logs, log_bytes = self._census()
+        counts = self.counters.snapshot()
         out: Dict[str, float] = {
             "entries": entries,
             "bytes": total,
-            "segments": segments,
-            "manifest_bytes": manifest_bytes,
-            "refreshes": self.refreshes,
-            "torn_records": self.torn_records,
-            "compactions": self.compactions,
+            "logs": logs,
+            "log_bytes": log_bytes,
             "probe_samples": len(self._probe_us),
         }
+        out.update((name, counts[name]) for name in _LOG_STATS)
         out.update(self.probe_percentiles())
         return out
 

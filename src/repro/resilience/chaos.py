@@ -59,6 +59,7 @@ spec or ``REPRO_CHAOS_DIR`` overrides it.
 from __future__ import annotations
 
 import dataclasses
+import json
 import os
 import signal
 import subprocess
@@ -76,6 +77,7 @@ __all__ = [
     "active_spec",
     "claim",
     "reset_tokens",
+    "return_tokens",
     "tokens_claimed",
     "on_worker_chunk",
     "on_disk_read",
@@ -87,6 +89,10 @@ __all__ = [
 
 #: Recognised fault names (values are injection budgets).
 FAULTS = ("kill", "hang", "disk", "lock", "corrupt")
+
+#: The faults that land on the shared disk store, recovered (and
+#: counted) by the process that meets them.
+STORE_FAULTS = ("disk", "lock", "corrupt")
 
 #: Recognised parameter names (values are floats/strings).
 PARAMS = ("hang_s", "dir", "service")
@@ -233,6 +239,34 @@ def claim(fault: str, spec: Optional[ChaosSpec] = None) -> bool:
     return False
 
 
+def return_tokens(since: float) -> None:
+    """Return to the budget the store-fault tokens (``disk``, ``lock``,
+    ``corrupt``) other processes claimed at or after ``since``.
+
+    The supervisor calls this after a pool crash, before the lost
+    chunks re-run.  A chunk that was still running when a sibling
+    worker died is lost with the pool, and its counts with it; the
+    re-run is what the parent counts, so it must meet the fault too.
+    A chunk of the same round that had already delivered may meet the
+    fault a second time, which every chaos assertion allows.
+    """
+    spec = active_spec()
+    if spec is None:
+        return
+    directory = state_dir(spec)
+    for fault in STORE_FAULTS:
+        for token in directory.glob(f"{fault}-*.token"):
+            try:
+                holder = json.loads(token.read_text())
+                kept = holder["pid"] == os.getpid() or holder["time"] < since
+            except OSError:
+                continue
+            except (ValueError, KeyError, TypeError):
+                kept = False  # its claimer was killed mid-claim
+            if not kept:
+                token.unlink(missing_ok=True)
+
+
 def reset_tokens(spec: ChaosSpec) -> None:
     """Return every token to the budget (start of a fresh chaos run)."""
     directory = state_dir(spec)
@@ -263,9 +297,8 @@ def _note(name: str, fault: str = "") -> None:
     if fault:
         # Mirror the injection into the flight recorder.  Worker
         # processes have no recorder installed, so only parent-side
-        # injections (disk, lock, corrupt in-parent) appear in the
-        # session ledger — the kill/hang evidence is the supervisor's
-        # own recovery events.
+        # injections appear in the session ledger; a worker's count
+        # reaches the parent with its chunk's results.
         from repro.obs.ledger import record
 
         record("chaos.injection", fault=fault)
@@ -297,18 +330,19 @@ def on_disk_read(path: os.PathLike) -> None:
         raise OSError(f"chaos: injected disk read error for {path}")
 
 
-def on_disk_insert(path: os.PathLike) -> None:
-    """Disk-cache publish hook: may flip one byte of the entry just
-    written (digest left stale — the read path must quarantine it)."""
+def on_disk_insert(path: os.PathLike, offset: int) -> None:
+    """Disk-cache publish hook: may flip the byte at ``offset`` of the
+    store log, the last payload byte just written (digest left stale —
+    the read path must quarantine it)."""
     if claim("corrupt"):
         _note("chaos_injections", fault="corrupt")
         try:
             with open(path, "r+b") as fh:
-                fh.seek(-1, os.SEEK_END)
+                fh.seek(offset)
                 byte = fh.read(1)
-                fh.seek(-1, os.SEEK_END)
+                fh.seek(offset)
                 fh.write(bytes((byte[0] ^ 0xFF,)))
-        except OSError:
+        except (OSError, IndexError):
             pass
 
 
@@ -318,13 +352,19 @@ def on_lock_acquire(path: os.PathLike) -> None:
     if claim("lock"):
         _note("chaos_injections", fault="lock")
         path = Path(path)
+        staged = path.with_name(f"{path.name}.chaos-{os.getpid()}")
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(
+            staged.write_text(
                 f'{{"pid": {dead_pid()}, "time": {time.time() - 3600}}}\n'
             )
             old = time.time() - 3600
-            os.utime(path, (old, old))
+            os.utime(staged, (old, old))
+            # Renamed into place: a process already holding (or waiting
+            # for) the old lock file records itself into that file, so
+            # it cannot overwrite the stale record before the acquirer
+            # that planted it reads it.
+            os.replace(staged, path)
         except OSError:
             pass
 
@@ -423,14 +463,6 @@ def run_chaos_check(
             reset_tokens(spec)
             RESILIENCE.reset()
             os.environ["REPRO_CHAOS"] = spec_text
-            if spec.budget("lock"):
-                # Pool workers take the store lock on every write, and a
-                # worker's RESILIENCE tally never reaches this process;
-                # take the lock here first so the parent claims a lock
-                # token and breaks the stale lock it plants.
-                from repro.perf.diskcache import DISK_CACHE
-
-                DISK_CACHE.prune()
             chaotic = full_report(
                 workloads=workloads, jobs=max(2, jobs), validate=False
             )

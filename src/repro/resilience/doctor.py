@@ -143,7 +143,7 @@ def probe_quarantine() -> ProbeResult:
         name, WARN,
         f"{len(incidents)} quarantined entries "
         f"({', '.join(sorted(reasons))}) under "
-        f"{DISK_CACHE.quarantine_dir()} — healed, kept for forensics",
+        f"{DISK_CACHE.root()} — healed, kept for forensics",
     )
 
 
@@ -183,7 +183,8 @@ def probe_obs() -> ProbeResult:
     than trusting it)."""
     import os
 
-    from repro.obs.history import history_path, quarantine_corrupt, read_history
+    from repro.ioutil import heal_log
+    from repro.obs.history import history_path, read_history
     from repro.obs.ledger import ledger_dir, obs_enabled
 
     name = "probe.obs"
@@ -204,19 +205,26 @@ def probe_obs() -> ProbeResult:
         )
     # History must parse line by line; a torn tail is healed, not trusted.
     path = history_path()
-    records, corrupt = read_history(path)
-    if corrupt:
-        healed = quarantine_corrupt(path)
-        if healed:
-            return ProbeResult(
-                name, WARN,
-                f"history had {healed} corrupt line(s); quarantined to "
-                f"{path.with_suffix('.quarantine')}",
-            )
+    try:
+        moved = heal_log(path)
+    except OSError as exc:
         return ProbeResult(
             name, FAIL,
-            f"history has {len(corrupt)} corrupt line(s) and "
-            "quarantine failed (read-only store?)",
+            f"history tail could not be quarantined ({path}): "
+            f"{type(exc).__name__}: {exc}",
+        )
+    records, corrupt = read_history(path)
+    if moved:
+        return ProbeResult(
+            name, WARN,
+            f"history had a {len(moved)}-byte torn tail; quarantined to "
+            f"{path.with_suffix('.quarantine')}",
+        )
+    if corrupt:
+        return ProbeResult(
+            name, WARN,
+            f"history has {len(corrupt)} corrupt line(s) that readers "
+            "skip",
         )
     return ProbeResult(
         name, PASS,
@@ -233,17 +241,14 @@ def probe_service_journal() -> ProbeResult:
     schema or state-machine violations are hard failures — they mean
     replay would reconstruct the wrong job states.
     """
-    from repro.service.journal import (
-        journal_path,
-        read_journal,
-        validate_records,
-    )
+    from repro.ioutil import read_log
+    from repro.service.journal import journal_path, validate_records
 
     name = "probe.service-journal"
     path = journal_path()
     if not path.is_file():
         return ProbeResult(name, PASS, f"no journal at {path} (never served)")
-    records, corrupt = read_journal(path)
+    records, corrupt, end = read_log(path)
     problems = validate_records(records)
     if problems:
         return ProbeResult(
@@ -251,11 +256,12 @@ def probe_service_journal() -> ProbeResult:
             f"{len(problems)} violation(s) in {path}: "
             + "; ".join(problems[:3]),
         )
-    if corrupt:
+    torn = path.stat().st_size - end
+    if corrupt or torn:
         return ProbeResult(
             name, WARN,
-            f"{len(corrupt)} torn line(s) at the tail of {path}; "
-            "the next server start quarantines and heals them",
+            f"{len(corrupt)} corrupt line(s) and a {torn}-byte torn tail "
+            f"in {path}; the next server start quarantines the tail",
         )
     return ProbeResult(
         name, PASS, f"{len(records)} record(s), sequence and states legal"

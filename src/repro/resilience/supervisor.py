@@ -25,6 +25,12 @@ explicit recovery ladder, applied per chunk of work:
    into a serial fallback, counted under ``resilience.degradations``
    with the reason string recorded in telemetry.
 
+Each chunk runs in its worker inside fresh scopes of the counts a
+worker can make (:data:`~repro.resilience.stats.RESILIENCE` and the
+disk store's); the worker returns them with the chunk's results, and
+the parent adds them to its own tallies, on the isolate path too.  A
+killed worker's counts die with it, which is right: its chunk re-runs.
+
 Every transition is counted in :data:`~repro.resilience.stats.RESILIENCE`
 (``resilience.retries``, ``.worker_crashes``, ``.deadline_exceeded``,
 ``.pool_restarts``, ``.isolated_cells``, ``.failed_cells``,
@@ -156,31 +162,56 @@ def _classify_infra(exc: BaseException) -> Optional[str]:
     return None
 
 
+def _carried_counters() -> Tuple[Any, ...]:
+    """The tallies a pool worker's chunk can move, in hand-back order."""
+    from repro.perf.diskcache import DISK_CACHE
+
+    return RESILIENCE, DISK_CACHE.counters
+
+
+def _counted(task: Callable[[Sequence[Any]], List[Any]], chunk):
+    """Worker side of one submission: ``task(chunk)`` with the worker's
+    counts in fresh scopes; returns the results and those counts."""
+    owners = _carried_counters()
+    with contextlib.ExitStack() as stack:
+        for owner in owners:
+            stack.enter_context(owner.scoped())
+        results = task(chunk)
+        return results, [owner.tally() for owner in owners]
+
+
+def _deliver(output) -> List[Any]:
+    """Parent side: add a chunk's worker counts to this process's
+    tallies and return its results."""
+    results, tallies = output
+    for owner, (counts, incidents) in zip(_carried_counters(), tallies):
+        owner.add(counts, incidents)
+    return results
+
+
 class Supervisor:
     """Run chunks of work on a supervised process pool.
 
-    ``task`` is the picklable chunk function (defaults to the executor's
-    ``_execute_chunk``); ``sleep`` is injectable for tests.  One
-    supervisor instance drives one sweep: :meth:`run` takes the ordered
-    chunk list and returns one result list per chunk.
+    ``task`` is the picklable chunk function, run in the workers under
+    :func:`_counted`; ``sleep`` is injectable for tests.  One supervisor
+    instance drives one sweep: :meth:`run` takes the ordered chunk list
+    and returns one result list per chunk.
     """
 
     def __init__(
         self,
         n_jobs: int,
         policy: Optional[RetryPolicy] = None,
-        task: Optional[Callable[[Sequence[Any]], List[Any]]] = None,
+        *,
+        task: Callable[[Sequence[Any]], List[Any]],
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
-        if task is None:
-            from repro.perf.executor import _execute_chunk
-
-            task = _execute_chunk
         self._n_jobs = max(1, int(n_jobs))
         self._policy = policy if policy is not None else default_policy()
         self._task = task
         self._sleep = sleep
         self._pool = None
+        self._dispatched_at = 0.0
 
     # -- pool lifecycle -------------------------------------------------
 
@@ -228,6 +259,12 @@ class Supervisor:
         self._discard_pool(wait=False)
         RESILIENCE.note("pool_restarts")
         self._event("pool_restart")
+        if os.environ.get("REPRO_CHAOS"):
+            from repro.resilience import chaos
+
+            # The lost chunks re-run; the store faults they met must
+            # meet the re-run, whose counts are the ones that arrive.
+            chaos.return_tokens(self._dispatched_at)
 
     @staticmethod
     def _event(name: str, **args: Any) -> None:
@@ -359,11 +396,12 @@ class Supervisor:
         from concurrent.futures.process import BrokenProcessPool
 
         pool = self._ensure_pool()
+        self._dispatched_at = time.time()
         futures: Dict[int, "cf.Future"] = {}
         submit_error: Optional[BaseException] = None
         for ci in todo:
             try:
-                futures[ci] = pool.submit(self._task, chunks[ci])
+                futures[ci] = pool.submit(_counted, self._task, chunks[ci])
             except BrokenProcessPool as exc:
                 submit_error = exc
                 break
@@ -392,7 +430,9 @@ class Supervisor:
                     )
                 continue
             try:
-                results[ci] = fut.result(timeout=self._policy.deadline)
+                results[ci] = _deliver(
+                    fut.result(timeout=self._policy.deadline)
+                )
                 self._advance(chunks[ci])
             except cf.TimeoutError:
                 RESILIENCE.note("deadline_exceeded")
@@ -429,7 +469,11 @@ class Supervisor:
                     "worker crashed before dispatch"
                 )
         if pool_broken:
-            self._discard_pool(wait=False)
+            # The executor fails a broken pool's futures first and then
+            # terminates its workers; waiting for that teardown means no
+            # worker of the old pool is still running when the lost
+            # chunks are re-dispatched.
+            self._discard_pool(wait=True)
         return failed
 
     @staticmethod
@@ -441,7 +485,7 @@ class Supervisor:
             except Exception:
                 return False
             if exc is None:
-                results[ci] = fut.result(timeout=0)
+                results[ci] = _deliver(fut.result(timeout=0))
                 return True
         return False
 
@@ -520,8 +564,9 @@ class Supervisor:
                 )
             try:
                 pool = self._ensure_pool()
-                fut = pool.submit(self._task, [cell])
-                value = fut.result(timeout=self._policy.deadline)
+                self._dispatched_at = time.time()
+                fut = pool.submit(_counted, self._task, [cell])
+                value = _deliver(fut.result(timeout=self._policy.deadline))
                 return value[0], attempt + 1, None
             except cf.TimeoutError:
                 RESILIENCE.note("deadline_exceeded")

@@ -19,12 +19,13 @@ the runtime's beliefs.  A record looks like::
 * terminal records carry outcome evidence (``result_digest`` for DONE,
   ``error`` for FAILED).
 
-Torn-tail tolerance mirrors the packed-index manifest discipline
-(:mod:`repro.perf.index`): a crash mid-append can tear at most the
-final line.  Pure readers (:func:`read_journal`) tolerate and report
-torn lines without raising; the *writer* truncates a torn tail off on
-open (quarantining the bytes beside the journal, never trusting them),
-so the append stream stays parseable forever.
+The journal is a :mod:`repro.ioutil` record log: a crash mid-append
+can tear at most the final record.  Readers call
+:func:`~repro.ioutil.read_log`, which leaves an unterminated tail
+unread; the *writer* heals a torn tail on open
+(:func:`~repro.ioutil.heal_log` moves the bytes to
+``journal.quarantine``, never trusting them), so the append stream
+stays parseable forever.
 
 Replay (:func:`fold_records`) folds the record stream into per-job
 final states, validating every transition against the legal state
@@ -35,14 +36,13 @@ carry their result digest so a completed computation is never redone.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.ioutil import append_jsonl
+from repro.ioutil import append_jsonl, heal_log, read_log
 from repro.service.jobs import Job, legal_transition
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
     "JobJournal",
     "fold_records",
     "journal_path",
-    "read_journal",
     "service_root",
     "validate_records",
 ]
@@ -79,38 +78,6 @@ def service_root() -> Path:
 def journal_path(root: Optional[Path] = None) -> Path:
     """The journal file under ``root`` (default: :func:`service_root`)."""
     return (root if root is not None else service_root()) / "journal.jsonl"
-
-
-def read_journal(
-    path: Optional[Path] = None,
-) -> Tuple[List[Dict[str, Any]], List[str]]:
-    """Parse the journal line by line; pure reader, never raises.
-
-    Returns ``(records, corrupt_lines)``: every line that parses as a
-    JSON object is a record, every line that does not (a torn tail
-    after a crash) is returned verbatim for the caller to count or
-    quarantine.  Order is file order.
-    """
-    path = journal_path() if path is None else Path(path)
-    records: List[Dict[str, Any]] = []
-    corrupt: List[str] = []
-    try:
-        text = path.read_text(encoding="utf-8", errors="replace")
-    except OSError:
-        return [], []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError:
-            corrupt.append(line)
-            continue
-        if isinstance(obj, dict):
-            records.append(obj)
-        else:
-            corrupt.append(line)
-    return records, corrupt
 
 
 def validate_records(records: List[Dict[str, Any]]) -> List[str]:
@@ -200,57 +167,22 @@ class JobJournal:
     ``seq`` assignment and the fsynced append happen under one lock, so
     sequence order equals file order and the gapless invariant holds by
     construction.  Opening for write heals a torn tail: the damaged
-    trailing bytes are copied to ``journal.quarantine`` (evidence, never
-    deleted) and truncated off the journal, and the writer resumes at
-    the next sequence number after the last *complete* record.
+    trailing bytes are moved to ``journal.quarantine`` (evidence, never
+    deleted), and the writer resumes at the next sequence number after
+    the last *complete* record.
     """
 
     def __init__(self, path: Optional[Path] = None) -> None:
         self.path = journal_path() if path is None else Path(path)
         self._lock = threading.Lock()
-        self._seq = 0
         self.torn_tails_healed = 0
-        self._recover()
-
-    def _recover(self) -> None:
-        """Heal a torn tail and position ``seq`` after the last record."""
-        records, corrupt = read_journal(self.path)
-        if corrupt:
-            self._truncate_tail()
-            self.torn_tails_healed = len(corrupt)
-        last_seq = -1
-        for record in records:
-            seq = record.get("seq")
-            if isinstance(seq, int) and seq > last_seq:
-                last_seq = seq
-        self._seq = last_seq + 1
-
-    def _truncate_tail(self) -> None:
-        """Drop everything after the last complete (parseable) line,
-        preserving the damaged bytes beside the journal for forensics."""
         try:
-            raw = self.path.read_bytes()
+            self.torn_tails_healed = int(bool(heal_log(self.path)))
         except OSError:
-            return
-        keep = 0
-        for line_end in _line_ends(raw):
-            line = raw[keep:line_end]
-            try:
-                json.loads(line.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
-                break
-            keep = line_end + 1
-        tail = raw[keep:]
-        if not tail:
-            return
-        quarantine = self.path.with_suffix(".quarantine")
-        try:
-            with open(quarantine, "ab") as fh:
-                fh.write(tail)
-            with open(self.path, "r+b") as fh:
-                fh.truncate(keep)
-        except OSError:
-            return
+            pass
+        records, _corrupt, _end = read_log(self.path)
+        seqs = [r["seq"] for r in records if isinstance(r.get("seq"), int)]
+        self._seq = max(seqs, default=-1) + 1
 
     @property
     def next_seq(self) -> int:
@@ -280,20 +212,9 @@ class JobJournal:
 
     def replay(self) -> Tuple[Dict[str, Job], List[str]]:
         """``(jobs by id, problems)`` from the journal as it stands."""
-        records, corrupt = read_journal(self.path)
+        records, corrupt, _end = read_log(self.path)
         problems = validate_records(records)
         if corrupt:
             problems.append(f"{len(corrupt)} torn/corrupt line(s)")
         return fold_records(records), problems
 
-
-def _line_ends(raw: bytes) -> List[int]:
-    """Offsets of every newline byte in ``raw``."""
-    out: List[int] = []
-    start = 0
-    while True:
-        i = raw.find(b"\n", start)
-        if i < 0:
-            return out
-        out.append(i)
-        start = i + 1

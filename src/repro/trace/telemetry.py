@@ -16,7 +16,7 @@ imports anything.  The namespaces and their owners:
   (:mod:`repro.perf.cache`);
 * ``perf.diskcache`` and ``perf.index`` — the persistent tier's
   hits/misses/writes/evictions/corrupt-entry detections/quarantines/
-  bypasses, and the packed index internals (:mod:`repro.perf.diskcache`);
+  bypasses, and its log's shape (:mod:`repro.perf.diskcache`);
 * ``perf.pool`` — persistent worker-pool lifecycle
   (:mod:`repro.perf.poold`);
 * ``perf.tensor`` — tensor-engine batches and fallbacks
@@ -32,8 +32,9 @@ imports anything.  The namespaces and their owners:
 * ``trace`` — the active tracer's counters and event census (this
   module; empty when tracing is off).
 
-The four tallies the program keeps for itself (``perf.tensor``,
-``resilience``, ``scenario``, ``service``) are :class:`Counters`.  A
+The tallies the program keeps for itself (``perf.tensor``,
+``resilience``, ``scenario``, ``service``, and the disk store's counts
+behind ``perf.diskcache``) are :class:`Counters`.  A
 source that raises reports ``<namespace>.error`` instead of killing the
 snapshot.
 """
@@ -159,7 +160,9 @@ class Counters:
 
     :meth:`scoped` gives the code inside it a fresh tally, which is how
     a controlled experiment counts its own events without adding them
-    to the process's.  Constructing an instance registers nothing; the
+    to the process's, and how a pool worker collects one chunk's counts
+    for :meth:`tally` to hand to the parent's :meth:`add`.
+    Constructing an instance registers nothing; the
     owner registers its singleton's :meth:`snapshot` with
     :data:`TELEMETRY`.
     """
@@ -198,6 +201,32 @@ class Counters:
             tally = self._tally()
             tally.counts = dict.fromkeys(self.names, 0)
             tally.incidents = []
+
+    def tally(self) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
+        """A copy of the counts and incidents the calling context sees:
+        what a pool worker hands back with its chunk's results."""
+        with self._lock:
+            tally = self._tally()
+            return dict(tally.counts), [dict(i) for i in tally.incidents]
+
+    def add(
+        self,
+        counts: Mapping[str, Union[int, float]],
+        incidents: Sequence[Dict[str, Any]] = (),
+    ) -> None:
+        """Add a tally taken elsewhere (a pool worker's chunk) to the one
+        the calling context sees, mirroring the counts onto the tracer
+        as :meth:`note` does."""
+        with self._lock:
+            tally = self._tally()
+            for name, n in counts.items():
+                tally.counts[name] = tally.counts.get(name, 0) + n
+            tally.incidents.extend(incidents)
+        tracer = active_tracer()
+        if tracer is not None:
+            for name, n in counts.items():
+                if n:
+                    tracer.count(f"{self.namespace}.{name}", n)
 
     def render(self) -> str:
         """Aligned ``<namespace>.<name> value`` lines for ``--perf``."""

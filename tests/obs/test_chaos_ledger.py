@@ -8,7 +8,7 @@ import os
 from pathlib import Path
 
 from repro.cli import main
-from repro.obs.ledger import read_ledger
+from repro.ioutil import read_log
 from repro.resilience.stats import RESILIENCE
 
 
@@ -20,8 +20,9 @@ def test_chaos_check_leaves_parseable_mirrored_ledger(capsys):
     ledger_root = Path(os.environ["REPRO_OBS_DIR"]) / "ledger"
     files = sorted(ledger_root.glob("*.jsonl"))
     assert len(files) == 1, "one CLI session = one ledger file"
-    events, corrupt = read_ledger(files[0])
+    events, corrupt, end = read_log(files[0])
     assert corrupt == [], "chaos must not tear the ledger"
+    assert end == files[0].stat().st_size, "chaos must not tear the ledger"
 
     # The session is complete and the sequence gapless: no event was
     # lost to a killed worker (workers never write the ledger).

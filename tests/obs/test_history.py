@@ -2,6 +2,7 @@
 
 import json
 
+from repro.ioutil import heal_log, read_log
 from repro.obs.history import (
     HISTORY_SCHEMA,
     append_history,
@@ -9,7 +10,6 @@ from repro.obs.history import (
     deterministic_run_metrics,
     history_path,
     latest_record,
-    quarantine_corrupt,
     read_history,
 )
 
@@ -65,7 +65,9 @@ class TestAppendAndRead:
             fh.write('{"command": "torn')
         records, corrupt = read_history(path)
         assert len(records) == 1
-        assert corrupt == ['{"command": "torn']
+        assert corrupt == []
+        _records, _corrupt, end = read_log(path)
+        assert path.read_bytes()[end:] == b'{"command": "torn'
 
     def test_newer_schema_is_corrupt_not_trusted(self, tmp_path):
         path = history_path(tmp_path)
@@ -96,7 +98,7 @@ class TestQuarantine:
         with open(path, "a", encoding="utf-8") as fh:
             fh.write("not json at all\n")
             fh.write('{"half": ')
-        assert quarantine_corrupt(path) == 2
+        assert heal_log(path) == b'not json at all\n{"half": '
         records, corrupt = read_history(path)
         assert len(records) == 1 and not corrupt
         evidence = path.with_suffix(".quarantine").read_text()
@@ -107,7 +109,7 @@ class TestQuarantine:
         path = history_path(tmp_path)
         append_history(_record(), root=tmp_path)
         before = path.read_text()
-        assert quarantine_corrupt(path) == 0
+        assert heal_log(path) == b""
         assert path.read_text() == before
         assert not path.with_suffix(".quarantine").exists()
 

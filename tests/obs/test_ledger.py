@@ -2,13 +2,13 @@
 
 import json
 
+from repro.ioutil import read_log
 from repro.obs import ledger
 from repro.obs.ledger import (
     FlightRecorder,
     current_recorder,
     end_session,
     obs_enabled,
-    read_ledger,
     record,
     recording,
     session_id,
@@ -55,8 +55,8 @@ class TestFlightRecorder:
         rec = FlightRecorder("abc", path)
         rec.record("session.start", command="run")
         rec.record("sweep.plan", requests=1)
-        events, corrupt = read_ledger(path)
-        assert not corrupt
+        events, corrupt, end = read_log(path)
+        assert not corrupt and end == path.stat().st_size
         assert [e["kind"] for e in events] == ["session.start", "sweep.plan"]
         assert events[1]["payload"] == {"requests": 1}
         assert all(e["session"] == "abc" for e in events)
@@ -110,7 +110,7 @@ class TestSessions:
         assert ended is rec
         assert current_recorder() is None
 
-        events, corrupt = read_ledger(rec.path)
+        events, corrupt, _end = read_log(rec.path)
         assert not corrupt
         kinds = [e["kind"] for e in events]
         assert kinds == ["session.start", "sweep.plan", "session.end"]
@@ -148,16 +148,17 @@ class TestReadLedger:
             json.dumps({"kind": "a", "seq": 0}) + "\n"
             + '{"kind": "b", "seq": 1'  # torn mid-write
         )
-        events, corrupt = read_ledger(path)
+        events, corrupt, end = read_log(path)
         assert [e["kind"] for e in events] == ["a"]
-        assert corrupt == ['{"kind": "b", "seq": 1']
+        assert corrupt == []
+        assert path.read_bytes()[end:] == b'{"kind": "b", "seq": 1'
 
     def test_non_object_lines_are_corrupt(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('[1, 2]\n{"kind": "ok"}\n')
-        events, corrupt = read_ledger(path)
+        events, corrupt, _end = read_log(path)
         assert [e["kind"] for e in events] == ["ok"]
         assert corrupt == ["[1, 2]"]
 
     def test_missing_file_is_empty(self, tmp_path):
-        assert read_ledger(tmp_path / "nope.jsonl") == ([], [])
+        assert read_log(tmp_path / "nope.jsonl") == ([], [], 0)

@@ -75,7 +75,7 @@ def test_hit_and_miss_are_the_same_cached_form(kernel, machine):
 def test_cold_report_leaves_a_small_store():
     full_report()
     assert len(DISK_CACHE) >= 15  # at least the Table 3 cells
-    assert DISK_CACHE.total_bytes() < 1_000_000
+    assert DISK_CACHE.stats()["bytes"] < 1_000_000
 
 
 def test_disk_oracle_catches_a_forged_output_digest():
@@ -113,7 +113,7 @@ class TestPreChangeEntries:
     def test_registry_serves_cached_form(self, small_ct):
         cold = self._plant_legacy_entry(small_ct)
         served = registry.run("corner_turn", "viram", workload=small_ct)
-        assert DISK_CACHE.hits == 1
+        assert DISK_CACHE.counters.get("hits") == 1
         assert served.output is None
         assert served.output_digest == content_digest(cold.output)
         assert diff_runs(served, cold) == []
@@ -126,7 +126,7 @@ class TestPreChangeEntries:
         (served,) = execute_requests(
             [("corner_turn", "viram", {"workload": small_ct})]
         )
-        assert DISK_CACHE.hits == 1
+        assert DISK_CACHE.counters.get("hits") == 1
         assert served.output is None
         assert diff_runs(served, cold) == []
 

@@ -43,11 +43,12 @@ class TestRoundTrip:
     def test_insert_then_lookup(self, disk):
         assert disk.insert("ab1234", {"cycles": 42.0})
         assert disk.lookup("ab1234") == {"cycles": 42.0}
-        assert disk.hits == 1 and disk.writes == 1
+        assert disk.counters.get("hits") == 1
+        assert disk.counters.get("writes") == 1
 
     def test_missing_key_is_a_miss(self, disk):
         assert disk.lookup("nope00") is None
-        assert disk.misses == 1
+        assert disk.counters.get("misses") == 1
 
     def test_kernel_run_round_trips_field_identical(self, disk, small_ct):
         run = registry.run(
@@ -78,7 +79,8 @@ class TestCorruption:
         disk.insert("ab1234", {"cycles": 42.0})
         assert disk.corrupt_bytes("ab1234")
         assert disk.lookup("ab1234") is None
-        assert disk.corrupt == 1 and disk.misses == 1
+        assert disk.counters.get("corrupt") == 1
+        assert disk.counters.get("misses") == 1
         # Quarantined: the record is gone, the key can be re-written.
         assert not disk.contains("ab1234")
         assert (disk.quarantine_dir() / "ab1234.run").exists()
@@ -86,10 +88,17 @@ class TestCorruption:
         assert disk.lookup("ab1234") == {"cycles": 42.0}
 
     def test_truncated_entry_rejected(self, disk):
+        # The torn copy sits at the log's end: it is never served (the
+        # intact older record still is), the integrity sweep names its
+        # key, and the next locked write quarantines the torn bytes.
         disk.insert("ab1234", {"cycles": 42.0})
         assert disk.truncate_entry("ab1234")
-        assert disk.lookup("ab1234") is None
-        assert disk.corrupt == 1
+        assert disk.lookup("ab1234") == {"cycles": 42.0}
+        assert disk.verify() == ["ab1234"]
+        assert disk.counters.get("corrupt") == 1
+        disk.insert("cd5678", "after")
+        assert disk.verify() == []
+        assert disk.counters.get("quarantined") == 1
 
     def test_verify_names_the_bad_keys(self, disk):
         disk.insert("ab1234", "good")
@@ -228,18 +237,18 @@ class TestRegistryIntegration:
         key = cache_key("corner_turn", "viram", {"workload": small_ct})
         # Evict tier 1 only: the next run must come from the disk.
         RUN_CACHE.evict(key)
-        hits_before = DISK_CACHE.hits
+        hits_before = DISK_CACHE.counters.get("hits")
         second = registry.run("corner_turn", "viram", workload=small_ct)
-        assert DISK_CACHE.hits == hits_before + 1
+        assert DISK_CACHE.counters.get("hits") == hits_before + 1
         assert repr(second) == repr(first)
         # And the hit was promoted back into tier 1.
         assert RUN_CACHE.lookup(key) is not None
 
     def test_cache_false_bypasses_both_tiers(self, small_ct):
-        writes_before = DISK_CACHE.writes
+        writes_before = DISK_CACHE.counters.get("writes")
         registry.run("corner_turn", "viram", workload=small_ct, cache=False)
         key = cache_key("corner_turn", "viram", {"workload": small_ct})
-        assert DISK_CACHE.writes == writes_before
+        assert DISK_CACHE.counters.get("writes") == writes_before
         assert not DISK_CACHE.contains(key)
         assert RUN_CACHE.lookup(key) is None
 
@@ -255,21 +264,23 @@ class TestOptOut:
 
         monkeypatch.setenv("REPRO_DISK_CACHE", "0")
         assert not DISK_CACHE.enabled
-        bypasses_before = DISK_CACHE.bypasses
+        bypasses_before = DISK_CACHE.counters.get("bypasses")
         registry.run("corner_turn", "viram", workload=small_ct)
         key = cache_key("corner_turn", "viram", {"workload": small_ct})
         monkeypatch.setenv("REPRO_DISK_CACHE", "1")
         assert not DISK_CACHE.contains(key)
         monkeypatch.setenv("REPRO_DISK_CACHE", "0")
-        assert DISK_CACHE.bypasses > bypasses_before
+        assert DISK_CACHE.counters.get("bypasses") > bypasses_before
         snap = TELEMETRY.snapshot()
-        assert snap["perf.diskcache.bypasses"] == DISK_CACHE.bypasses
+        assert snap["perf.diskcache.bypasses"] == (
+            DISK_CACHE.counters.get("bypasses")
+        )
         assert snap["perf.diskcache.enabled"] == 0
 
     def test_disable_is_per_instance_and_reversible(self, disk):
         disk.disable()
         assert not disk.insert("ab1234", "x")
-        assert disk.bypasses == 1
+        assert disk.counters.get("bypasses") == 1
         disk.enable()
         assert disk.insert("ab1234", "x")
 
@@ -287,7 +298,7 @@ class TestPrune:
             assert disk.lookup(f"k{i}00") == i
         removed = disk.prune(max_entries=4)
         assert removed == 2
-        assert disk.evictions == 2
+        assert disk.counters.get("evictions") == 2
         kept = set(disk.keys())
         assert kept == {"k200", "k300", "k400", "k500"}
 
@@ -295,7 +306,7 @@ class TestPrune:
         disk.insert("aa0000", b"x" * 10_000)
         disk.insert("bb0000", b"y" * 10)
         assert disk.prune(max_bytes=5_000) >= 1
-        assert disk.total_bytes() <= 5_000
+        assert disk.stats()["bytes"] <= 5_000
 
     def test_prune_within_caps_is_a_noop(self, disk):
         disk.insert("aa0000", "x")
@@ -307,7 +318,8 @@ class TestPrune:
         disk.lookup("aa0000")
         assert disk.clear() == 1
         assert len(disk) == 0
-        assert disk.hits == 0 and disk.writes == 0
+        assert disk.counters.get("hits") == 0
+        assert disk.counters.get("writes") == 0
 
 
 # -- multi-process safety ----------------------------------------------

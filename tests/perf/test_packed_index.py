@@ -1,11 +1,12 @@
-"""Tests for the packed disk-cache index (:mod:`repro.perf.index`).
+"""Tests for the disk store's record log (:mod:`repro.perf.index`).
 
-The packed layout puts every persisted run behind one append-only
-manifest over shared payload segments, so the failure modes worth
-testing here are *cross-process*: two writers appending the same key, a
-reader racing a pruner's compaction, a crash tearing the manifest tail
-mid-record, and segment rollover.  The rest of the store is tested
-elsewhere, always against :class:`~repro.perf.index.PackedDiskCache`:
+The store keeps every persisted run of a model version in one
+append-only log, so the failure modes worth testing here are
+*cross-process*: two writers appending the same key, a reader racing a
+pruner's compaction, and a crash tearing the log's tail mid-record —
+plus the promise that the same writes leave the same bytes.  The rest
+of the store is tested elsewhere, always against
+:class:`~repro.perf.index.PackedDiskCache`:
 
 * ``test_disk_cache.py`` — round-trip, corruption detection (flipped
   byte, truncated entry, ``verify``, ``tamper``), the model-version
@@ -14,15 +15,14 @@ elsewhere, always against :class:`~repro.perf.index.PackedDiskCache`:
 * ``tests/resilience/test_diskcache_healing.py`` — quarantine and its
   incident records, read retry under injected I/O errors, and
   stale-lock breaking on the store's lock;
+* ``tests/resilience/test_ioutil.py`` — the record log itself, cut at
+  every byte;
 * ``test_stale_lock.py`` — the lock between two live processes.
 """
 
 from __future__ import annotations
 
-import json
 import multiprocessing
-
-import pytest
 
 from repro.perf.index import PackedDiskCache
 
@@ -79,7 +79,7 @@ class TestMultiProcess:
         assert survivor.verify() == []
         value = survivor.lookup("race00")
         assert value is not None and value["round"] == 39
-        assert survivor.corrupt == 0
+        assert survivor.counters.get("corrupt") == 0
 
     def test_append_during_prune_compaction(self, tmp_path):
         directory = tmp_path / "shared"
@@ -122,34 +122,34 @@ class TestTornTail:
     def test_torn_tail_recovery_mirrors_ledger_quarantine(self, tmp_path):
         store = _store(tmp_path)
         store.put_many([(f"k{i}", {"cell": i}) for i in range(4)])
-        manifest = store.stamp_dir() / "index.manifest"
-        intact = manifest.read_bytes()
-        # Crash mid-append: half a record, no newline.
-        with open(manifest, "ab") as fh:
-            fh.write(b'{"k": "half", "s": 0, "o": 12')
+        log = store.log_path()
+        intact = log.read_bytes()
+        # Crash mid-append: half a header, no newline.
+        with open(log, "ab") as fh:
+            fh.write(b'{"d": "ab", "k": "half", "n": 12')
 
         # A pure reader serves every complete record and does not
-        # mutate the manifest (readers hold no lock).
+        # mutate the log (readers hold no lock).
         reader = _store(tmp_path)
         assert reader.get_many([f"k{i}" for i in range(4)]) == {
             f"k{i}": {"cell": i} for i in range(4)
         }
-        assert manifest.read_bytes() != intact
+        assert log.read_bytes() != intact
 
-        # The next locked writer truncates the torn bytes, quarantines
-        # them with an incident record, and appends cleanly after.
+        # The next locked writer moves the torn bytes to quarantine,
+        # with an incident record, and appends cleanly after.
         writer = _store(tmp_path)
         writer.put_many([("after", {"cell": 99})])
-        assert writer.torn_records == 1
-        text = manifest.read_bytes()
+        assert writer.counters.get("torn_records") == 1
+        text = log.read_bytes()
         assert b'"half"' not in text
+        assert text.startswith(intact)
         assert text.endswith(b"\n")
-        incidents = list(store.quarantine_dir().glob("*.incident.json"))
-        assert len(incidents) == 1
-        incident = json.loads(incidents[0].read_text())
-        assert incident["reason"].startswith("torn manifest tail")
-        torn_payloads = list(store.quarantine_dir().glob("manifest-torn-*"))
-        assert [p for p in torn_payloads if p.suffix == ".bin"]
+        (incident,) = store.incidents()
+        assert incident["reason"] == "torn tail"
+        assert incident["at"] == len(intact)
+        evidence = log.with_suffix(".quarantine").read_bytes()
+        assert b'{"d": "ab", "k": "half", "n": 12' in evidence
 
         healed = _store(tmp_path)
         assert healed.lookup("after") == {"cell": 99}
@@ -157,26 +157,92 @@ class TestTornTail:
         assert healed.verify() == []
 
     def test_torn_tail_with_partial_payload_write(self, tmp_path):
-        # Crash between segment append and manifest append: the payload
-        # bytes exist but no record points at them — invisible, then
-        # reclaimed by the next compaction.
+        # Crash mid-payload: the header is whole, the payload is not.
+        # Readers never serve it, the integrity sweep names its key, and
+        # the next compaction moves it to quarantine before rewriting.
         store = _store(tmp_path)
         store.put_many([("kept", {"cell": 1}), ("evictme", {"cell": 2})])
-        segment = store.stamp_dir() / "segments" / "seg-00000.bin"
-        with open(segment, "ab") as fh:
-            fh.write(b"orphaned-payload-bytes")
+        with open(store.log_path(), "ab") as fh:
+            fh.write(b'{"d": "00", "k": "torn", "n": 40}\npartial-payload')
 
         reader = _store(tmp_path)
         assert reader.lookup("kept") == {"cell": 1}
-        assert reader.verify() == []
-        # Compaction (here triggered by an eviction) rewrites segments
-        # from live records only, dropping the orphaned bytes.
+        assert reader.lookup("torn") is None
+        assert reader.verify() == ["torn"]
         assert reader.prune(max_entries=1) == 1
-        compacted = store.stamp_dir() / "segments" / "seg-00000.bin"
-        assert b"orphaned-payload-bytes" not in compacted.read_bytes()
+        assert b"partial-payload" not in store.log_path().read_bytes()
+        evidence = store.log_path().with_suffix(".quarantine")
+        assert b"partial-payload" in evidence.read_bytes()
         survivor = _store(tmp_path)
         assert len(survivor) == 1
         assert survivor.verify() == []
+
+    def test_stray_bytes_between_records(self, tmp_path):
+        # Bytes no header declares (a stray write between records) are
+        # a corrupt line: counted, never served, and dropped by the next
+        # compaction.
+        store = _store(tmp_path)
+        store.put_many([("kept", {"cell": 1}), ("evictme", {"cell": 2})])
+        with open(store.log_path(), "ab") as fh:
+            fh.write(b"orphaned-payload-bytes\n")
+
+        reader = _store(tmp_path)
+        assert reader.lookup("kept") == {"cell": 1}
+        assert reader.counters.get("torn_records") == 1
+        assert reader.verify() == []
+        # Compaction (here triggered by an eviction) rewrites the log
+        # from live records only, dropping the stray bytes.
+        assert reader.prune(max_entries=1) == 1
+        assert b"orphaned-payload-bytes" not in store.log_path().read_bytes()
+        survivor = _store(tmp_path)
+        assert len(survivor) == 1
+        assert survivor.verify() == []
+
+
+class TestByteStable:
+    def test_same_writes_leave_the_same_bytes(self, tmp_path):
+        items = [(f"k{i}", {"cell": i, "v": [0.5] * i}) for i in range(5)]
+        logs = []
+        for name in ("a", "b"):
+            store = _store(tmp_path / name)
+            store.put_many(items[:3])
+            store.insert("k3", items[3][1])
+            store.evict("k1")
+            store.put_many(items[4:])
+            logs.append(store.log_path().read_bytes())
+        assert logs[0] == logs[1]
+        assert b'"t"' not in logs[0] and b"gen" not in logs[0]
+
+    def test_small_report_stores_are_byte_identical(self, tmp_path):
+        # Two fresh processes running the same serial small-workload
+        # report into two empty stores leave the same log, byte for byte.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        script = (
+            "from repro.eval.report import full_report\n"
+            "from repro.kernels.workloads import small_beam_steering, "
+            "small_corner_turn, small_cslc\n"
+            "full_report(workloads={'corner_turn': small_corner_turn(), "
+            "'cslc': small_cslc(), 'beam_steering': small_beam_steering()}, "
+            "jobs=1, validate=False)\n"
+        )
+        logs = []
+        for name in ("first", "second"):
+            env = dict(
+                os.environ,
+                PYTHONPATH=str(Path(repro.__file__).parent.parent),
+                REPRO_DISK_CACHE_DIR=str(tmp_path / name),
+            )
+            subprocess.run([sys.executable, "-c", script], env=env, check=True)
+            (log,) = (tmp_path / name).glob("*/store.log")
+            logs.append(log.read_bytes())
+        assert len(logs[0]) > 0
+        assert logs[0] == logs[1]
 
 
 class TestInterning:
@@ -202,19 +268,3 @@ class TestInterning:
         from repro.perf.poold import expand_requests, intern_requests
 
         assert expand_requests(intern_requests([])) == []
-
-
-class TestSegmentRollover:
-    def test_segments_roll_at_configured_size(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_INDEX_SEGMENT_MB", "1")
-        store = _store(tmp_path)
-        blob = {"payload": "x" * (300 * 1024)}
-        store.put_many([(f"big{i}", blob) for i in range(8)])
-        segments = sorted(
-            p.name for p in (store.stamp_dir() / "segments").glob("*.bin")
-        )
-        assert len(segments) >= 2
-        assert store.verify() == []
-        assert store.get_many([f"big{i}" for i in range(8)])["big7"] == blob
-        stats = store.index_stats()
-        assert stats["segments"] == len(segments)

@@ -112,10 +112,10 @@ class TestExecuteRequests:
         execute_requests([request])
         key = cache_key("corner_turn", "viram", {"workload": small_ct})
         RUN_CACHE.evict(key)
-        disk_hits = DISK_CACHE.hits
+        disk_hits = DISK_CACHE.counters.get("hits")
         execute_requests([request])
         assert len(count_executions) == 1
-        assert DISK_CACHE.hits == disk_hits + 1
+        assert DISK_CACHE.counters.get("hits") == disk_hits + 1
         assert RUN_CACHE.lookup(key) is not None
 
     def test_pool_and_serial_agree(self, small_ct, small_bs):

@@ -150,17 +150,17 @@ class TestHooks:
     def test_on_disk_insert_flips_a_byte(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CHAOS", f"corrupt=1,dir={tmp_path}")
         entry = tmp_path / "entry.run"
-        entry.write_bytes(b"payload")
-        chaos.on_disk_insert(entry)
+        entry.write_bytes(b"payload\n")
+        chaos.on_disk_insert(entry, 6)
         blob = entry.read_bytes()
-        assert blob[:-1] == b"payloa"
-        assert blob[-1] == b"d"[0] ^ 0xFF
+        assert blob[:6] == b"payloa" and blob[7:] == b"\n"
+        assert blob[6] == b"d"[0] ^ 0xFF
 
     def test_hooks_are_noops_without_chaos(self, tmp_path):
         entry = tmp_path / "entry.run"
         entry.write_bytes(b"payload")
         chaos.on_disk_read(entry)
-        chaos.on_disk_insert(entry)
+        chaos.on_disk_insert(entry, 0)
         chaos.on_lock_acquire(tmp_path / ".lock")
         assert entry.read_bytes() == b"payload"
         assert not (tmp_path / ".lock").exists()

@@ -26,19 +26,29 @@ def dc(tmp_path):
 
 class TestQuarantine:
     def test_zero_byte_entry_quarantined(self, dc):
-        record = dc._record(KEY)
-        with open(dc._segment_path(record.segment), "r+b") as fh:
-            fh.truncate(record.offset)  # not one payload byte left
+        # Cut the log where KEY's payload starts: the record is now a
+        # torn tail, never served, named by the integrity sweep, and
+        # moved to quarantine by the next locked writer.
+        entry = dc._current_view().entries[KEY]
+        os.truncate(dc.log_path(), entry.offset)
         assert dc.lookup(KEY) is None
         assert not dc.contains(KEY)
-        assert (dc.quarantine_dir() / f"{KEY}.run").exists()
-        assert dc.quarantined == 1
-        assert dc.corrupt == 1
+        assert dc.verify() == [KEY]
+        assert dc.counters.get("corrupt") == 1
+        dc.insert("after", 1)
+        assert dc.counters.get("quarantined") == 1
+        evidence = dc.log_path().with_suffix(".quarantine")
+        assert KEY.encode() in evidence.read_bytes()
+        assert dc.verify() == []
 
     def test_truncated_entry_quarantined(self, dc):
         assert dc.truncate_entry(KEY)
-        assert dc.lookup(KEY) is None
-        assert dc.quarantined == 1
+        assert dc.lookup(KEY) == {"answer": 42}  # the intact older record
+        assert dc.verify() == [KEY]
+        dc.insert("after", 1)
+        assert dc.counters.get("quarantined") == 1
+        (incident,) = dc.incidents()
+        assert incident["reason"] == "torn tail"
 
     def test_incident_record_is_structured(self, dc):
         dc.corrupt_bytes(KEY)
@@ -67,14 +77,14 @@ class TestQuarantine:
             directory=tmp_path / "nowhere", respect_env=False
         )
         assert cache.lookup(KEY) is None
-        assert cache.misses == 1
+        assert cache.counters.get("misses") == 1
 
     def test_clear_resets_healing_counters(self, dc):
         dc.corrupt_bytes(KEY)
         dc.lookup(KEY)
         dc.clear()
-        assert dc.quarantined == 0
-        assert dc.io_retries == 0
+        assert dc.counters.get("quarantined") == 0
+        assert dc.counters.get("io_retries") == 0
 
 
 class TestReadRetry:
@@ -83,8 +93,8 @@ class TestReadRetry:
             "REPRO_CHAOS", f"disk=1,dir={dc.root() / '.chaos'}"
         )
         assert dc.lookup(KEY) == {"answer": 42}
-        assert dc.hits == 1
-        assert dc.io_retries == 1
+        assert dc.counters.get("hits") == 1
+        assert dc.counters.get("io_retries") == 1
         assert RESILIENCE.get("io_errors") == 1
         assert RESILIENCE.get("io_retries") == 1
 
@@ -93,7 +103,7 @@ class TestReadRetry:
             "REPRO_CHAOS", f"disk=2,dir={dc.root() / '.chaos'}"
         )
         assert dc.lookup(KEY) is None
-        assert dc.misses == 1
+        assert dc.counters.get("misses") == 1
         assert RESILIENCE.get("io_errors") == 2
         # The entry itself is fine: with chaos off the key still serves.
         monkeypatch.delenv("REPRO_CHAOS")

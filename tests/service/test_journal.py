@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.errors import ServiceError
+from repro.ioutil import read_log
 from repro.service.jobs import (
     DONE,
     PENDING,
@@ -20,7 +21,6 @@ from repro.service.journal import (
     JobJournal,
     fold_records,
     journal_path,
-    read_journal,
     service_root,
     validate_records,
 )
@@ -42,7 +42,7 @@ class TestAppendAndRead:
         journal.append(job.id, PENDING, kind=job.kind, params=job.params)
         journal.append(job.id, RUNNING)
         journal.append(job.id, DONE, result_digest="ab" * 8)
-        records, corrupt = read_journal(journal.path)
+        records, corrupt, _end = read_log(journal.path)
         assert not corrupt
         assert [r["seq"] for r in records] == [0, 1, 2]
         assert all(r["schema"] == JOURNAL_SCHEMA for r in records)
@@ -54,7 +54,7 @@ class TestAppendAndRead:
         reopened = JobJournal(journal.path)
         assert reopened.next_seq == 1
         reopened.append(job.id, RUNNING)
-        records, _ = read_journal(journal.path)
+        records, _corrupt, _end = read_log(journal.path)
         assert [r["seq"] for r in records] == [0, 1]
 
     def test_fold_records_recovers_job_state(self, journal):
@@ -62,7 +62,7 @@ class TestAppendAndRead:
         journal.append(job.id, PENDING, kind=job.kind, params=job.params,
                        deadline_s=2.5)
         journal.append(job.id, RUNNING)
-        jobs = fold_records(read_journal(journal.path)[0])
+        jobs = fold_records(read_log(journal.path)[0])
         assert set(jobs) == {job.id}
         folded = jobs[job.id]
         assert folded.state == RUNNING
@@ -76,9 +76,10 @@ class TestTornTail:
         journal.append(job.id, PENDING, kind=job.kind, params=job.params)
         with open(journal.path, "ab") as fh:
             fh.write(b'{"schema": 1, "seq": 1, "job": "dead')
-        records, corrupt = read_journal(journal.path)
+        records, corrupt, end = read_log(journal.path)
         assert len(records) == 1
-        assert len(corrupt) == 1
+        assert not corrupt
+        assert journal.path.read_bytes()[end:].endswith(b'"dead')
 
     def test_writer_heals_torn_tail_and_quarantines(self, journal):
         job = _job()
@@ -87,14 +88,15 @@ class TestTornTail:
             fh.write(b'{"schema": 1, "seq": 1, "job": "dead')
         healed = JobJournal(journal.path)
         assert healed.torn_tails_healed == 1
-        records, corrupt = read_journal(healed.path)
+        records, corrupt, end = read_log(healed.path)
         assert len(records) == 1 and not corrupt
+        assert end == healed.path.stat().st_size
         quarantine = healed.path.with_suffix(".quarantine")
         assert quarantine.is_file()
         assert b"dead" in quarantine.read_bytes()
         # The healed journal keeps appending with the right sequence.
         healed.append(job.id, RUNNING)
-        assert validate_records(read_journal(healed.path)[0]) == []
+        assert validate_records(read_log(healed.path)[0]) == []
 
 
 class TestValidation:
@@ -102,7 +104,7 @@ class TestValidation:
         job = _job()
         journal.append(job.id, PENDING, kind=job.kind, params=job.params)
         journal.append(job.id, RUNNING)
-        return read_journal(journal.path)[0]
+        return read_log(journal.path)[0]
 
     def test_gap_in_seq_is_a_problem(self, journal):
         records = self._records(journal)
@@ -119,11 +121,11 @@ class TestValidation:
         journal.append(job.id, PENDING, kind=job.kind, params=job.params)
         journal.append(job.id, RUNNING)
         journal.append(job.id, DONE, result_digest="ab" * 8)
-        bad = dict(read_journal(journal.path)[0][1])
+        bad = dict(read_log(journal.path)[0][1])
         bad["seq"], bad["state"] = 3, RUNNING  # DONE -> RUNNING: illegal
         with open(journal.path, "a") as fh:
             fh.write(json.dumps(bad) + "\n")
-        assert validate_records(read_journal(journal.path)[0])
+        assert validate_records(read_log(journal.path)[0])
 
 
 class TestIdentity:

@@ -189,15 +189,15 @@ class TestObservabilityCommands:
         return Path(os.environ["REPRO_OBS_DIR"])
 
     def test_session_commands_leave_ledger_and_history(self, capsys):
+        from repro.ioutil import read_log
         from repro.obs.history import read_history
-        from repro.obs.ledger import read_ledger
 
         assert main(["run", "corner_turn", "viram"]) == 0
         capsys.readouterr()
 
         ledgers = sorted(self._obs_root().glob("ledger/*.jsonl"))
         assert len(ledgers) == 1
-        events, corrupt = read_ledger(ledgers[0])
+        events, corrupt, _end = read_log(ledgers[0])
         assert not corrupt
         assert events[0]["kind"] == "session.start"
         assert events[0]["payload"]["command"] == "run"
