@@ -65,9 +65,8 @@ Commands
     The metrics history and its regression gate (docs/observability.md).
     ``history`` lists the records in ``.repro/obs/history.jsonl``
     (``--heal`` quarantines corrupt lines); ``regress`` compares the
-    latest record against prior history and the committed
-    ``BENCH_*.json`` baselines with per-metric tolerance bands, exiting
-    non-zero on regression.
+    latest record against prior history with per-metric tolerance
+    bands, exiting non-zero on regression.
 ``analyze ACTION``
     Derived analyses.  ``roofline`` prints per kernel×machine
     arithmetic intensity and memory-bound fraction (``--json`` for
@@ -511,15 +510,14 @@ def build_parser() -> argparse.ArgumentParser:
             "Model-running commands append one record per invocation to "
             ".repro/obs/history.jsonl (docs/observability.md).  "
             "'history' lists those records; 'regress' holds the newest "
-            "one against prior history and the committed BENCH_*.json "
-            "baselines with per-metric tolerance bands, exiting "
-            "non-zero on regression."
+            "one against prior history with per-metric tolerance "
+            "bands, exiting non-zero on regression."
         ),
     )
     metrics_sub = metrics_p.add_subparsers(dest="action", required=True)
     regress_p = metrics_sub.add_parser(
         "regress",
-        help="compare the latest history record against the baselines",
+        help="compare the latest history record against prior history",
     )
     regress_p.add_argument(
         "--command",

@@ -2,10 +2,10 @@
 and what-if ablation of the paper (see DESIGN.md §3 for the index).
 
 Every experiment returns an :class:`ExperimentResult` carrying structured
-``data`` (for the tests and benchmarks), a human-readable ``rendered``
-block, and ``checks`` — named (model, paper) pairs for each quantitative
-claim the paper makes, which the benchmark suite asserts against with
-shape tolerances.
+``data`` (for the tests), a human-readable ``rendered`` block, and
+``checks`` — named (model, paper) pairs for each quantitative claim the
+paper makes, which the ``CLAIMS`` table of
+``tests/test_paper_reproduction.py`` holds to one band each.
 """
 
 from __future__ import annotations

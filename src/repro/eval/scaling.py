@@ -15,7 +15,6 @@ roughly a factor of four, while Raw and Imagine scale linearly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ExperimentError
@@ -49,28 +48,28 @@ def corner_turn_scaling(
 ) -> Tuple[ScalingPoint, ...]:
     """Run the corner turn at each square ``size`` on each machine.
 
-    Results are memoised per (sizes, machines): the sweep is
-    deterministic and a 2048² cell still costs up to a second.
     The cells go through the run cache with :func:`scaling_requests`'
-    kwargs, so the canonical size answers from Table 3's entries.
-    ``jobs > 1`` evaluates the grid on a process pool — the points are
-    independent, so the tuple is identical to serial execution (and the
-    memo is shared across ``jobs`` values).
+    kwargs, so a repeat sweep answers from the cache and the canonical
+    size answers from Table 3's entries.  ``jobs > 1`` evaluates the
+    grid on a process pool — the points are independent, so the tuple
+    is identical to serial execution.
     """
-    return _corner_turn_scaling(tuple(sizes), tuple(machines), jobs=jobs)
+    if not sizes:
+        raise ExperimentError("empty size sweep")
+    from repro.perf.executor import run_cells
 
-
-@lru_cache(maxsize=16)
-def _scaling_memo(
-    sizes: Tuple[int, ...], machines: Tuple[str, ...]
-) -> Dict[str, object]:
-    """Shared memo cell for one (sizes, machines) grid.
-
-    ``jobs`` must not be part of the memo key — parallel and serial
-    results are identical, so the first evaluation wins regardless of
-    how it was computed.
-    """
-    return {}
+    grid = [(size, machine) for size in sizes for machine in machines]
+    outcomes = run_cells(scaling_requests(sizes, machines), jobs=jobs)
+    return tuple(
+        ScalingPoint(
+            size=size,
+            machine=machine,
+            cycles=result.cycles,
+            cycles_per_word=result.cycles / (size * size),
+            fits_onchip=bool(result.metrics.get("fits_onchip", True)),
+        )
+        for (size, machine), result in zip(grid, outcomes)
+    )
 
 
 def scaling_requests(
@@ -91,36 +90,6 @@ def scaling_requests(
             kwargs = {} if canonical else {"workload": workload}
             requests.append(("corner_turn", machine, kwargs))
     return requests
-
-
-def _corner_turn_scaling(
-    sizes: Tuple[int, ...], machines: Tuple[str, ...],
-    jobs: Optional[int] = None,
-) -> Tuple[ScalingPoint, ...]:
-    if not sizes:
-        raise ExperimentError("empty size sweep")
-    memo = _scaling_memo(sizes, machines)
-    if "points" in memo:
-        return memo["points"]
-    from repro.perf.executor import run_cells
-
-    grid = [(size, machine) for size in sizes for machine in machines]
-    outcomes = run_cells(scaling_requests(sizes, machines), jobs=jobs)
-    points = []
-    for (size, machine), result in zip(grid, outcomes):
-        points.append(
-            ScalingPoint(
-                size=size,
-                machine=machine,
-                cycles=result.cycles,
-                cycles_per_word=result.cycles / (size * size),
-                fits_onchip=bool(
-                    result.metrics.get("fits_onchip", True)
-                ),
-            )
-        )
-    memo["points"] = tuple(points)
-    return memo["points"]
 
 
 def crossover_summary(points: Sequence[ScalingPoint]) -> Dict[str, float]:

@@ -1,12 +1,12 @@
 """Crash-safe file publication helpers and the append-only record log.
 
-Benchmark guards (``BENCH_*.json``), golden-fixture refreshes, and
-metrics manifests are all *artifacts another process trusts*: CI diffs
-them, the snapshot tests pin them byte-for-byte, and a later session
-reads them as ground truth.  A plain ``write_text`` interrupted by a
-signal, an OOM kill, or a full disk leaves a truncated file that still
-parses as "the artifact" — the worst kind of corruption, silent and
-plausible.
+Golden-fixture refreshes, metrics manifests, service results and the
+service's ready file are all *artifacts another process trusts*: CI
+diffs them, the snapshot tests pin them byte-for-byte, and a later
+session or a polling client reads them as ground truth.  A plain
+``write_text`` interrupted by a signal, an OOM kill, or a full disk
+leaves a truncated file that still parses as "the artifact" — the worst
+kind of corruption, silent and plausible.
 
 Every writer here stages the full content in a temporary file *in the
 target's own directory* (same filesystem, so the final rename cannot
@@ -99,15 +99,6 @@ def atomic_write_bytes(path: Union[str, Path], blob: bytes) -> Path:
             pass
         raise
     return path
-
-
-def atomic_write_json(
-    path: Union[str, Path], obj: Any, *, indent: int = 2, **dumps_kwargs: Any
-) -> Path:
-    """Atomically replace ``path`` with ``obj`` serialised as JSON
-    (trailing newline included); returns the path."""
-    text = json.dumps(obj, indent=indent, **dumps_kwargs) + "\n"
-    return atomic_write_text(path, text)
 
 
 def _encode(record: Record) -> bytes:

@@ -15,8 +15,8 @@ exited.  This package makes the telemetry *durable* and *actionable*:
   metrics);
 * :mod:`repro.obs.regress` — ``repro metrics regress``: the
   continuous-benchmarking gate that compares the latest history record
-  against prior history and the committed ``BENCH_*.json`` baselines
-  with per-metric tolerance bands, exiting non-zero on regression;
+  against prior history with per-metric tolerance bands, exiting
+  non-zero on regression;
 * :mod:`repro.obs.roofline` — ``repro analyze roofline``: per
   kernel×machine arithmetic intensity and memory-bound fraction derived
   from the cycle ledgers and trace tracks, reproducing the paper's

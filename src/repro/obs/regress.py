@@ -1,15 +1,9 @@
 """``repro metrics regress``: the continuous-benchmarking gate.
 
 Compares the **current** evidence (the newest record in
-``.repro/obs/history.jsonl``) against two baseline families:
-
-* **prior history** — the median of each metric over every earlier
-  parseable history record (median, not mean: one outlier run must not
-  move the baseline);
-* **committed ``BENCH_*.json`` files** — the repo's perf-guard
-  artifacts, read through the version-tolerant loader
-  (:mod:`repro.obs.bench`), with the legacy metric names aliased onto
-  the history names (``cold_report_seconds`` → ``report.wall_seconds``).
+``.repro/obs/history.jsonl``) against **prior history**: the median of
+each metric over every earlier parseable history record (median, not
+mean: one outlier run must not move the baseline).
 
 Every metric gets a *class* that decides its tolerance band:
 
@@ -20,19 +14,15 @@ Every metric gets a *class* that decides its tolerance band:
   wrong number is still a wrong number.
 * ``time`` — wall-clock metrics (``*_seconds``).  One-sided: only a
   slowdown beyond ``time_rtol`` (default 0.5, i.e. +50%, overridable
-  via ``REPRO_REGRESS_TIME_RTOL``) fails, and normally only against
-  *history* baselines — committed BENCH timings were measured on other
-  hardware and are reported for context.  A versioned BENCH file can
-  opt specific timings *into* gating by naming them in its
-  ``gated_time_metrics`` list (used by warm-latency guards whose
-  numbers are refreshed on the measuring machine, e.g.
-  ``BENCH_PR9.json``'s ``warm_report_seconds``).
+  via ``REPRO_REGRESS_TIME_RTOL``) fails.
 * ``info`` — everything else (counts, ratios, cache stats): shown,
   never gated.
 
 The gate exits non-zero iff at least one gated comparison regressed.
 An empty history is not a failure (the gate runs after ``repro
 report`` in CI, which guarantees a record) but is loudly reported.
+Speed across commits is measured by the repository benchmark
+(``bench/``), not here.
 """
 
 from __future__ import annotations
@@ -43,18 +33,11 @@ import statistics
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.obs.bench import (
-    discover_bench_files,
-    load_bench_document,
-    load_bench_metrics,
-)
 from repro.obs.history import history_path, read_history
 
 __all__ = [
     "Comparison",
     "RegressReport",
-    "bench_baselines",
-    "bench_gated_time",
     "classify_metric",
     "history_baselines",
     "render_regress",
@@ -63,14 +46,6 @@ __all__ = [
 
 #: Relative tolerance for ``exact`` metrics (float noise only).
 EXACT_RTOL = 1e-9
-
-#: Legacy BENCH metric names → the history metric they correspond to.
-BENCH_ALIASES = {
-    "report_seconds": "report.wall_seconds",
-    "cold_report_seconds": "report.wall_seconds",
-    "warm_report_seconds": "run.warm_report_seconds",
-}
-
 
 def classify_metric(name: str) -> str:
     """``exact`` / ``time`` / ``info`` for one metric name."""
@@ -147,58 +122,12 @@ def history_baselines(
     }
 
 
-def bench_baselines(
-    bench_root: Optional[Path] = None,
-) -> Tuple[Dict[str, Dict[str, float]], List[str]]:
-    """``{source_name: {metric: value}}`` from the committed BENCH files
-    plus a list of load errors (an unparseable committed baseline is
-    itself worth failing loudly about — the caller decides)."""
-    root = bench_root if bench_root is not None else Path(".")
-    out: Dict[str, Dict[str, float]] = {}
-    errors: List[str] = []
-    for path in discover_bench_files(root):
-        try:
-            metrics, _ = load_bench_metrics(path)
-        except (OSError, ValueError) as exc:
-            errors.append(f"{path.name}: {exc}")
-            continue
-        aliased = {
-            BENCH_ALIASES.get(name, name): value
-            for name, value in metrics.items()
-        }
-        out[path.name] = aliased
-    return out, errors
-
-
-def bench_gated_time(
-    bench_root: Optional[Path] = None,
-) -> Dict[str, frozenset]:
-    """Per BENCH file: the time-class metrics it declared *gated*
-    (``gated_time_metrics`` in the versioned envelope), alias-resolved
-    to history metric names.  Files that never opt in gate nothing —
-    their timings stay cross-machine context."""
-    root = bench_root if bench_root is not None else Path(".")
-    out: Dict[str, frozenset] = {}
-    for path in discover_bench_files(root):
-        try:
-            _, _, gated = load_bench_document(path)
-        except (OSError, ValueError):
-            continue  # already reported by bench_baselines
-        if gated:
-            out[path.name] = frozenset(
-                BENCH_ALIASES.get(name, name) for name in gated
-            )
-    return out
-
-
 def _compare(
     metric: str,
     cls: str,
     current: Optional[float],
     baseline: float,
     source: str,
-    *,
-    gate_time: bool,
 ) -> Comparison:
     if current is None:
         if cls == "exact":
@@ -221,11 +150,6 @@ def _compare(
         return Comparison(metric, cls, current, baseline, source, "ok")
     if cls == "time":
         rtol = time_rtol()
-        if not gate_time:
-            return Comparison(
-                metric, cls, current, baseline, source, "info",
-                "cross-machine timing, context only",
-            )
         if baseline > 0 and current > baseline * (1.0 + rtol):
             return Comparison(
                 metric, cls, current, baseline, source, "regressed",
@@ -238,7 +162,6 @@ def _compare(
 def run_regress(
     path: Optional[Path] = None,
     *,
-    bench_root: Optional[Path] = None,
     command: Optional[str] = None,
 ) -> RegressReport:
     """Build the full regression report (pure; printing/exit is CLI)."""
@@ -263,53 +186,15 @@ def run_regress(
         for name, value in (current.get("metrics") or {}).items()
         if isinstance(value, (int, float)) and not isinstance(value, bool)
     }
-    comparisons: List[Comparison] = []
-
-    baselines = history_baselines(prior)
     if not prior:
         notes.append("no prior history records; history baselines empty")
-    for name, (median, n) in sorted(baselines.items()):
-        cls = classify_metric(name)
-        comparisons.append(
-            _compare(
-                name, cls, current_metrics.get(name), median,
-                f"history(n={n})", gate_time=True,
-            )
+    comparisons = [
+        _compare(
+            name, classify_metric(name), current_metrics.get(name), median,
+            f"history(n={n})",
         )
-
-    bench, errors = bench_baselines(bench_root)
-    gated_time = bench_gated_time(bench_root)
-    for error in errors:
-        notes.append(f"unreadable baseline {error}")
-    # A record that carries no exact-class metrics at all (a command
-    # that never swept the model) cannot be held to the BENCH model
-    # baselines; one that carries some but lost one has drifted.
-    has_run_metrics = any(
-        classify_metric(n) == "exact" for n in current_metrics
-    )
-    for source, metrics in sorted(bench.items()):
-        for name, value in sorted(metrics.items()):
-            cls = classify_metric(name)
-            if cls == "info":
-                continue  # legacy counters: not comparable evidence
-            if (
-                cls == "exact"
-                and name not in current_metrics
-                and not has_run_metrics
-            ):
-                comparisons.append(
-                    Comparison(
-                        name, cls, None, value, source, "info",
-                        "not measured by current record",
-                    )
-                )
-                continue
-            comparisons.append(
-                _compare(
-                    name, cls, current_metrics.get(name), value, source,
-                    gate_time=name in gated_time.get(source, ()),
-                )
-            )
+        for name, (median, n) in sorted(history_baselines(prior).items())
+    ]
     report = RegressReport(
         comparisons,
         notes,

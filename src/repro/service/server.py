@@ -292,14 +292,12 @@ class ServiceServer:
     def write_ready_file(self, path: str) -> None:
         """Publish the startup handshake (atomic, so a polling client
         never reads a half-written file)."""
-        from repro.ioutil import atomic_write_json
+        from repro.ioutil import atomic_write_text
 
         host, port = self.address
-        atomic_write_json(
-            path,
-            {"pid": os.getpid(), "host": host, "port": port,
-             "url": self.url},
-        )
+        ready = {"pid": os.getpid(), "host": host, "port": port,
+                 "url": self.url}
+        atomic_write_text(path, json.dumps(ready, indent=2) + "\n")
 
     def request_shutdown(self) -> None:
         """Begin shutdown from any thread (idempotent).

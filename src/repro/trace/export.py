@@ -11,8 +11,8 @@ Three renderings of one :class:`~repro.trace.tracer.Tracer`:
   :func:`repro.eval.svg.utilization_timeline_svg`, one row per track.
 * :func:`metrics_manifest_lines` — per-run JSON-lines records (run id,
   config hash, cycle totals, breakdown, op census, scalar metrics) that
-  are deterministic for a given model version, so ``BENCH_PR*.json``
-  files diff cleanly across PRs.
+  are deterministic for a given model version, so two manifests
+  (``repro report --metrics PATH``) diff cleanly across model changes.
 
 The chrome document is self-verifying: :func:`chrome_busy_by_track`
 recomputes per-track busy sums from the *exported* events (resolving

@@ -7,6 +7,7 @@ from repro.arch.imagine.microcode import (
     build_fft_cluster_dag,
     validate_fft_schedule,
 )
+from repro.calibration import DEFAULT_CALIBRATION
 from repro.errors import ConfigError
 from repro.kernels.fft import FFTPlan, radix2_radices
 
@@ -71,8 +72,11 @@ class TestDagConstruction:
 
 class TestScheduleValidation:
     def test_list_schedule_at_least_bound(self):
+        """The genuine schedule of the paper's FFT brackets the
+        calibrated packing factor from above, with room to spare."""
         v = validate_fft_schedule(FFTPlan(128))
-        assert v.packing_inefficiency >= 1.0
+        calibrated = DEFAULT_CALIBRATION.imagine.cluster_schedule_inefficiency
+        assert 1.0 <= v.packing_inefficiency < calibrated + 0.35
 
     def test_inefficiency_in_calibrated_band(self):
         """The calibration's 1.15 packing factor must sit inside the

@@ -98,9 +98,10 @@ class TestSnapshots:
             assert text.count("handoff:") == 2
 
     def test_report_command_prints_the_fixture(self, documents, tmp_path):
-        # The fixture pins what the user-facing command actually emits.
-        # The subprocess gets its own disk-cache dir: the snapshot must
-        # hold cold, not be inherited from another test's warm tier.
+        # The fixture pins what the user-facing command actually emits,
+        # cold and then warm.  The subprocesses get their own disk-cache
+        # dir: the snapshot must hold cold, not be inherited from
+        # another test's warm tier.
         # Its flight-recorder session goes to the test's dir too, not
         # the checkout's ``.repro/obs``.
         env = {
@@ -115,22 +116,27 @@ class TestSnapshots:
             env["PYTHONDONTWRITEBYTECODE"] = os.environ[
                 "PYTHONDONTWRITEBYTECODE"
             ]
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro", "report"],
-            capture_output=True,
-            text=True,
-            env=env,
-            cwd=str(GOLDEN_DIR.parents[2]),
-            check=True,
-        )
-        assert proc.stdout == documents[REPORT_FIXTURE]
+
+        def report():
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "report"],
+                capture_output=True,
+                text=True,
+                env=env,
+                cwd=str(GOLDEN_DIR.parents[2]),
+                check=True,
+            )
+            history = (tmp_path / "obs" / "history.jsonl").read_text()
+            record = json.loads(history.splitlines()[-1])
+            return proc.stdout, record["telemetry"]
+
+        stdout, telemetry = report()
+        assert stdout == documents[REPORT_FIXTURE]
 
         # A report on a healthy store records nothing that did not
         # happen to it: the embedded checks stage a degradation, a
         # quarantine, service jobs and pipelines, all in their own
         # scopes.
-        history = (tmp_path / "obs" / "history.jsonl").read_text()
-        telemetry = json.loads(history.splitlines()[-1])["telemetry"]
         assert telemetry["resilience.degradations"] == 0
         assert telemetry["resilience.last_degradation_reason"] == ""
         assert telemetry["resilience.quarantined"] == 0
@@ -138,6 +144,16 @@ class TestSnapshots:
                    if k.startswith("service.")}
         assert service and not any(service.values()), service
         assert telemetry["scenario.pipelines"] == 0
+        assert telemetry["perf.diskcache.writes"] >= 15
+
+        # The warm twin: a second process on the same store prints the
+        # same bytes, served entirely by the disk tier.
+        stdout, telemetry = report()
+        assert stdout == documents[REPORT_FIXTURE]
+        assert telemetry["perf.diskcache.misses"] == 0
+        assert telemetry["perf.diskcache.writes"] == 0
+        assert telemetry["perf.diskcache.corrupt"] == 0
+        assert telemetry["perf.diskcache.hits"] >= 15
 
 
 class TestCsvShape:

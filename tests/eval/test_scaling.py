@@ -11,7 +11,7 @@ from repro.eval.scaling import (
     scaling_requests,
 )
 from repro.eval.tables import run_table3
-from repro.perf.cache import cache_key
+from repro.perf.cache import RUN_CACHE, cache_key
 
 #: Small sweep that still crosses VIRAM's 13 MB boundary (2048^2 x 4 B
 #: matrices are 16 MB each).
@@ -46,7 +46,18 @@ class TestSweep:
     def test_memoised(self):
         a = corner_turn_scaling(sizes=SWEEP)
         b = corner_turn_scaling(sizes=SWEEP)
-        assert a is b
+        assert a == b
+
+    def test_cleared_run_cache_re_dispatches_every_cell(self, points):
+        """The sweep keeps no memo of its own beside the run cache, so a
+        cleared cache (as ``check --chaos`` does before its chaotic run)
+        sends every cell back through dispatch."""
+        RUN_CACHE.clear()
+        again = corner_turn_scaling(sizes=SWEEP)
+        assert set(RUN_CACHE.keys()) == {
+            cache_key(*request) for request in scaling_requests(SWEEP)
+        }
+        assert again == points
 
 
 class TestRequests:

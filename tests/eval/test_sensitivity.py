@@ -74,8 +74,10 @@ class TestSweep:
 
     def test_elasticities_nonnegative_and_sublinear(self, rows):
         """More cycles when a cost constant grows, and never more than
-        proportionally (every constant prices only part of the cell)."""
-        for r in rows:
+        proportionally (every constant prices only part of the cell).
+        The second case is the canonical sweep: every calibrated
+        constant at ±25% on the Table 3 workloads."""
+        for r in [*rows, *sweep()]:
             assert -0.01 <= r.elasticity <= 1.05, (r.machine, r.constant)
 
     def test_monotone_direction(self, rows):

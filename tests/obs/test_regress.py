@@ -1,10 +1,7 @@
 """Tests for the perf-regression gate (:mod:`repro.obs.regress`)."""
 
-import json
-
 from repro.obs.history import append_history, build_record, history_path
 from repro.obs.regress import (
-    bench_baselines,
     classify_metric,
     render_regress,
     run_regress,
@@ -25,12 +22,8 @@ def _push(tmp_path, command="report", **metrics):
     return record
 
 
-def _regress(tmp_path, bench_root=None, **kwargs):
-    return run_regress(
-        history_path(tmp_path),
-        bench_root=bench_root if bench_root is not None else tmp_path,
-        **kwargs,
-    )
+def _regress(tmp_path, **kwargs):
+    return run_regress(history_path(tmp_path), **kwargs)
 
 
 class TestClassifyMetric:
@@ -115,100 +108,6 @@ class TestRunRegress:
             _push(tmp_path, _wall=wall)
         _push(tmp_path, _wall=1.2)  # vs median 1.0, within +50%
         assert _regress(tmp_path).ok
-
-
-class TestBenchBaselines:
-    def test_versioned_legacy_and_jsonl_all_load(self, tmp_path):
-        from repro.obs.bench import write_bench_document
-
-        write_bench_document(
-            tmp_path / "BENCH_V1.json",
-            {"run.corner_turn.viram.cycles": 1000.0},
-            git_sha="abc",
-        )
-        (tmp_path / "BENCH_LEGACY.json").write_text(
-            json.dumps({"cold_report_seconds": 3.0, "rows_identical": True})
-        )
-        (tmp_path / "BENCH_RUNS.json").write_text(
-            json.dumps(
-                {"kernel": "cslc", "machine": "viram", "cycles": 42.0}
-            )
-            + "\n"
-            + json.dumps(
-                {"kernel": "cslc", "machine": "imagine",
-                 "percent_of_peak": 7.5}
-            )
-            + "\n"
-        )
-        (tmp_path / "not_bench.json").write_text("{}")
-        bench, errors = bench_baselines(tmp_path)
-        assert not errors
-        assert set(bench) == {
-            "BENCH_V1.json", "BENCH_LEGACY.json", "BENCH_RUNS.json",
-        }
-        assert bench["BENCH_V1.json"]["run.corner_turn.viram.cycles"] == 1000.0
-        # Legacy alias maps onto the history metric name.
-        assert bench["BENCH_LEGACY.json"]["report.wall_seconds"] == 3.0
-        # JSON-lines per-run records key by kernel x machine.
-        assert bench["BENCH_RUNS.json"]["run.cslc.viram.cycles"] == 42.0
-        assert (
-            bench["BENCH_RUNS.json"]["run.cslc.imagine.percent_of_peak"]
-            == 7.5
-        )
-
-    def test_unreadable_file_reported_as_error(self, tmp_path):
-        (tmp_path / "BENCH_BAD.json").write_text("{{{")
-        bench, errors = bench_baselines(tmp_path)
-        assert bench == {}
-        assert errors and "BENCH_BAD.json" in errors[0]
-
-    def test_gate_against_bench_exact_metrics(self, tmp_path):
-        from repro.obs.bench import write_bench_document
-
-        write_bench_document(
-            tmp_path / "BENCH_MODEL.json",
-            {"run.corner_turn.viram.cycles": 1000.0},
-            git_sha=None,
-        )
-        _push(tmp_path, **{"run.corner_turn.viram.cycles": 1000.0})
-        assert _regress(tmp_path).ok
-
-        _push(tmp_path, **{"run.corner_turn.viram.cycles": 1001.0})
-        report = _regress(tmp_path)
-        assert any(
-            c.source == "BENCH_MODEL.json" and c.status == "regressed"
-            for c in report.comparisons
-        )
-
-    def test_bench_timings_are_context_only(self, tmp_path):
-        (tmp_path / "BENCH_TIMING.json").write_text(
-            json.dumps({"cold_report_seconds": 0.001})
-        )
-        _push(tmp_path, _wall=9.0)  # way slower than the committed timing
-        report = _regress(tmp_path)
-        assert report.ok
-        assert any(
-            c.source == "BENCH_TIMING.json" and c.status == "info"
-            for c in report.comparisons
-        )
-
-    def test_record_without_exact_metrics_not_held_to_model_bench(
-        self, tmp_path
-    ):
-        from repro.obs.bench import write_bench_document
-
-        write_bench_document(
-            tmp_path / "BENCH_MODEL.json",
-            {"run.corner_turn.viram.cycles": 1000.0},
-            git_sha=None,
-        )
-        _push(tmp_path, command="run")  # only run.wall_seconds, no sweep
-        report = _regress(tmp_path)
-        assert report.ok
-        assert any(
-            c.metric == "run.corner_turn.viram.cycles" and c.status == "info"
-            for c in report.comparisons
-        )
 
 
 class TestRender:

@@ -10,6 +10,7 @@ import pytest
 
 from repro.calibration import DEFAULT_CALIBRATION
 from repro.eval.sensitivity import perturbed_calibration
+from repro.eval.tables import run_table3
 from repro.kernels.workloads import small_beam_steering, small_corner_turn
 from repro.mappings.registry import run
 from repro.perf.cache import RUN_CACHE, RunCache, cache_key
@@ -105,6 +106,13 @@ class TestRunMemoization:
         assert RUN_CACHE.hits == hits_before + 1
         assert second is not first
         assert repr(second) == repr(first)
+
+    def test_repeat_table3_sweep_is_memory_hits(self):
+        RUN_CACHE.clear()
+        cold = run_table3()
+        warm = run_table3()
+        assert RUN_CACHE.hits >= 15
+        assert repr(warm) == repr(cold)
 
     def test_perturbed_calibration_misses(self, small_ct):
         run("corner_turn", "viram", workload=small_ct)

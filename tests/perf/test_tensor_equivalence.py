@@ -23,7 +23,11 @@ from hypothesis import strategies as st
 
 from repro.calibration import DEFAULT_CALIBRATION
 from repro.check.oracles import diff_runs
-from repro.eval.sensitivity import CONSTANT_FLOORS, perturbed_calibration
+from repro.eval.sensitivity import (
+    CONSTANT_FLOORS,
+    perturbed_calibration,
+    sweep,
+)
 from repro.kernels.workloads import (
     small_beam_steering,
     small_corner_turn,
@@ -32,6 +36,7 @@ from repro.kernels.workloads import (
 from repro.mappings import batch, raw_matmul, registry
 from repro.perf import tensorsweep
 from repro.perf.cache import RUN_CACHE
+from repro.perf.diskcache import DISK_CACHE
 from repro.perf.planner import execute_requests
 from repro.perf.tensorsweep import TENSOR_STATS, BatchGroup, SingleCell
 from repro.trace.tracer import tracing
@@ -146,6 +151,22 @@ def _requests(cals, small_ct):
         )
         for cal in cals
     ]
+
+
+class TestDenseSweep:
+    """The 25-point sensitivity grid runs as tensor batches, none of its
+    cells on the per-cell path.  That the batches equal per-cell runs is
+    :class:`TestBatchMatchesPerCell`'s claim, over every batch group."""
+
+    def test_dense_grid_is_batched(self):
+        DISK_CACHE.disable()
+        RUN_CACHE.clear()
+        TENSOR_STATS.reset()
+        sweep(points=25)
+        stats = TENSOR_STATS.snapshot()
+        assert stats["batched_cells"] >= 1000, stats
+        assert stats["fallback_cells"] == 0, stats
+        assert stats["tracer_fallbacks"] == 0, stats
 
 
 class TestTracerFallback:

@@ -15,7 +15,6 @@ from repro.ioutil import (
     BODY_FIELD,
     append_jsonl,
     atomic_write_bytes,
-    atomic_write_json,
     atomic_write_text,
     heal_log,
     read_log,
@@ -33,13 +32,6 @@ class TestAtomicWrites:
         target = tmp_path / "blob.bin"
         atomic_write_bytes(target, b"\x00\xff")
         assert target.read_bytes() == b"\x00\xff"
-
-    def test_json_has_trailing_newline(self, tmp_path):
-        target = tmp_path / "bench.json"
-        atomic_write_json(target, {"b": 2, "a": 1}, sort_keys=True)
-        text = target.read_text()
-        assert text.endswith("\n")
-        assert json.loads(text) == {"a": 1, "b": 2}
 
     def test_replaces_existing_artifact(self, tmp_path):
         target = tmp_path / "artifact.txt"

@@ -259,18 +259,13 @@ class TestObservabilityCommands:
         assert "no history records" in out
         assert "PASS" in out
 
-    def test_metrics_regress_detects_injected_drift(
-        self, capsys, tmp_path, monkeypatch
-    ):
+    def test_metrics_regress_detects_injected_drift(self, capsys):
         from repro.obs.history import (
             append_history,
             build_record,
             read_history,
         )
 
-        # Run from an empty cwd so the repo's committed BENCH baselines
-        # don't gate these synthetic records; history is env-pinned.
-        monkeypatch.chdir(tmp_path)
         # Two agreeing records, then one with a drifted exact metric.
         for cycles in (1000.0, 1000.0):
             append_history(

@@ -5,8 +5,12 @@ the *shape* criteria from DESIGN.md §5:
 
 * every Table 3 cell within a factor band of the published value,
 * per-kernel platform ordering preserved,
-* the §4 breakdown percentages near the paper's statements,
-* the §4.5 AltiVec gains near the paper's factors.
+* every quantitative claim of the experiment registry (Tables 1-2,
+  Figures 8-9, the §4 breakdowns, the §4.5 AltiVec gains, §4.6 and the
+  what-if ablations) inside its band in :data:`CLAIMS`,
+* the structural claims beside the table: Table 4's bounds, Figure 9
+  as Figure 8 at the clocks, Imagine FFT utilization versus size, and
+  the Raw corner-turn placement.
 
 These tolerances are deliberately loose enough to survive calibration
 refinements but tight enough that a broken mechanism fails loudly.
@@ -14,9 +18,12 @@ refinements but tight enough that a broken mechanism fails loudly.
 
 import pytest
 
-from repro.eval.experiments import run_experiment
+from repro.eval.experiments import EXPERIMENTS, run_experiment
 from repro.eval.tables import PAPER_TABLE3, run_table3
 from repro.mappings.registry import KERNELS, MACHINES
+
+RESEARCH = ("viram", "imagine", "raw")
+INF = float("inf")
 
 
 @pytest.fixture(scope="module")
@@ -69,64 +76,168 @@ def test_all_functional_checks_pass(canonical_results):
 
 def test_research_chips_beat_altivec_by_10x_or_more(canonical_results):
     """§4.6: 'VIRAM outperformed the G4 Altivec by more than a factor of
-    10 on all three of our kernels' — and Raw/Imagine are in the same
-    class (Figure 8's log scale)."""
+    10 on all three of our kernels' — and Raw is in the same class, while
+    every research chip beats AltiVec on every kernel (Figure 8's bars
+    all sit above 1)."""
     for kernel in KERNELS:
         altivec = canonical_results[(kernel, "altivec")].cycles
-        for machine in ("viram", "raw"):
+        for machine, floor in (("viram", 8.0), ("imagine", 1.0), ("raw", 8.0)):
             speedup = altivec / canonical_results[(kernel, machine)].cycles
-            assert speedup > 8.0, (kernel, machine, speedup)
+            assert speedup > floor, (kernel, machine, speedup)
 
 
-class TestBreakdownAnchors:
-    """§4.2-§4.5 quantitative statements, through the experiment
-    registry's checks."""
-
-    @pytest.mark.parametrize(
-        "experiment_id,tolerance",
-        [
-            ("sec4.2", 0.35),
-            ("sec4.3", 0.50),
-            ("sec4.4", 0.50),
-            ("sec4.5", 0.35),
-        ],
-    )
-    def test_checks_within_tolerance(
-        self, canonical_results, experiment_id, tolerance
-    ):
-        outcome = run_experiment(experiment_id, results=canonical_results)
-        for name, ratio in outcome.check_ratios().items():
-            assert 1 - tolerance < ratio < 1 + tolerance, (
-                f"{experiment_id}:{name} ratio {ratio:.2f}"
-            )
+@pytest.fixture(scope="module")
+def outcomes(canonical_results):
+    """Every registered experiment's outcome on the canonical runs."""
+    return {
+        experiment_id: run_experiment(experiment_id, results=canonical_results)
+        for experiment_id in EXPERIMENTS
+    }
 
 
-class TestAblations:
-    def test_network_port_same(self, canonical_results):
-        outcome = run_experiment(
-            "ablation_imagine_network_port", results=canonical_results
-        )
-        model, paper = outcome.checks["port_over_base"]
-        assert model == pytest.approx(paper, abs=0.02)
+#: The paper's quantitative claims, one row per experiment check:
+#: ``(experiment, check, on, low, high)``.  ``on`` is ``"ratio"``
+#: (model/paper) or ``"model"`` (the model value), which must lie
+#: strictly between ``low`` and ``high``; ``low == high`` pins it
+#: exactly.  The Table 3 cells have their own tests above; Table 4 and
+#: the Raw placement are structural and tested below the table.
+CLAIMS = [
+    # Tables 1 and 2 are configured constants.
+    *(
+        ("table1", f"{m}_{column}", "ratio", 1.0, 1.0)
+        for m in RESEARCH
+        for column in ("onchip", "offchip", "computation")
+    ),
+    *(
+        ("table2", f"{m}_{column}", "ratio", 1.0, 1.0)
+        for m in ("ppc", "viram", "imagine", "raw")
+        for column in ("clock_mhz", "alus", "gflops")
+    ),
+    # Every speedup within 2x of the published one (log-scale shape).
+    *(
+        (figure, f"{kernel}_{m}", "ratio", 0.5, 2.0)
+        for figure in ("figure8", "figure9")
+        for kernel in KERNELS
+        for m in MACHINES
+    ),
+    ("sec4.2", "viram_precharge_tlb_fraction", "ratio", 0.70, 1.30),
+    ("sec4.2", "viram_strided_penalty_fraction", "ratio", 0.70, 1.30),
+    ("sec4.2", "imagine_memory_fraction", "ratio", 0.70, 1.30),
+    ("sec4.2", "imagine_kernel_fraction", "ratio", 0.70, 1.30),
+    ("sec4.2", "raw_instructions_per_cycle", "ratio", 0.70, 1.30),
+    ("sec4.3", "viram_slowdown_vs_peak", "ratio", 0.55, 1.45),
+    ("sec4.3", "imagine_ops_per_cycle", "ratio", 0.55, 1.45),
+    # Kernel time and start-up split differently from the paper's
+    # accounting (EXPERIMENTS.md): 0.57x.
+    ("sec4.3", "imagine_fft_alu_utilization", "ratio", 0.50, 1.50),
+    ("sec4.3", "imagine_comm_penalty", "ratio", 0.55, 1.45),
+    ("sec4.3", "raw_percent_of_peak", "ratio", 0.55, 1.45),
+    ("sec4.3", "raw_loadstore_fraction", "ratio", 0.55, 1.45),
+    ("sec4.3", "raw_cache_stall_fraction_max", "ratio", 0.55, 1.45),
+    ("sec4.3", "raw_imbalance_idle", "ratio", 0.55, 1.45),
+    ("sec4.4", "viram_compute_lower_bound", "ratio", 0.85, 1.15),
+    ("sec4.4", "imagine_loadstore_fraction", "ratio", 0.85, 1.15),
+    # The memory term runs slightly long, so the prologue share does
+    # too: 1.24x.
+    ("sec4.4", "imagine_prologue_fraction", "ratio", 0.50, 1.50),
+    ("sec4.4", "raw_loads_stores", "model", 0.0, 0.0),
+    ("sec4.5", "cslc_gain", "model", 4.5, 7.5),
+    ("sec4.5", "beam_steering_gain", "model", 1.5, 2.5),
+    # "does not significantly improve performance for the corner turn":
+    # a gain, but at most 1.35x Table 3's 1.17x.
+    ("sec4.5", "corner_turn_gain", "model", 1.0, 1.17 * 1.35),
+    ("sec4.6", "viram_min_speedup_over_altivec", "ratio", 1.0, INF),
+    ("sec4.6", "imagine_wins_cslc", "model", 1.0, 1.0),
+    ("sec4.6", "raw_wins_corner_turn", "model", 1.0, 1.0),
+    ("sec4.6", "raw_wins_beam_steering", "model", 1.0, 1.0),
+    ("ablation_imagine_network_port", "port_over_base", "model", 0.98, 1.02),
+    ("ablation_raw_streamed_fft", "fft_improvement", "model", 0.50, 0.90),
+    ("ablation_raw_load_balance", "idle_fraction", "model", 0.06, 0.10),
+    ("ablation_imagine_srf_tables", "srf_speedup", "model", 1.5, 3.5),
+    (
+        "ablation_imagine_independent_ffts",
+        "kernel_comm_share_removed",
+        "model",
+        0.10,
+        0.40,
+    ),
+    ("ablation_imagine_independent_ffts", "total_speedup", "model", 1.0, INF),
+    ("ablation_imagine_fft_size", "util_128", "model", 0.0, 0.40),
+    (
+        "ablation_imagine_fft_size",
+        "util_large_exceeds_40pct",
+        "model",
+        0.40,
+        INF,
+    ),
+    ("ablation_viram_offchip", "offchip_penalty", "model", 1.5, 2.5),
+    ("ablation_viram_offchip", "advantage_lost", "model", 1.3, INF),
+]
 
-    def test_streamed_fft_near_70_percent(self, canonical_results):
-        outcome = run_experiment(
-            "ablation_raw_streamed_fft", results=canonical_results
-        )
-        model, paper = outcome.checks["fft_improvement"]
-        assert model == pytest.approx(paper, abs=0.2)
 
-    def test_load_balance_near_8_percent(self, canonical_results):
-        outcome = run_experiment(
-            "ablation_raw_load_balance", results=canonical_results
-        )
-        model, paper = outcome.checks["idle_fraction"]
-        assert model == pytest.approx(paper, abs=0.02)
+@pytest.mark.parametrize(
+    "experiment_id,check,on,low,high",
+    CLAIMS,
+    ids=[f"{row[0]}-{row[1]}" for row in CLAIMS],
+)
+def test_claim(outcomes, experiment_id, check, on, low, high):
+    model, paper = outcomes[experiment_id].checks[check]
+    if low == high:
+        assert model == (low * paper if on == "ratio" else low), (model, paper)
+    else:
+        value = model / paper if on == "ratio" else model
+        assert low < value < high, f"{on} {value:.4g} not in ({low}, {high})"
 
-    def test_srf_tables_about_2x(self, canonical_results):
-        outcome = run_experiment(
-            "ablation_imagine_srf_tables", results=canonical_results
-        )
-        model, paper = outcome.checks["srf_speedup"]
-        assert 1.5 < model < 3.5
-        assert paper == 2.0
+
+def test_claims_cover_every_check(outcomes):
+    """A check added to an experiment the table names needs a band."""
+    for experiment_id in {row[0] for row in CLAIMS}:
+        assert set(outcomes[experiment_id].checks) == {
+            row[1] for row in CLAIMS if row[0] == experiment_id
+        }, experiment_id
+
+
+def test_table4_bounds_hold_and_raw_runs_closest(outcomes):
+    """§2.5's peak-rate bounds lower-bound every achieved corner turn,
+    and Raw runs closest to its bound (§4.2: 'nearly identical to the
+    maximum performance predicted by the instruction issue rate')."""
+    data = outcomes["table4"].data
+    for machine in MACHINES:
+        row = data[machine]
+        assert row["achieved_cycles"] >= 0.999 * row["bound_cycles"], machine
+    gaps = {
+        m: data[m]["achieved_cycles"] / data[m]["bound_cycles"]
+        for m in RESEARCH
+    }
+    assert gaps["raw"] == min(gaps.values())
+    assert gaps["raw"] < 1.15
+    assert gaps["viram"] < 2.5
+
+
+def test_figure9_is_figure8_at_the_clocks(outcomes):
+    """'PPC=1 GHz, VIRAM=200 MHz, Imagine=300 MHz, and Raw=300 MHz'."""
+    clocks = {
+        "ppc": 1e9, "altivec": 1e9, "viram": 2e8, "imagine": 3e8, "raw": 3e8,
+    }
+    figure8 = outcomes["figure8"].data
+    for kernel, row in outcomes["figure9"].data.items():
+        for machine, time_speedup in row.items():
+            expected = figure8[kernel][machine] * clocks[machine] / 1e9
+            assert time_speedup == pytest.approx(expected, rel=1e-9)
+
+
+def test_imagine_fft_utilization_rises_with_size(outcomes):
+    """§4.3: the 128-point FFT's small size 'reduces the amount of
+    software pipelining and increases start-up overheads'."""
+    data = outcomes["ablation_imagine_fft_size"].data
+    utils = [data[n] for n in sorted(data)]
+    assert all(a < b for a, b in zip(utils, utils[1:]))
+
+
+def test_raw_placement_avoids_the_network_bottleneck(outcomes):
+    """§3.1: the corner-turn algorithm was designed 'to avoid
+    bottlenecks in the static networks and data ports'."""
+    checks = outcomes["ablation_raw_placement"].checks
+    assert checks["designed_network_feasible"][0] == 1.0
+    assert checks["naive_network_bottlenecks"][0] == 1.0
+    assert checks["naive_over_designed_link_load"][0] > 4.0
