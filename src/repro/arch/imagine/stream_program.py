@@ -16,14 +16,18 @@ host programs explicitly, so memory/compute overlap — §4.2's "87% of the
 cycles ... are due to memory transfers" and §4.3's fully-hidden CSLC
 streams — is an *outcome* of the schedule.
 
-A calibration sweep re-times one program many times.
-:func:`execute_measured` runs the program once through the DRAM model
-and the :class:`~repro.sim.schedule.DependencyScheduler` (the reference
-schedule, and the one that emits trace spans), recording each op's
-calibration-independent :class:`OpCost`.  :func:`replay` then compiles
+A calibration sweep re-times one program many times.  Costing and
+scheduling are separate steps.  :func:`cost_program` runs the program's
+memory ops once through the DRAM model and records each op's
+calibration-independent :class:`OpCost`; :func:`replay` then compiles
 those costs into an op table — dependencies resolved to indices — and
-re-runs the same in-order schedule over plain floats once per
-calibration cell.
+re-runs the in-order schedule over plain floats once per calibration
+cell.  The Imagine mappings call those two.  :func:`execute_measured`
+costs the program and also schedules it with the
+:class:`~repro.sim.schedule.DependencyScheduler`, the reference schedule
+that :func:`replay` is held to.  The scheduler is also what emits the
+memory and cluster trace spans, so :func:`cost_program` runs it too,
+but only while a tracer is active.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from repro.memory.dram import PIECE_WORDS, DRAMCost
 from repro.memory.streams import AccessPattern
 from repro.sim.resources import TimelineResource
 from repro.sim.schedule import DependencyScheduler, Task
+from repro.trace.tracer import active_tracer
 
 
 @dataclass(frozen=True)
@@ -151,7 +156,7 @@ class StreamProgram:
 class OpCost:
     """Structural cost coefficients of one stream op.
 
-    :func:`execute_measured` records these while it runs the DRAM model
+    :func:`cost_program` records these while it runs the DRAM model
     in program order; :func:`replay` turns them back into op durations
     under other calibrations without touching DRAM state.
     ``issue_cycles`` (data transfer at the controller rate),
@@ -171,6 +176,25 @@ class OpCost:
     cycles: float = 0.0  # kernel duration under the measuring calibration
 
 
+def cost_program(
+    program: StreamProgram, machine: ImagineMachine
+) -> Tuple[OpCost, ...]:
+    """Each op's :class:`OpCost`, in program order, for :func:`replay`.
+
+    The memory ops go through the DRAM model in program order, in
+    consecutive groups of about :data:`~repro.memory.dram.PIECE_WORDS`
+    words (an op longer than that alone); open rows carry from group to
+    group, so each op's cost is what a per-op ``access`` call gives.
+    While a tracer is active the program is also scheduled, as
+    :func:`execute_measured` does, for the memory and cluster spans the
+    schedule emits; the schedule itself is dropped.
+    """
+    dram_costs = _dram_costs(program, machine)
+    if active_tracer() is not None:
+        _schedule(program, machine, dram_costs)
+    return _op_costs(program, dram_costs)
+
+
 def execute_measured(
     program: StreamProgram, machine: ImagineMachine
 ) -> Tuple[StreamSchedule, Tuple[OpCost, ...]]:
@@ -183,25 +207,27 @@ def execute_measured(
     system appears as one resource moving ``memory_controllers`` words
     per cycle; kernels serialise on the single SIMD cluster array.
     Issue is in program order, so a later op can never displace an
-    earlier one.
-
-    The memory ops go through the DRAM model in program order, in
-    consecutive groups of about :data:`~repro.memory.dram.PIECE_WORDS`
-    words (an op longer than that alone); open rows carry from group to
-    group, so each op's cost is what a per-op ``access`` call gives.
+    earlier one.  The memory ops are costed as in :func:`cost_program`.
     """
-    memory = TimelineResource("memory-system")
-    clusters = TimelineResource("cluster-array")
-    scheduler = DependencyScheduler()
-    costs: List[OpCost] = []
+    dram_costs = _dram_costs(program, machine)
+    return (
+        _schedule(program, machine, dram_costs),
+        _op_costs(program, dram_costs),
+    )
 
+
+def _dram_costs(
+    program: StreamProgram, machine: ImagineMachine
+) -> Dict[str, DRAMCost]:
+    """Each memory op's :class:`DRAMCost`, by op name, costed in groups
+    as :func:`cost_program` describes."""
     # Each group's address streams, concatenated, are one ``access_run``
     # whose open-row state threads through exactly as per-op ``access``
     # calls would (the access_run contract, held to by the DRAM oracle).
     # A corner-turn program issues hundreds of short streams: a few
     # vectorised passes replace per-op bank walks, and a group's passes
     # stay in cache.
-    op_cost_index: Dict[str, DRAMCost] = {}
+    dram_costs: Dict[str, DRAMCost] = {}
     rate = machine.config.controller_words_per_cycle
 
     def cost_group(group: List[StreamOp]) -> None:
@@ -212,7 +238,7 @@ def execute_measured(
             np.full(len(group), rate, dtype=np.float64),
         )
         for i, op in enumerate(group):
-            op_cost_index[op.name] = batch.segment(i)
+            dram_costs[op.name] = batch.segment(i)
 
     group: List[StreamOp] = []
     group_words = 0
@@ -226,24 +252,22 @@ def execute_measured(
         group_words += op.pattern.n_words
     if group:
         cost_group(group)
+    return dram_costs
 
+
+def _op_costs(
+    program: StreamProgram, dram_costs: Dict[str, DRAMCost]
+) -> Tuple[OpCost, ...]:
+    """The :class:`OpCost` of every op, in program order."""
+    costs: List[OpCost] = []
     for op in program.ops:
         if op.kind == "kernel":
-            resource = clusters
-            duration = op.cycles
             costs.append(
                 OpCost(name=op.name, kind=op.kind, deps=op.deps,
                        cycles=op.cycles)
             )
         else:
-            resource = memory
-            cost = op_cost_index[op.name]
-            controller_cycles = (
-                machine.gather_cycles(op.pattern)
-                if op.gather
-                else cost.stream_cycles
-            )
-            duration = machine.memory_time(controller_cycles)
+            cost = dram_costs[op.name]
             costs.append(
                 OpCost(
                     name=op.name,
@@ -255,18 +279,43 @@ def execute_measured(
                     gather=op.gather,
                 )
             )
+    return tuple(costs)
+
+
+def _schedule(
+    program: StreamProgram,
+    machine: ImagineMachine,
+    dram_costs: Dict[str, DRAMCost],
+) -> StreamSchedule:
+    """Run ``program`` through the in-order dependency scheduler, with
+    each memory op's duration from its DRAM cost (see
+    :func:`execute_measured` for the resource model)."""
+    memory = TimelineResource("memory-system")
+    clusters = TimelineResource("cluster-array")
+    scheduler = DependencyScheduler()
+    for op in program.ops:
+        if op.kind == "kernel":
+            resource = clusters
+            duration = op.cycles
+        else:
+            resource = memory
+            controller_cycles = (
+                machine.gather_cycles(op.pattern)
+                if op.gather
+                else dram_costs[op.name].stream_cycles
+            )
+            duration = machine.memory_time(controller_cycles)
         scheduler.add(Task(op.name, resource, duration, deps=op.deps))
 
     intervals = {
         t.name: (t.start, t.end) for t in scheduler.tasks
     }
-    schedule = StreamSchedule(
+    return StreamSchedule(
         makespan=scheduler.makespan,
         memory_busy=memory.busy_cycles,
         cluster_busy=clusters.busy_cycles,
         op_intervals=intervals,
     )
-    return schedule, tuple(costs)
 
 
 def execute(program: StreamProgram, machine: ImagineMachine) -> StreamSchedule:
@@ -288,7 +337,7 @@ def replay(
     gather_derate: Sequence[float],
     kernel_cycles: Sequence[Sequence[float]],
 ) -> List[Tuple[float, float, float]]:
-    """Replay a measured program once per calibration cell.
+    """Replay a costed program once per calibration cell.
 
     Cell ``i`` rebuilds every op duration from the structural
     coefficients — ``(issue + activations * row_cycle[i]) /

@@ -11,13 +11,17 @@ reported as UNDETECTED.
 
 All injectors are context managers that restore the patched state on
 exit; the global run cache is cleared afterwards so no corruption
-leaks into later work.
+leaks into later work.  :func:`run_injection` runs the disk-tier
+scenarios against a fresh temporary store, so the torn tail and the
+quarantined entries they leave never reach the live one.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import os
+import tempfile
 from typing import Callable, Dict, Iterator, List
 
 from repro.check.report import FAIL, CheckResult
@@ -291,16 +295,39 @@ SCENARIOS: Dict[str, tuple] = {
 }
 
 
+@contextlib.contextmanager
+def _scratch_disk_store() -> Iterator[None]:
+    """Point the disk tier at a fresh temporary root for one scenario
+    (:meth:`~repro.perf.index.PackedDiskCache.root` re-reads
+    ``REPRO_DISK_CACHE_DIR`` on every operation), then back."""
+    saved = os.environ.get("REPRO_DISK_CACHE_DIR")
+    with tempfile.TemporaryDirectory(prefix="repro-inject-") as tmp:
+        os.environ["REPRO_DISK_CACHE_DIR"] = tmp
+        try:
+            yield
+        finally:
+            if saved is None:
+                del os.environ["REPRO_DISK_CACHE_DIR"]
+            else:
+                os.environ["REPRO_DISK_CACHE_DIR"] = saved
+
+
 def run_injection(
     scenarios: Dict[str, tuple] = None,
 ) -> List[InjectionOutcome]:
     """Run every fault scenario and record whether its oracle detected
-    the corruption (i.e., produced at least one FAIL result)."""
+    the corruption (i.e., produced at least one FAIL result).  The
+    disk-tier scenarios run on a scratch store."""
     outcomes: List[InjectionOutcome] = []
     for fault, (injector, oracle_name, oracle_fn) in (
         scenarios or SCENARIOS
     ).items():
-        with injector():
+        store = (
+            _scratch_disk_store()
+            if oracle_name == "diskcache"
+            else contextlib.nullcontext()
+        )
+        with store, injector():
             results = oracle_fn()
         failures = [r for r in results if r.status == FAIL]
         skipped_only = all(r.status == "skip" for r in results)

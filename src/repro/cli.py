@@ -524,7 +524,11 @@ def build_parser() -> argparse.ArgumentParser:
         dest="only_command",
         default=None,
         metavar="CMD",
-        help="compare only records of this command (default: any)",
+        help=(
+            "compare the newest record of this command (default: the "
+            "newest record); either way only with prior records of its "
+            "command"
+        ),
     )
     regress_p.add_argument(
         "--json",

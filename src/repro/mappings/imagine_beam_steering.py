@@ -36,7 +36,7 @@ from repro.arch.imagine.cluster import ClusterOpMix, cluster_schedule_cycles
 from repro.arch.imagine.machine import ImagineMachine
 from repro.arch.imagine.stream_program import (
     StreamProgram,
-    execute_measured,
+    cost_program,
     replay,
 )
 from repro.calibration import Calibration
@@ -89,8 +89,8 @@ def _structure(
     tables_in_srf: bool,
 ) -> Dict:
     """The calibration-independent pass: SRF allocation, the per-
-    invocation host stream program, one measured execution, and the
-    reference output."""
+    invocation host stream program, its op costs (address streams
+    through the DRAM model), and the reference output."""
     workload = workload or canonical_beam_steering()
     machine = ImagineMachine(calibration=cal.imagine)
 
@@ -142,7 +142,7 @@ def _structure(
                 Sequential(out_base + inv * elements, elements),
                 deps=(f"k{inv}",),
             )
-    _, op_costs = execute_measured(program, machine)
+    op_costs = cost_program(program, machine)
 
     tables = make_tables(workload, seed)
     output = beam_steering_reference(workload, tables)

@@ -40,7 +40,7 @@ from repro.arch.imagine.cluster import ClusterOpMix, cluster_schedule_cycles
 from repro.arch.imagine.machine import ImagineMachine
 from repro.arch.imagine.stream_program import (
     StreamProgram,
-    execute_measured,
+    cost_program,
     replay,
 )
 from repro.calibration import Calibration
@@ -48,7 +48,7 @@ from repro.kernels.corner_turn import CornerTurnWorkload, is_transpose
 from repro.kernels.workloads import canonical_corner_turn
 from repro.mappings import batch
 from repro.mappings.base import require, resolve_calibration
-from repro.memory.streams import Custom, Sequential
+from repro.memory.streams import Sequential, Tiled2D
 from repro.sim.accounting import CycleBreakdown
 from repro.units import WORD_BYTES
 
@@ -93,8 +93,8 @@ def _structure(
     via_network_port: bool,
 ) -> Dict:
     """The calibration-independent pass: strip sizing, the host stream
-    program, one measured execution (address streams through the DRAM
-    model), and the functional transpose."""
+    program, its op costs (address streams through the DRAM model), and
+    the functional transpose."""
     workload = workload or canonical_corner_turn()
     machine = ImagineMachine(calibration=cal.imagine)
 
@@ -131,7 +131,6 @@ def _structure(
     n_streams = min(INPUT_STREAMS, strip_rows)
     rows_per_stream = strip_rows // n_streams
 
-    dest_rows = np.arange(workload.cols, dtype=np.int64)
     dest_base = workload.words  # destination matrix follows the source
 
     # Routing kernel: every word crosses the cluster array once; each
@@ -163,20 +162,19 @@ def _structure(
         program.kernel(f"kernel{strip}", kernel_per_strip, deps=kernel_deps)
         # Output stream: one strip_rows-word run per destination row
         # (eight words at the canonical strip height), non-unit stride
-        # between runs.
-        write_addr = (
-            dest_base
-            + dest_rows[:, None] * dest_pitch
-            + strip * strip_rows
-            + np.arange(strip_rows)[None, :]
-        ).reshape(-1)
+        # between runs.  The pattern makes its addresses when costed.
         program.store(
             f"store{strip}",
-            Custom(write_addr, label=f"strip{strip}-out"),
+            Tiled2D(
+                dest_base + strip * strip_rows,
+                workload.cols,
+                strip_rows,
+                dest_pitch,
+            ),
             deps=(f"kernel{strip}",),
         )
 
-    _, op_costs = execute_measured(program, machine)
+    op_costs = cost_program(program, machine)
 
     port_bound = machine.network_port_time(2.0 * workload.words)
 

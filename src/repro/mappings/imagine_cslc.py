@@ -41,7 +41,7 @@ from repro.arch.imagine.cluster import ClusterOpMix, cluster_schedule_cycles
 from repro.arch.imagine.machine import ImagineMachine
 from repro.arch.imagine.stream_program import (
     StreamProgram,
-    execute_measured,
+    cost_program,
     replay,
 )
 from repro.calibration import Calibration
@@ -140,8 +140,8 @@ def _structure(
     independent_ffts: bool,
 ) -> Dict:
     """The calibration-independent pass: cluster op mixes, the
-    software-pipelined host stream program, one measured execution, and
-    the functional result."""
+    software-pipelined host stream program, its op costs (address
+    streams through the DRAM model), and the functional result."""
     workload = workload or canonical_cslc()
     machine = ImagineMachine(calibration=cal.imagine)
     plan = FFTPlan(workload.subband_len)  # radix-4 stages + one radix-2
@@ -214,7 +214,7 @@ def _structure(
                 deps=prev,
             )
             out_base += subband_words
-    _, op_costs = execute_measured(program, machine)
+    op_costs = cost_program(program, machine)
 
     channels = make_jammed_channels(
         workload.samples, workload.n_mains, workload.n_aux, seed=seed

@@ -2,8 +2,11 @@
 
 Compares the **current** evidence (the newest record in
 ``.repro/obs/history.jsonl``) against **prior history**: the median of
-each metric over every earlier parseable history record (median, not
-mean: one outlier run must not move the baseline).
+each metric over every earlier parseable history record of the same
+command (median, not mean: one outlier run must not move the baseline).
+A ``sensitivity`` or ``check`` record carries no ``run.*`` metrics, so
+holding it to ``report`` records would fail every one of them as
+disappeared; ``--command`` picks the newest record of another command.
 
 Every metric gets a *class* that decides its tolerance band:
 
@@ -164,7 +167,11 @@ def run_regress(
     *,
     command: Optional[str] = None,
 ) -> RegressReport:
-    """Build the full regression report (pure; printing/exit is CLI)."""
+    """Build the full regression report (pure; printing/exit is CLI).
+
+    The current record is the newest one, or the newest of ``command``
+    when given; its baselines are the prior records of its command.
+    """
     records, corrupt = read_history(
         path if path is not None else history_path()
     )
@@ -180,14 +187,19 @@ def run_regress(
         )
         return RegressReport([], notes)
     current = records[-1]
-    prior = records[:-1]
+    prior = [
+        r for r in records[:-1] if r.get("command") == current.get("command")
+    ]
     current_metrics: Dict[str, float] = {
         name: float(value)
         for name, value in (current.get("metrics") or {}).items()
         if isinstance(value, (int, float)) and not isinstance(value, bool)
     }
     if not prior:
-        notes.append("no prior history records; history baselines empty")
+        notes.append(
+            "no prior history records of this command; "
+            "history baselines empty"
+        )
     comparisons = [
         _compare(
             name, classify_metric(name), current_metrics.get(name), median,

@@ -72,9 +72,11 @@ def _encode(obj: Any, parts: List[bytes]) -> None:
     elif isinstance(obj, np.generic):
         _encode(obj.item(), parts)
     elif isinstance(obj, np.ndarray):
+        # sha256 reads the contiguous array through the buffer protocol:
+        # the digest of its bytes, without a ``tobytes()`` copy.
         parts.append(
             f"ndarray:{obj.dtype.str}:{obj.shape}:".encode()
-            + hashlib.sha256(np.ascontiguousarray(obj).tobytes()).digest()
+            + hashlib.sha256(np.ascontiguousarray(obj)).digest()
         )
     elif isinstance(obj, (tuple, list)):
         parts.append(f"{type(obj).__name__}[{len(obj)}](".encode())

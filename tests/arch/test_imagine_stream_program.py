@@ -11,6 +11,7 @@ from repro.arch.imagine.machine import ImagineMachine
 from repro.arch.imagine.stream_program import (
     StreamOp,
     StreamProgram,
+    cost_program,
     execute,
     execute_measured,
     replay,
@@ -171,16 +172,18 @@ CALIBRATIONS = [DEFAULT_CALIBRATION] + [
 @pytest.fixture(scope="module", params=MAPPINGS, ids=lambda m: m.__name__)
 def measured_programs(request):
     """``(calibration, schedule, costs, machine)`` of one mapping's
-    canonical host program, measured under each of the calibrations."""
+    canonical host program, measured under each of the calibrations.
+    The mapping's costing call is captured and measured with the
+    reference scheduler instead."""
     module = request.param
     measured = []
     with pytest.MonkeyPatch.context() as mp:
         def capture(program, machine):
             schedule, costs = execute_measured(program, machine)
             measured.append((schedule, costs, machine))
-            return schedule, costs
+            return costs
 
-        mp.setattr(module, "execute_measured", capture)
+        mp.setattr(module, "cost_program", capture)
         for cal in CALIBRATIONS:
             module._structure(None, cal, 0, False)
     assert len(measured) == len(CALIBRATIONS)
@@ -232,9 +235,9 @@ def canonical_programs():
         for module in MAPPINGS:
             def capture(program, machine):
                 programs.append(program)
-                return execute_measured(program, machine)
+                return cost_program(program, machine)
 
-            mp.setattr(module, "execute_measured", capture)
+            mp.setattr(module, "cost_program", capture)
             module._structure(None, DEFAULT_CALIBRATION, 0, False)
     assert len(programs) == len(MAPPINGS)
     return programs
@@ -266,6 +269,46 @@ class TestGroupedCosting:
                     machine.dram.open_rows,
                 ))
             assert results[1] == results[0]
+
+
+class TestCostingWithoutSchedule:
+    """``cost_program`` records what ``execute_measured`` records, and
+    schedules only under a tracer, to emit the same events."""
+
+    def test_costs_and_dram_state_equal_measured(self, canonical_programs):
+        for program in canonical_programs:
+            results = []
+            for measure in (
+                lambda p, m: execute_measured(p, m)[1], cost_program
+            ):
+                machine = ImagineMachine()
+                costs = measure(program, machine)
+                results.append((
+                    costs,
+                    machine.dram.total_activations,
+                    machine.dram.open_rows,
+                ))
+            assert results[1] == results[0]
+
+    def test_traced_events_equal_measured(self):
+        from repro.trace.tracer import tracing
+
+        program = _build(
+            [
+                ("load", [], (0, 40)),
+                ("gather", [], [5, 900, 7]),
+                ("kernel", [0, 1], None),
+                ("store", [2], [3000, 3001, 9000]),
+            ],
+            [25.0],
+        )
+        events = []
+        for measure in (execute_measured, cost_program):
+            with tracing() as tracer:
+                measure(program, ImagineMachine())
+            events.append((tracer.events, tracer.counters))
+        assert events[1] == events[0]
+        assert events[0][1]["resource.memory-system.transactions"] == 3
 
 
 # A random host program: (kind, deps, payload) per op, where deps index

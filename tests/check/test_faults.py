@@ -39,6 +39,20 @@ class TestScenarios:
             f"{o.fault}: {o.evidence}" for o in undetected
         )
 
+    def test_live_store_left_as_found(self):
+        """The disk scenarios tear, flip and rewrite entries of a
+        scratch store: the live one has no incident and verifies clean
+        afterwards."""
+        from repro.perf.diskcache import DISK_CACHE
+
+        root = DISK_CACHE.root()
+        outcomes = faults.run_injection()
+        assert all(o.detected for o in outcomes)
+        assert DISK_CACHE.root() == root
+        assert DISK_CACHE.incidents() == []
+        assert DISK_CACHE.verify() == []
+        assert not (root / "quarantine").exists()
+
     def test_blind_oracle_reported_undetected(self):
         # A scenario whose "oracle" never looks at anything must come
         # back UNDETECTED — run_injection itself must not paper over it.

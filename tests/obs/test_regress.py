@@ -97,17 +97,62 @@ class TestRunRegress:
         _push(tmp_path, command="report",
               **{"run.corner_turn.viram.cycles": 1000.0})
         _push(tmp_path, command="check",
+              **{"run.corner_turn.viram.cycles": 1000.0})
+        _push(tmp_path, command="check",
               **{"run.corner_turn.viram.cycles": 5000.0})
-        # Unfiltered the check record drifts against the report baseline;
-        # filtered to `report` only the matching record is considered.
+        # The newest check record drifts against the prior check record;
+        # filtered to `report`, the newest report record is current and
+        # has no prior report record to drift from.
         assert not _regress(tmp_path).ok
-        assert _regress(tmp_path, command="report").ok
+        filtered = _regress(tmp_path, command="report")
+        assert filtered.ok and filtered.current_command == "report"
+
+    def test_newest_record_is_held_to_its_own_command(self, tmp_path):
+        _push(tmp_path, command="report",
+              **{"run.corner_turn.viram.cycles": 1000.0})
+        _push(tmp_path, command="sensitivity")
+        report = _regress(tmp_path)
+        assert report.ok and report.current_command == "sensitivity"
+        assert not [c for c in report.comparisons if c.gated]
+
+    def test_exact_metric_missing_from_same_command_fails(self, tmp_path):
+        # A record of another command in between changes nothing: the
+        # newest report record is held to the prior report record.
+        _push(
+            tmp_path,
+            **{
+                "run.corner_turn.viram.cycles": 1000.0,
+                "run.cslc.viram.cycles": 2000.0,
+            },
+        )
+        _push(tmp_path, command="sensitivity")
+        _push(tmp_path, **{"run.corner_turn.viram.cycles": 1000.0})
+        report = _regress(tmp_path)
+        assert report.exit_code == 1
+        (bad,) = report.regressions
+        assert bad.metric == "run.cslc.viram.cycles"
+        assert "disappeared" in bad.detail
+        assert bad.source == "history(n=1)"
 
     def test_median_baseline_shrugs_off_one_outlier(self, tmp_path):
         for wall in (1.0, 1.0, 50.0, 1.0):
             _push(tmp_path, _wall=wall)
         _push(tmp_path, _wall=1.2)  # vs median 1.0, within +50%
         assert _regress(tmp_path).ok
+
+
+def test_report_then_sensitivity_passes_the_gate(capsys):
+    """`report`, then `sensitivity --points 1`, then the gate exits 0:
+    the sensitivity record has no run.* metrics to lose."""
+    from repro.cli import main
+
+    assert main(["report"]) == 0
+    assert main(["sensitivity", "--points", "1"]) == 0
+    capsys.readouterr()
+    assert main(["metrics", "regress"]) == 0
+    out = capsys.readouterr().out
+    assert "(command: sensitivity)" in out
+    assert out.splitlines()[-1] == "PASS: no regressions"
 
 
 class TestRender:

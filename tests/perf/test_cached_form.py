@@ -8,7 +8,9 @@ differential oracles still see any output difference.
 """
 
 import copy
+import hashlib
 
+import numpy as np
 import pytest
 
 from repro.check.faults import _oracle_kwargs
@@ -50,6 +52,29 @@ class TestCachedForm:
         assert form.output is None
         assert form.output_digest == content_digest(cold.output)
         assert form.breakdown is cold.breakdown  # shallow copy
+
+    @pytest.mark.parametrize(
+        "array",
+        [
+            np.array(3.5),
+            np.zeros((0, 3), dtype=np.float32),
+            np.array([[True, False, True]]),
+            np.arange(6, dtype=np.complex128).reshape(2, 3) * (1 + 2j),
+            np.arange(12, dtype=np.float32).reshape(3, 4).T,
+        ],
+        ids=["0-d", "empty", "bool", "complex", "transposed"],
+    )
+    def test_array_digest_is_the_digest_of_its_bytes(self, array):
+        """Hashing the array's buffer gives the digest of the C-order
+        bytes ``tobytes()`` copies out."""
+        inner = hashlib.sha256(np.ascontiguousarray(array).tobytes())
+        expected = hashlib.sha256(
+            b"content|"
+            + f"ndarray:{array.dtype.str}:{array.shape}:".encode()
+            + inner.digest()
+        ).hexdigest()
+        assert content_digest(array) == expected
+        assert content_digest(np.array(array, order="C")) == expected
 
     def test_is_a_no_op_without_an_array(self, small_ct):
         form = cached_form(
