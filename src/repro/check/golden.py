@@ -1,11 +1,12 @@
 """Golden-fixture generation for the snapshot tests.
 
 The snapshot tests (``tests/eval/test_golden_snapshots.py``) pin the
-``repro report`` stdout, the ``eval/export`` CSV, the canonical pipeline
-renders, a dense sensitivity sweep, the digest of every mapping's
-functional output and every corner-turn record of the §4.6 size sweep
-byte-for-byte against fixtures under ``tests/data/golden/``.  This
-module is the one sanctioned way to regenerate them::
+``repro report`` stdout, the ``eval/export`` CSV, the Figure 8/9 SVGs,
+the canonical pipeline renders, a dense sensitivity sweep, the digest
+of every mapping's functional output and every corner-turn record of
+the §4.6 size sweep byte-for-byte against fixtures under
+``tests/data/golden/``.  This module is the one sanctioned way to
+regenerate them::
 
     make refresh-golden
     # equivalently:
@@ -30,6 +31,7 @@ PIPELINE_FIXTURE_TEMPLATE = "pipeline_{machine}.txt"
 SENSITIVITY_FIXTURE = "sensitivity_points8.txt"
 FUNCTIONAL_FIXTURE = "functional_digests.txt"
 CORNER_TURN_FIXTURE = "corner_turn_records.txt"
+FIGURE_FIXTURES = ("figure8.svg", "figure9.svg")
 
 #: Seeds at which every mapping's functional output is pinned.
 FUNCTIONAL_SEEDS = (0, 7)
@@ -117,13 +119,14 @@ def golden_documents() -> Dict[str, str]:
     """Every golden document, keyed by fixture file name.
 
     Uses the canonical workloads — exactly what ``python -m repro
-    report`` prints, ``eval/export.write_csv`` writes, ``repro
-    pipeline run`` renders per machine, and ``repro sensitivity
-    --points 8 --delta 0.25`` prints.
+    report`` prints, ``eval/export.write_csv`` and
+    ``eval/svg.write_figures`` write, ``repro pipeline run`` renders per
+    machine, and ``repro sensitivity --points 8 --delta 0.25`` prints.
     """
     from repro.eval import sensitivity
     from repro.eval.export import table3_csv
     from repro.eval.report import full_report
+    from repro.eval.svg import figure_svgs
     from repro.eval.tables import run_table3
     from repro.scenarios import (
         canonical_scenario,
@@ -135,6 +138,7 @@ def golden_documents() -> Dict[str, str]:
     documents = {
         REPORT_FIXTURE: full_report() + "\n",
         TABLE3_CSV_FIXTURE: table3_csv(results),
+        **figure_svgs(results),
     }
     for name, machine in pipeline_fixture_names().items():
         prun = run_pipeline(canonical_scenario(machine))

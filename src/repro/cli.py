@@ -1140,15 +1140,16 @@ def _cmd_experiments(_args) -> int:
 
 
 def _cmd_list(_args) -> int:
-    from repro.mappings.registry import KERNELS, MACHINES
+    from repro.mappings.registry import KERNELS, MACHINES, OPTIONS
 
     print("kernels: " + ", ".join(KERNELS))
     print("machines:", ", ".join(MACHINES))
     print(
-        "options:  cslc/raw: balanced=, streamed_fft=; "
-        "corner_turn/imagine: via_network_port=; "
-        "beam_steering/imagine: tables_in_srf=; "
-        "cslc/imagine: independent_ffts="
+        "options:  "
+        + "; ".join(
+            f"{kernel}/{machine}: " + ", ".join(f"{name}=" for name in names)
+            for (kernel, machine), names in OPTIONS.items()
+        )
     )
     return 0
 

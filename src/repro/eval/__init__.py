@@ -6,7 +6,8 @@
 * :mod:`repro.eval.figures` — terminal log-scale bar charts for the
   figures.
 * :mod:`repro.eval.experiments` — the experiment registry (one entry per
-  table, figure, §4 breakdown, and what-if ablation).
+  table, figure, §4 breakdown, and what-if ablation) and ``CLAIMS``,
+  the one statement of each paper value and its band.
 * :mod:`repro.eval.report` — run everything and produce the full
   paper-vs-measured report.
 * :mod:`repro.eval.scaling` — the §4.6 capacity-crossover sweep.

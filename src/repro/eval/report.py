@@ -1,8 +1,9 @@
 """Run every registered experiment and assemble the full report.
 
 The report is the paper-vs-measured record: every table, figure, §4
-breakdown and what-if ablation, each with its quantitative checks and
-model/paper ratios.  EXPERIMENTS.md is a snapshot of this output.
+breakdown and what-if ablation, each with its quantitative checks (one
+line per row of :data:`repro.eval.experiments.CLAIMS`) and model/paper
+ratios.  EXPERIMENTS.md is a snapshot of this output.
 """
 
 from __future__ import annotations

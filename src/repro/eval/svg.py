@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.errors import ExperimentError
 
@@ -231,24 +231,19 @@ def utilization_timeline_svg(
     )
 
 
-def write_figures(
-    directory: Union[str, Path],
-    results=None,
-) -> "list[Path]":
-    """Write figure8.svg and figure9.svg into ``directory``.
+def figure_svgs(results=None) -> Dict[str, str]:
+    """``figure8.svg`` and ``figure9.svg`` as text, by file name.
 
     Runs the Table 3 sweep (or reuses ``results``) and renders both
-    speedup figures with their paper ticks.
+    speedup figures with the paper's values as ticks.
     """
-    from repro.eval.experiments import exp_figure8, exp_figure9
+    from repro.eval.experiments import FIGURES, exp_figure
     from repro.eval.tables import run_table3
 
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     results = results if results is not None else run_table3()
-    written = []
-    for exp, name in ((exp_figure8, "figure8"), (exp_figure9, "figure9")):
-        outcome = exp(results=results)
+    svgs = {}
+    for figure in FIGURES:
+        outcome = exp_figure(figure, results=results)
         paper = {
             kernel: {
                 machine: outcome.checks[f"{kernel}_{machine}"][1]
@@ -256,8 +251,22 @@ def write_figures(
             }
             for kernel, series in outcome.data.items()
         }
-        svg = speedup_figure_svg(outcome.title, outcome.data, paper)
-        path = directory / f"{name}.svg"
+        svgs[f"{outcome.id}.svg"] = speedup_figure_svg(
+            outcome.title, outcome.data, paper
+        )
+    return svgs
+
+
+def write_figures(
+    directory: Union[str, Path],
+    results=None,
+) -> "list[Path]":
+    """Write :func:`figure_svgs` into ``directory``; returns the paths."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    written = []
+    for name, svg in figure_svgs(results).items():
+        path = directory / name
         path.write_text(svg)
         written.append(path)
     return written

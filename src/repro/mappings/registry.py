@@ -68,6 +68,17 @@ _REGISTRY: Dict[Tuple[str, str], Callable[..., KernelRun]] = {
     ("beam_steering", "raw"): raw_beam_steering.run,
 }
 
+#: Mapping options per (kernel, machine): the keywords its ``run`` and
+#: ``run_batch`` take besides ``workload``, ``calibration`` and
+#: ``seed``.  ``repro list`` prints them, the scenario fuzzer toggles
+#: them, and each what-if of :mod:`repro.eval.experiments` flips one.
+OPTIONS: Dict[Tuple[str, str], Tuple[str, ...]] = {
+    ("cslc", "raw"): ("balanced", "streamed_fft"),
+    ("corner_turn", "imagine"): ("via_network_port",),
+    ("beam_steering", "imagine"): ("tables_in_srf",),
+    ("cslc", "imagine"): ("independent_ffts",),
+}
+
 
 #: Tensor-batch entry points: one call evaluates a whole list of
 #: calibrations against a shared structure pass (see

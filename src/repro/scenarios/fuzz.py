@@ -44,6 +44,7 @@ from repro.kernels.beam_steering import BeamSteeringWorkload
 from repro.kernels.corner_turn import CornerTurnWorkload
 from repro.kernels.cslc import CSLCWorkload
 from repro.mappings.batch import CAL_GROUP
+from repro.mappings.registry import OPTIONS
 from repro.scenarios.model import STAGE_ORDER, Scenario, StageSpec
 from repro.scenarios.pipeline import PipelineRun, pipeline_record
 
@@ -56,15 +57,6 @@ SUBBAND_LENS = (16, 32, 64, 128)
 
 #: Beam-steering accumulator precisions (phase_bits is drawn <= this).
 ACCUMULATOR_BITS = (16, 20, 24, 28)
-
-#: Mapping options per (kernel, machine) the fuzzer may toggle — the
-#: same surface `repro list` documents.
-OPTION_SPACE: Dict[tuple, tuple] = {
-    ("cslc", "raw"): ("balanced", "streamed_fft"),
-    ("cslc", "imagine"): ("independent_ffts",),
-    ("corner_turn", "imagine"): ("via_network_port",),
-    ("beam_steering", "imagine"): ("tables_in_srf",),
-}
 
 #: Float calibration constants the fuzzer may scale up, per group.
 #: Cost-increasing only: every constant here prices overhead, so a
@@ -192,7 +184,7 @@ def _sample_scenario(
     for kernel in STAGE_ORDER:
         workload = _SAMPLERS[kernel](rng)
         options: Dict[str, Any] = {}
-        for name in OPTION_SPACE.get((kernel, machine), ()):
+        for name in OPTIONS.get((kernel, machine), ()):
             if rng.random() < P_OPTION:
                 options[name] = bool(rng.integers(0, 2))
         stages.append(

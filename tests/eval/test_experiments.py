@@ -5,10 +5,17 @@ rendering, and carry well-formed (model, paper) checks.  Canonical-size
 fidelity is asserted separately in tests/test_paper_reproduction.py.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import ExperimentError
-from repro.eval.experiments import EXPERIMENTS, run_experiment
+from repro.eval.experiments import (
+    EXPERIMENTS,
+    VARIANTS,
+    _checks,
+    run_experiment,
+)
 from repro.eval.tables import run_table3
 
 
@@ -77,13 +84,19 @@ class TestRegistry:
             assert experiment_id in EXPERIMENTS
 
 
-class TestCheckRatios:
-    def test_ratio_helper_skips_zero_paper(self, small_env):
-        workloads, results = small_env
-        outcome = run_experiment(
-            "sec4.4", results=results, workloads=workloads
-        )
-        ratios = outcome.check_ratios()
-        assert "raw_loads_stores" not in ratios  # paper value is 0
-        for value in ratios.values():
-            assert value > 0
+class TestClaims:
+    def test_checks_must_name_exactly_the_claims(self):
+        gains = {"cslc_gain": 6.0, "beam_steering_gain": 2.0}
+        with pytest.raises(ExperimentError):
+            _checks("sec4.5", gains)
+        with pytest.raises(ExperimentError):
+            _checks("sec4.5", dict(gains, corner_turn_gain=1.2, extra=1.0))
+        assert list(_checks("sec4.5", dict(gains, corner_turn_gain=1.2))) == [
+            "cslc_gain",
+            "beam_steering_gain",
+            "corner_turn_gain",
+        ]
+
+    def test_variant_must_flip_a_listed_option(self):
+        with pytest.raises(ExperimentError):
+            replace(VARIANTS[0], option="tables_in_srf")

@@ -1,9 +1,10 @@
 """Golden snapshot tests: the published outputs are pinned byte-for-byte.
 
-``repro report`` stdout, the Table 3 CSV export, the pipeline renders,
-a dense ``repro sensitivity`` sweep, the digests of every mapping's
-functional output and the corner-turn records of the §4.6 size sweep
-are compared against checked-in fixtures under ``tests/data/golden/``.
+``repro report`` stdout, the Table 3 CSV export, the Figure 8/9 SVGs,
+the pipeline renders, a dense ``repro sensitivity`` sweep, the digests
+of every mapping's functional output and the corner-turn records of the
+§4.6 size sweep are compared against checked-in fixtures under
+``tests/data/golden/``.
 Any drift — a changed constant, a reordered section, a float formatting
 change — fails with a unified diff.  Intentional changes are re-pinned with
 ``make refresh-golden`` and the fixture diff is reviewed like code.
@@ -21,6 +22,7 @@ import pytest
 
 from repro.check.golden import (
     CORNER_TURN_FIXTURE,
+    FIGURE_FIXTURES,
     FUNCTIONAL_FIXTURE,
     REPORT_FIXTURE,
     SENSITIVITY_FIXTURE,
@@ -52,6 +54,13 @@ class TestSnapshots:
             TABLE3_CSV_FIXTURE, documents[TABLE3_CSV_FIXTURE], GOLDEN_DIR
         )
         assert not diff, diff
+
+    def test_figures_match_golden(self, documents):
+        # The Figure 8/9 SVGs: model bars and the paper ticks that the
+        # claims table states.
+        for name in FIGURE_FIXTURES:
+            diff = diff_against_golden(name, documents[name], GOLDEN_DIR)
+            assert not diff, diff
 
     def test_pipeline_reports_match_golden(self, documents):
         # One canonical three-stage pipeline snapshot per machine.
@@ -203,6 +212,7 @@ class TestDiffMachinery:
             SENSITIVITY_FIXTURE,
             FUNCTIONAL_FIXTURE,
             CORNER_TURN_FIXTURE,
+            *FIGURE_FIXTURES,
         }
         expected.update(pipeline_fixture_names())
         assert {p.name for p in paths} == expected

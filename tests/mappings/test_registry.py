@@ -1,8 +1,11 @@
 """Tests for :mod:`repro.mappings.registry`."""
 
+import inspect
+
 import pytest
 
 from repro.errors import MappingError
+from repro.mappings import registry
 from repro.mappings.registry import KERNELS, MACHINES, available, run
 
 
@@ -34,3 +37,17 @@ class TestRegistry:
 
     def test_machine_order_matches_table3(self):
         assert MACHINES == ("ppc", "altivec", "viram", "imagine", "raw")
+
+    def test_options_are_each_mappings_extra_keywords(self):
+        # OPTIONS is what `repro list` prints, the fuzzer toggles and
+        # the what-ifs flip: exactly the keywords both entry points of a
+        # pair take beyond the ones every mapping takes.
+        common = {"workload", "calibration", "calibrations", "seed"}
+        for pair in available():
+            for fn in (registry._REGISTRY[pair], registry.batch_runner(*pair)):
+                extra = tuple(
+                    name
+                    for name in inspect.signature(fn).parameters
+                    if name not in common
+                )
+                assert extra == registry.OPTIONS.get(pair, ()), (pair, fn)
