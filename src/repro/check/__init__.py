@@ -24,9 +24,9 @@ Tiers (the CLI's ``--fast`` / ``--full`` / ``--inject``):
   pipeline composition invariants (``invariant.pipeline.*``,
   :mod:`repro.check.pipeline`: stage-cost additivity, footprint
   conservation across handoffs, batched-vs-serial bit-identity), the
-  observability reconciliation (``invariant.obs.*``,
-  :mod:`repro.check.obs`: flight-recorder events vs planner counters vs
-  supervisor incident payloads), the service-runtime invariants
+  observability accounting (``invariant.obs.*``,
+  :mod:`repro.check.obs`: a sweep's flight-recorder events account for
+  every request and dispatch unit), the service-runtime invariants
   (``invariant.service.*``, :mod:`repro.check.service`: journal
   schema/seq with torn-tail healing, job-state-machine legality, dedup
   conservation, crash-replay convergence), plus
@@ -35,7 +35,10 @@ Tiers (the CLI's ``--fast`` / ``--full`` / ``--inject``):
   invariants (``invariant.index.*``, :mod:`repro.check.
   indexcheck`: round-trip, log replay, tombstones, torn-tail
   recovery, live digest sweep).  Cheap enough that ``full_report`` runs
-  it automatically, so every published table ships pre-validated.
+  it automatically, so every published table ships pre-validated.  The
+  obs, pipeline, service and index checks are staged experiments
+  (:func:`repro.obs.ledger.recording`): their events and counts never
+  reach the session ledger or the process's telemetry.
 * **full** — fast, plus the cache oracle on every pair and the
   serial-vs-parallel executor oracle.
 * **inject** — the fault-injection matrix (see :mod:`.faults`).

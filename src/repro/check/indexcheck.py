@@ -5,9 +5,9 @@ model version in one record log; a bug there corrupts the whole store
 at once instead of one entry.  These checks exercise the log's
 load-bearing guarantees against a *scratch* store in a temporary
 directory — hermetic, deterministic, independent of whether the
-user's disk tier is enabled, and counted in ``RESILIENCE.scoped()`` so
-its staged quarantine stays out of the process's telemetry — plus one
-digest sweep of the live store:
+user's disk tier is enabled, and staged with
+``repro.obs.ledger.recording(RESILIENCE)`` so its quarantine stays out
+of the process's telemetry — plus one digest sweep of the live store:
 
 * ``invariant.index.roundtrip`` — ``put_many`` → ``get_many`` over a
   fresh store returns byte-equal values, the digest sweep is clean, and
@@ -50,16 +50,18 @@ def index_checks() -> List[CheckResult]:
     """The ``invariant.index.*`` rows for ``repro check --fast``."""
     import tempfile
 
+    from repro.obs.ledger import recording
     from repro.perf.diskcache import DISK_CACHE
     from repro.perf.index import PackedDiskCache
     from repro.resilience.stats import RESILIENCE
 
     results: List[CheckResult] = []
     # The scratch store's healing (the torn tail's quarantine) is
-    # staged, so it is counted in a scope.  The live sweep is not: a
-    # read error or retry on the user's store really happened.
+    # staged, so it is counted in the check's own scope.  The live
+    # sweep is not: a read error or retry on the user's store really
+    # happened.
     scratch = tempfile.TemporaryDirectory(prefix="repro-check-index-")
-    with scratch as tmp, RESILIENCE.scoped():
+    with scratch as tmp, recording(RESILIENCE):
         store = PackedDiskCache(tmp, respect_env=False)
         written = store.put_many(_PAYLOADS)
         served = store.get_many([key for key, _ in _PAYLOADS])

@@ -198,16 +198,20 @@ def pipeline_checks(
     already in the memoization cache, so composition is nearly free),
     plus the batch-vs-serial differential, which cold-simulates a small
     VIRAM scenario population both ways on every run.  The pipelines
-    are composed in ``SCENARIO_STATS.scoped()``: they are the check's
-    own, not the process's.
+    are a staged experiment (:func:`~repro.obs.ledger.recording`):
+    their events, pipelines, planned sweeps and tensor batches are the
+    check's own, not the process's.
     """
     from repro.mappings import registry
+    from repro.obs.ledger import recording
+    from repro.perf.planner import PLANNER_STATS
+    from repro.perf.tensorsweep import TENSOR_STATS
     from repro.scenarios.model import scenario_for_workloads
     from repro.scenarios.pipeline import run_pipeline
     from repro.scenarios.stats import SCENARIO_STATS
 
     results: List[CheckResult] = []
-    with SCENARIO_STATS.scoped():
+    with recording(SCENARIO_STATS, PLANNER_STATS, TENSOR_STATS):
         for machine in registry.MACHINES:
             prun = run_pipeline(scenario_for_workloads(machine, workloads))
             results.extend(validate_pipeline_run(prun))

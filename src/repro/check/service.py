@@ -5,10 +5,11 @@ an honest write-ahead history, the job state machine admits no illegal
 life, and deduplication conserves work (N identical requests cost one
 computation).  Like the obs reconciliation checks, these are *derived*
 properties that drift silently when an instrumentation site moves, so
-the fast tier re-proves them with a controlled experiment against a
-scratch runtime (temp service root, counting stub executor, service
-counters in ``SERVICE_STATS.scoped()`` — no HTTP, no real kernels, no
-counts left in the process's telemetry, milliseconds):
+the fast tier re-proves them with a staged experiment against a
+scratch runtime (temp service root, counting stub executor, events and
+service counters in ``repro.obs.ledger.recording(SERVICE_STATS)`` — no
+HTTP, no real kernels, nothing left in the session ledger or the
+process's telemetry, milliseconds):
 
 * ``invariant.service.journal`` — a full job lifecycle leaves a
   parseable journal with a gapless ``seq`` from 0 and schema-complete
@@ -58,8 +59,9 @@ def service_checks(
     from pathlib import Path
 
     from repro.errors import ServiceError
-    from repro.service import jobs as jobmod
     from repro.ioutil import read_log
+    from repro.obs.ledger import recording
+    from repro.service import jobs as jobmod
     from repro.service.journal import JobJournal, validate_records
     from repro.service.runtime import JobRuntime, ServiceConfig
     from repro.service.stats import SERVICE_STATS
@@ -67,9 +69,10 @@ def service_checks(
     results: List[CheckResult] = []
     calls: List[Dict[str, Any]] = []
 
-    # The scratch runtime's jobs are staged, so they count in a scope.
+    # The scratch runtime's jobs are staged: they record and count in
+    # the check's own scope.
     scratch = tempfile.TemporaryDirectory(prefix="repro-svc-check-")
-    with scratch as tmp, SERVICE_STATS.scoped():
+    with scratch as tmp, recording(SERVICE_STATS):
         root = Path(tmp) / "svc"
         config = ServiceConfig(
             root=root, workers=0, executor=_stub_executor(calls)

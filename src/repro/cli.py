@@ -156,12 +156,12 @@ def _add_progress(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--progress",
         choices=("auto", "tty", "jsonl", "off"),
-        default=None,
+        default="auto",
         metavar="MODE",
         help=(
             "live sweep progress on stderr: tty (status line), jsonl "
-            "(machine-readable lines), off, or auto (tty iff stderr is "
-            "a terminal; default: $REPRO_PROGRESS or auto)"
+            "(machine-readable lines), off, or auto (the default: tty "
+            "iff stderr is a terminal)"
         ),
     )
 
@@ -782,6 +782,7 @@ def _cmd_report(args) -> int:
 
 def _print_perf_stats() -> None:
     from repro.perf import DISK_CACHE, RUN_CACHE, timers
+    from repro.perf.planner import PLANNER_STATS
     from repro.perf.tensorsweep import TENSOR_STATS
     from repro.resilience.stats import RESILIENCE
     from repro.scenarios.stats import SCENARIO_STATS
@@ -789,7 +790,7 @@ def _print_perf_stats() -> None:
     print(timers.render(), file=sys.stderr)
     print(RUN_CACHE.format_stats(), file=sys.stderr)
     print(DISK_CACHE.format_stats(), file=sys.stderr)
-    for tally in (TENSOR_STATS, SCENARIO_STATS, RESILIENCE):
+    for tally in (PLANNER_STATS, TENSOR_STATS, SCENARIO_STATS, RESILIENCE):
         print(tally.render(), file=sys.stderr)
 
 

@@ -25,13 +25,17 @@ exited.  This package makes the telemetry *durable* and *actionable*:
   (history sparklines, cache hit rates, the roofline chart, utilization
   timelines reusing the SVG exporter);
 * :mod:`repro.obs.progress` — the live :class:`ProgressReporter` (TTY
-  and JSON-lines modes) wired into the planner and the Supervisor.
+  and JSON-lines modes), the listener of every recorded event.
+
+One call records a runtime event: :func:`record`.  It feeds the
+progress line and the session ledger, or, inside a staged experiment
+(:func:`recording`), only the experiment's scratch recorder.
 
 Observation only: nothing in this package may change a modelled number
 or a byte of command stdout.  The ledger and history live in files, the
 progress reporter writes to stderr, and the ``invariant.obs.*`` checks
-(:mod:`repro.check.obs`) prove the ledger's accounting reconciles with
-the planner/cache/supervisor telemetry it mirrors.
+(:mod:`repro.check.obs`) prove the ledger accounts for every request
+and dispatch unit the planner saw.
 """
 
 from __future__ import annotations
@@ -46,17 +50,12 @@ from repro.obs.ledger import (
     recording,
     start_session,
 )
-from repro.obs.progress import (
-    ProgressReporter,
-    current_reporter,
-    progress_reporting,
-)
+from repro.obs.progress import ProgressReporter, progress_reporting
 
 __all__ = [
     "FlightRecorder",
     "ProgressReporter",
     "current_recorder",
-    "current_reporter",
     "end_session",
     "obs_enabled",
     "obs_root",

@@ -15,18 +15,19 @@ line::
   gap or repeat is evidence of a lost or duplicated event and the
   ``invariant.obs.*`` checks treat it as corruption;
 * ``kind`` — a dotted event name (``session.start``, ``sweep.plan``,
-  ``planner.dispatch``, ``supervisor.retry``, ``chaos.injection``,
-  ``pipeline.run`` ...);
-* ``payload`` — the structured event body; supervisor events carry the
-  *same* payload objects the supervisor mirrors onto the tracer, so the
-  chaos tests can compare them byte-for-byte.
+  ``planner.dispatch``, ``sweep.progress``, ``supervisor.retry``,
+  ``chaos.injection``, ``pipeline.run`` ...);
+* ``payload`` — the structured event body.
 
-Recording is opt-in and zero-overhead when off, exactly like the
-tracer: instrumentation sites call the module-level :func:`record`,
-which is a no-op unless a recorder is installed (a CLI session is
-active or a test opened :func:`recording`).  Pool *workers* never
-install a recorder — the parent records the dispatch decisions, the
-workers just compute — so a parallel sweep writes one ledger, not five.
+:func:`record` is the one call a site makes for a runtime event.  It
+hands the event to the live progress reporter
+(:mod:`repro.obs.progress`, installed with :func:`set_listener`) and
+to the session recorder, each if present, and is a no-op when neither
+is.  Inside a staged experiment (:func:`recording`) the event goes only
+to the block's scratch recorder.  Pool *workers* drop the recorders and the
+reporter they inherit (:func:`drop_inherited`) — the parent records
+the dispatch decisions, the workers just compute — so a parallel sweep
+writes one ledger, with one ``seq``.
 
 Durability: the ledger is a :mod:`repro.ioutil` record log.  Each
 event is appended with a single ``O_APPEND`` write
@@ -40,27 +41,30 @@ its own file, so no later writer appends after a torn tail.
 
 from __future__ import annotations
 
+import contextvars
 import hashlib
 import json
 import os
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.ioutil import append_jsonl
-from repro.trace.telemetry import TELEMETRY
+from repro.trace.telemetry import TELEMETRY, Counters
 
 __all__ = [
     "FlightRecorder",
     "current_recorder",
+    "drop_inherited",
     "end_session",
     "obs_enabled",
     "obs_root",
     "record",
     "recording",
     "session_id",
+    "set_listener",
     "start_session",
 ]
 
@@ -208,39 +212,85 @@ class FlightRecorder:
         return out
 
 
-#: The process-wide active recorder (``None`` = recording off).
+#: The session recorder (``None`` = recording off).
 _ACTIVE: Optional[FlightRecorder] = None
+
+#: The live progress reporter, :func:`record`'s listener (``None`` =
+#: progress off).  Anything with an ``on_event(kind, payload)`` method.
+_LISTENER: Optional[Any] = None
+
+#: The scratch recorder of the staged block the current context is
+#: inside.  Context-local, so a staged experiment on one thread never
+#: captures another thread's events.
+_STAGED: contextvars.ContextVar[Optional[FlightRecorder]] = (
+    contextvars.ContextVar("repro_staged_recorder", default=None)
+)
 
 
 def current_recorder() -> Optional[FlightRecorder]:
-    """The installed recorder, or ``None`` when recording is off."""
-    return _ACTIVE
+    """The recorder this context's events reach: the staged block's,
+    else the session's, or ``None`` when recording is off."""
+    staged = _STAGED.get()
+    return staged if staged is not None else _ACTIVE
 
 
 def record(kind: str, **payload: Any) -> Optional[Dict[str, Any]]:
-    """Record one event on the active recorder; no-op when off."""
+    """Record one runtime event; returns it as recorded, if it was.
+
+    Inside a staged block the event goes only to the block's recorder.
+    Outside one it goes to the progress reporter and to the session
+    recorder, each if installed.
+    """
+    staged = _STAGED.get()
+    if staged is not None:
+        return staged.record(kind, **payload)
+    listener = _LISTENER
+    if listener is not None:
+        listener.on_event(kind, payload)
     recorder = _ACTIVE
     if recorder is None:
         return None
     return recorder.record(kind, **payload)
 
 
+def set_listener(listener: Optional[Any]) -> Optional[Any]:
+    """Install the progress reporter :func:`record` feeds; returns the
+    one it replaces."""
+    global _LISTENER
+    previous, _LISTENER = _LISTENER, listener
+    return previous
+
+
 @contextmanager
-def recording(
-    recorder: Optional[FlightRecorder] = None,
-) -> Iterator[FlightRecorder]:
-    """Install ``recorder`` (default: a fresh in-memory one) as the
-    active recorder for the duration of the context.  Re-entrant; the
-    previous recorder is restored even when the body raises."""
-    global _ACTIVE
-    if recorder is None:
-        recorder = FlightRecorder(session_id("recording", ()), path=None)
-    previous = _ACTIVE
-    _ACTIVE = recorder
-    try:
-        yield recorder
-    finally:
-        _ACTIVE = previous
+def recording(*tallies: Counters) -> Iterator[FlightRecorder]:
+    """Stage the block as a controlled experiment.
+
+    Its events go to a fresh in-memory recorder (the one yielded), not
+    to the session ledger or the progress line, and each of ``tallies``
+    counts in a fresh scope, so the process's telemetry shows nothing
+    the block staged.  Context-local like :meth:`Counters.scoped`:
+    other threads keep recording and counting into the session.
+    Re-entrant; everything is restored even when the body raises.
+    """
+    recorder = FlightRecorder(session_id("recording", ()), path=None)
+    with ExitStack() as stack:
+        for tally in tallies:
+            stack.enter_context(tally.scoped())
+        token = _STAGED.set(recorder)
+        try:
+            yield recorder
+        finally:
+            _STAGED.reset(token)
+
+
+def drop_inherited() -> None:
+    """Forget the session recorder, the reporter and any staged recorder
+    a forked pool worker inherits: a worker records nothing, and its
+    counts reach the parent with each chunk's results."""
+    global _ACTIVE, _LISTENER
+    _ACTIVE = None
+    _LISTENER = None
+    _STAGED.set(None)
 
 
 def ledger_dir(root: Optional[Path] = None) -> Path:
@@ -296,8 +346,9 @@ def end_session(exit_code: int) -> Optional[FlightRecorder]:
 
 
 def _obs_telemetry_source() -> Dict[str, Any]:
-    """The ``obs`` TELEMETRY namespace: the active recorder's census."""
-    recorder = _ACTIVE
+    """The ``obs`` TELEMETRY namespace: the census of the recorder this
+    context's events reach."""
+    recorder = current_recorder()
     if recorder is None:
         return {}
     return recorder.telemetry()

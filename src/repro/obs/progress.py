@@ -1,8 +1,10 @@
 """Live progress reporting for sweeps: TTY and JSON-lines modes.
 
 A thousand-cell fuzz campaign used to be silent until it finished.  The
-:class:`ProgressReporter` gives the planner and the Supervisor a place
-to say what is happening *while* it happens:
+:class:`ProgressReporter` narrates a sweep *while* it runs, from the
+runtime events every site already records with
+:func:`repro.obs.ledger.record` — it is that call's listener, so it
+works with the ledger off (``REPRO_OBS=0``) too:
 
 * ``tty`` mode — one carriage-return-updated status line on stderr
   (``sweep: 412/1000 cells (3 batches, 240 cells batched) retries=1
@@ -10,29 +12,28 @@ to say what is happening *while* it happens:
   time printing;
 * ``jsonl`` mode — one JSON object per update on stderr, for drivers
   that machine-read progress (CI logs, the future ``repro serve``);
-* ``off`` — every call is a cheap no-op (the default unless a CLI flag
-  or ``REPRO_PROGRESS`` turns it on).
+* ``off`` — nothing is installed (the default unless ``--progress``
+  turns it on, or ``auto`` finds stderr is a terminal).
 
 Stdout is never touched: reports, manifests, and golden outputs stay
-byte-identical whether or not progress is displayed.  Installation
-mirrors the tracer: :func:`progress_reporting` installs a reporter
-process-wide, instrumentation sites read it through
-:func:`current_reporter` and treat ``None`` as "off".  Pool workers
+byte-identical whether or not progress is displayed.
+:func:`progress_reporting` installs a reporter process-wide for a
+block.  A staged experiment's events never reach it, and pool workers
 inherit nothing — only the parent process reports.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sys
 import time
 from contextlib import contextmanager
-from typing import Any, Dict, IO, Iterator, Optional
+from typing import Any, Dict, IO, Iterator, Mapping, Optional
+
+from repro.obs import ledger
 
 __all__ = [
     "ProgressReporter",
-    "current_reporter",
     "progress_reporting",
     "resolve_mode",
 ]
@@ -44,15 +45,12 @@ MODES = ("off", "tty", "jsonl", "auto")
 TTY_INTERVAL = 0.1
 
 
-def resolve_mode(mode: Optional[str]) -> str:
-    """Normalise a ``--progress`` value or ``REPRO_PROGRESS`` setting.
+def resolve_mode(mode: str) -> str:
+    """Normalise a ``--progress`` value.
 
-    ``auto`` (and ``None`` with ``REPRO_PROGRESS`` unset) means "tty
-    when stderr is a terminal, else off" — progress never pollutes
-    captured stderr unless explicitly requested.
+    ``auto`` means "tty when stderr is a terminal, else off" — progress
+    never pollutes captured stderr unless explicitly requested.
     """
-    if mode is None:
-        mode = os.environ.get("REPRO_PROGRESS", "auto")
     mode = mode.lower()
     if mode not in MODES:
         from repro.errors import ConfigError
@@ -70,12 +68,13 @@ def resolve_mode(mode: Optional[str]) -> str:
 
 
 class ProgressReporter:
-    """Aggregates sweep state and renders it live.
+    """Aggregates sweep state from runtime events and renders it live.
 
     One reporter can observe several sweeps in sequence (a report's
-    prewarm, its Table 3 sweep, a sensitivity grid): :meth:`begin_sweep`
-    resets the per-sweep counters while the cumulative ``sweeps`` count
-    survives.  All methods are safe to call when the sweep is empty.
+    prewarm, its Table 3 sweep, a sensitivity grid): each ``sweep.plan``
+    that executes something begins a sweep, resetting the per-sweep
+    counters while the cumulative ``sweeps`` count survives, and the
+    ``sweep.progress`` event of its last dispatch unit ends it.
     """
 
     def __init__(
@@ -93,59 +92,59 @@ class ProgressReporter:
         self._painted = False
         self.sweeps = 0
         self.updates = 0
-        self._reset_sweep("")
+        self.label = "sweep"
+        self._begin({})
 
-    def _reset_sweep(self, label: str) -> None:
-        self.label = label
-        self.total_cells = 0
-        self.done_cells = 0
-        self.total_units = 0
+    def _begin(self, plan: Mapping[str, Any]) -> None:
+        """Reset the per-sweep state from a ``sweep.plan`` payload."""
+        self.total_cells = plan.get("requests", 0)
+        self.cached_cells = self.total_cells - plan.get("executed", 0)
+        self.done_cells = self.cached_cells
+        self.total_units = plan.get("units", 0)
         self.done_units = 0
-        self.batch_units = 0
-        self.batched_cells = 0
-        self.cached_cells = 0
+        self.batch_units = plan.get("batch_units", 0)
+        self.batched_cells = plan.get("batched_cells", 0)
         self.retries = 0
         self.ladder = "parallel"
 
-    # -- sweep lifecycle -------------------------------------------------
+    def on_event(self, kind: str, payload: Mapping[str, Any]) -> None:
+        """Update the display for one runtime event.
 
-    def begin_sweep(
-        self,
-        label: str,
-        *,
-        total_cells: int,
-        cached_cells: int = 0,
-        total_units: int = 0,
-        batch_units: int = 0,
-        batched_cells: int = 0,
-    ) -> None:
-        self._reset_sweep(label)
-        self.sweeps += 1
-        self.total_cells = int(total_cells)
-        self.cached_cells = int(cached_cells)
-        self.done_cells = int(cached_cells)
-        self.total_units = int(total_units)
-        self.batch_units = int(batch_units)
-        self.batched_cells = int(batched_cells)
-        self._emit(event="begin", force=True)
+        ``sweep.plan`` (with ``executed > 0``) begins a sweep and
+        ``sweep.progress`` advances it, ending it with its last unit.
+        ``supervisor.retry``, ``isolate`` and ``degradation`` move the
+        degradation ladder (``parallel`` → ``fresh-pool`` →
+        ``isolating`` → ``serial``); the serial fallback re-runs every
+        unit, so a degradation also sets the done counts back.  Every
+        other kind is ignored.
+        """
+        if kind == "sweep.plan":
+            if payload["executed"]:
+                self._begin(payload)
+                self.sweeps += 1
+                self._emit(event="begin", force=True)
+        elif kind == "sweep.progress":
+            self.done_cells += payload["cells"]
+            self.done_units += payload["units"]
+            self._emit(event="advance")
+            if self.done_units >= self.total_units:
+                self._end()
+        elif kind == "supervisor.retry":
+            self.retries += payload["chunks"]
+            self._emit(event="retry", force=True)
+            self._ladder("fresh-pool")
+        elif kind == "supervisor.isolate":
+            self._ladder("isolating")
+        elif kind == "supervisor.degradation":
+            self.done_cells = self.cached_cells
+            self.done_units = 0
+            self._ladder("serial")
 
-    def advance(self, cells: int = 1, units: int = 1) -> None:
-        """``cells`` finished executing (``units`` dispatch units)."""
-        self.done_cells += int(cells)
-        self.done_units += int(units)
-        self._emit(event="advance")
-
-    def note_retry(self, chunks: int = 1) -> None:
-        self.retries += int(chunks)
-        self._emit(event="retry", force=True)
-
-    def note_ladder(self, state: str) -> None:
-        """Degradation-ladder transition (``parallel`` → ``fresh-pool``
-        → ``isolating`` → ``serial``)."""
+    def _ladder(self, state: str) -> None:
         self.ladder = state
         self._emit(event="ladder", force=True)
 
-    def end_sweep(self) -> None:
+    def _end(self) -> None:
         self._emit(event="end", force=True)
         if self.mode == "tty" and self._painted:
             try:
@@ -173,7 +172,7 @@ class ProgressReporter:
 
     def status_line(self) -> str:
         parts = [
-            f"{self.label or 'sweep'}: "
+            f"{self.label}: "
             f"{self.done_cells}/{self.total_cells} cells"
         ]
         if self.total_units:
@@ -214,34 +213,24 @@ class ProgressReporter:
             pass
 
 
-#: The process-wide active reporter (``None`` = progress off).
-_ACTIVE: Optional[ProgressReporter] = None
-
-
-def current_reporter() -> Optional[ProgressReporter]:
-    """The installed reporter, or ``None`` when progress is off."""
-    return _ACTIVE
-
-
 @contextmanager
 def progress_reporting(
-    mode: Optional[str] = None,
+    mode: str = "auto",
     stream: Optional[IO[str]] = None,
 ) -> Iterator[Optional[ProgressReporter]]:
     """Install a reporter for ``mode`` (resolved via
-    :func:`resolve_mode`) for the duration of the context.  ``off``
-    installs nothing and yields ``None``."""
-    global _ACTIVE
+    :func:`resolve_mode`) as :func:`repro.obs.ledger.record`'s listener
+    for the duration of the context.  ``off`` installs nothing and
+    yields ``None``."""
     resolved = resolve_mode(mode)
     if resolved == "off":
         yield None
         return
     reporter = ProgressReporter(resolved, stream=stream)
-    previous = _ACTIVE
-    _ACTIVE = reporter
+    previous = ledger.set_listener(reporter)
     try:
         yield reporter
     finally:
         if reporter._painted:
-            reporter.end_sweep()
-        _ACTIVE = previous
+            reporter._end()
+        ledger.set_listener(previous)

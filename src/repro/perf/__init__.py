@@ -19,8 +19,8 @@ Orthogonal tools, all invisible to the modelled results:
   transport itself is unusable — counted, never silent); the CLI's
   ``report --jobs N`` and the sensitivity/scaling sweeps' ``jobs=``
   plumb into it.
-* :mod:`repro.perf.timers` — nested wall-time timers and counters for
-  profiling the simulator itself (``report --perf``).
+* :mod:`repro.perf.timers` — nested wall-time timers for profiling
+  the simulator itself (``report --perf``).
 
 Determinism contract: everything in this package must leave modelled
 numbers bit-identical — the caches, planner, and executor only change

@@ -172,7 +172,6 @@ def _run_unit_pool(
     )
     try:
         with timers.timer("sweep.parallel"):
-            timers.count("sweep.pool_chunks", len(chunks))
             batched = Supervisor(n_jobs, task=_execute_unit_chunk).run(chunks)
         return [result for batch in batched for result in batch]
     except (WorkerCrashError, DeadlineExceeded):
@@ -184,5 +183,4 @@ def _run_unit_pool(
             else str(exc)
         )
         RESILIENCE.note_degradation(reason)
-        timers.count("sweep.pool_fallback")
         return None

@@ -38,11 +38,15 @@ The planner makes the request set a first-class object:
 6. **serve** — duplicate slots are filled with independent copies, and
    drivers index results by the slots they collected.
 
-Planner activity is counted through :mod:`repro.perf.timers`
-(``planner.requests``, ``planner.duplicates``, ``planner.memory_hits``,
-``planner.disk_hits``, ``planner.executed``, ``planner.units``), which
-the TELEMETRY registry exposes under ``perf.timers.counters.*``; the
-tensor engine's own counters live in the ``perf.tensor`` namespace.
+Each sweep's partition is one ``plan`` dict (``requests``,
+``duplicates``, ``memory_hits``, ``disk_hits``, ``executed``, ``units``,
+``batch_units``, ``batched_cells``), recorded as the ``sweep.plan``
+ledger event and added to :data:`PLANNER_STATS`, so the ledger and the
+counts cannot disagree.  The tally keeps the telemetry namespace these
+counts have always had, ``perf.timers.counters.planner``; the tensor
+engine's own counters live in ``perf.tensor``.  Execution records one
+``sweep.progress`` event per finished unit (serial) or chunk (pool),
+which the live progress line follows.
 """
 
 from __future__ import annotations
@@ -50,12 +54,24 @@ from __future__ import annotations
 import copy
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.obs.ledger import record
 from repro.perf import tensorsweep, timers
 from repro.perf.cache import RUN_CACHE, cache_key, cached_form
 from repro.perf.diskcache import DISK_CACHE
+from repro.trace.telemetry import TELEMETRY, Counters
 
 #: One sweep cell: (kernel, machine, mapping kwargs).
 RunRequest = Tuple[str, str, Dict[str, Any]]
+
+#: The planner's tally: one count per ``sweep.plan`` field.
+PLANNER_STATS = Counters(
+    "perf.timers.counters.planner",
+    (
+        "requests", "duplicates", "memory_hits", "disk_hits", "executed",
+        "units", "batch_units", "batched_cells",
+    ),
+)
+TELEMETRY.register(PLANNER_STATS.namespace, PLANNER_STATS.snapshot)
 
 
 def execute_requests(
@@ -71,16 +87,15 @@ def execute_requests(
     chunks for ~4 per worker, for load balance without per-cell
     submission overhead).
     """
-    from repro.obs.ledger import record
-    from repro.obs.progress import current_reporter
     from repro.perf import executor
 
     requests = [
         (kernel, machine, dict(kwargs)) for kernel, machine, kwargs in requests
     ]
     n_jobs = executor.resolve_jobs(jobs)
+    if not requests:
+        return []
     results: List[Any] = [None] * len(requests)
-    timers.count("planner.requests", len(requests))
 
     # Collect + dedup: one representative slot per content key.  Keys
     # are computed even with the caches disabled — identical requests
@@ -105,7 +120,6 @@ def execute_requests(
                         results[i] = hit
                         seen_keys[key] = i
                         memory_hits += 1
-                        timers.count("planner.memory_hits")
                         continue
                 seen_keys[key] = i
                 if DISK_CACHE.enabled:
@@ -125,66 +139,49 @@ def execute_requests(
                             RUN_CACHE.insert(key, value)
                         results[i] = value
                         disk_hits += 1
-                        timers.count("planner.disk_hits")
                 pending = [
                     item for item in pending if results[item[0]] is None
                 ]
-    if duplicates:
-        timers.count("planner.duplicates", len(duplicates))
 
-    reporter = current_reporter()
-    if pending:
-        timers.count("planner.executed", len(pending))
-        # Partition the misses into dispatch units: tensor batch groups
-        # (one structure pass, whole calibration grid) and per-cell
-        # fallbacks.  A batch counts as ONE dispatch unit — chunk sizing
-        # and pool submissions see units, not the batch width.
-        units = tensorsweep.plan_units(
+    # Partition the misses into dispatch units: tensor batch groups
+    # (one structure pass, whole calibration grid) and per-cell
+    # fallbacks.  A batch counts as ONE dispatch unit — chunk sizing
+    # and pool submissions see units, not the batch width.
+    units = (
+        tensorsweep.plan_units(
             [(request, key) for _, request, key in pending]
         )
-        timers.count("planner.units", len(units))
-        batch_units = [
-            u for u in units if isinstance(u, tensorsweep.BatchGroup)
-        ]
-        batched_cells = sum(len(u.positions) for u in batch_units)
+        if pending
+        else []
+    )
+    batch_units = [u for u in units if isinstance(u, tensorsweep.BatchGroup)]
+    plan = {
+        "requests": len(requests),
+        "duplicates": len(duplicates),
+        "memory_hits": memory_hits,
+        "disk_hits": disk_hits,
+        "executed": len(pending),
+        "units": len(units),
+        "batch_units": len(batch_units),
+        "batched_cells": sum(len(u.positions) for u in batch_units),
+    }
+    PLANNER_STATS.add(plan)
+    record("sweep.plan", **plan, jobs=n_jobs)
+    for unit in units:
         record(
-            "sweep.plan",
-            requests=len(requests),
-            duplicates=len(duplicates),
-            memory_hits=memory_hits,
-            disk_hits=disk_hits,
-            executed=len(pending),
-            units=len(units),
-            batch_units=len(batch_units),
-            batched_cells=batched_cells,
-            jobs=n_jobs,
+            "planner.dispatch",
+            unit="batch" if isinstance(unit, tensorsweep.BatchGroup)
+            else "cell",
+            cells=len(unit.positions),
         )
-        for unit in units:
-            record(
-                "planner.dispatch",
-                unit="batch"
-                if isinstance(unit, tensorsweep.BatchGroup)
-                else "cell",
-                cells=len(unit.positions),
-            )
-        if reporter is not None:
-            reporter.begin_sweep(
-                "sweep",
-                total_cells=len(requests),
-                cached_cells=len(requests) - len(pending),
-                total_units=len(units),
-                batch_units=len(batch_units),
-                batched_cells=batched_cells,
-            )
-        pooled = False
+
+    if pending:
         unit_outcomes = None
         if n_jobs > 1 and len(units) > 1:
             unit_outcomes = executor._run_unit_pool(
                 units, n_jobs, chunk_size=chunk_size
             )
-            pooled = unit_outcomes is not None
-            if not pooled and reporter is not None:
-                reporter.note_ladder("serial")
+        pooled = unit_outcomes is not None
         if unit_outcomes is None:
             # Serial path: execute_unit handles both cache tiers itself
             # (registry.run for singles, the tensor engine's per-cell
@@ -193,10 +190,9 @@ def execute_requests(
                 unit_outcomes = []
                 for unit in units:
                     unit_outcomes.append(tensorsweep.execute_unit(unit))
-                    if reporter is not None:
-                        reporter.advance(
-                            cells=len(unit.positions), units=1
-                        )
+                    record(
+                        "sweep.progress", cells=len(unit.positions), units=1
+                    )
         # Scatter unit results back to pending order.
         outcomes: List[Any] = [None] * len(pending)
         for unit, unit_results in zip(units, unit_outcomes):
@@ -212,22 +208,6 @@ def execute_requests(
                     RUN_CACHE.insert(key, outcome)
         for (i, _, _), outcome in zip(pending, outcomes):
             results[i] = outcome
-        if reporter is not None:
-            reporter.end_sweep()
-    elif requests:
-        # Fully served from the tiers: still an observable plan.
-        record(
-            "sweep.plan",
-            requests=len(requests),
-            duplicates=len(duplicates),
-            memory_hits=memory_hits,
-            disk_hits=disk_hits,
-            executed=0,
-            units=0,
-            batch_units=0,
-            batched_cells=0,
-            jobs=n_jobs,
-        )
 
     for i, rep in duplicates:
         results[i] = copy.deepcopy(results[rep])

@@ -18,12 +18,12 @@ measurements draw for host↔accelerator dispatch).  This module keeps
 * shut down implicitly at process exit (``ProcessPoolExecutor`` joins
   its workers atexit), or explicitly via :func:`shutdown`.
 
-``REPRO_POOL_PERSIST=0`` restores the old spawn-per-sweep behaviour;
-re-read on every lease so tests and subprocesses can flip it.  Activity
-is counted for the ``perf.pool`` telemetry namespace (``spawns``,
-``leases``, ``reuses``, ``discards``, ``workers``) and the pool
+Activity is counted in :data:`POOL_STATS` (``spawns``, ``leases``,
+``reuses``, ``discards``), which the ``perf.pool`` telemetry namespace
+reports with the held pool's ``alive`` and ``workers``, and the pool
 lifecycle is recorded in the flight-recorder ledger (``pool.spawn`` /
-``pool.discard``).
+``pool.discard``).  A worker records nothing itself: its initializer
+drops the ledger state it inherits from the parent.
 
 Request payloads shrink through :func:`intern_requests`: a sweep's
 ``(kernel, machine, kwargs)`` cells repeat the same few kernel/machine
@@ -36,16 +36,17 @@ from __future__ import annotations
 
 import os
 import threading
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
-from repro.trace.telemetry import TELEMETRY
+from repro.obs.ledger import drop_inherited, record
+from repro.trace.telemetry import TELEMETRY, Counters
 
 __all__ = [
+    "POOL_STATS",
     "acquire",
     "discard",
     "expand_requests",
     "intern_requests",
-    "persistent_enabled",
     "pool_stats",
     "shutdown",
 ]
@@ -55,25 +56,16 @@ _POOL = None
 _POOL_WORKERS = 0
 _PID = os.getpid()
 
-_STATS = {
-    "spawns": 0,
-    "leases": 0,
-    "reuses": 0,
-    "discards": 0,
-    "workers": 0,
-}
-
-
-def persistent_enabled() -> bool:
-    """Whether pool persistence is on (``REPRO_POOL_PERSIST``, default
-    on; re-read per call)."""
-    return os.environ.get("REPRO_POOL_PERSIST", "1") != "0"
+#: Pool lifecycle counts, kept in the parent.
+POOL_STATS = Counters("perf.pool", ("spawns", "leases", "reuses", "discards"))
 
 
 def _warm_worker() -> None:
-    """Pool-worker initializer: pay the heavy imports once per worker,
-    not once per chunk.  Never raises — a failed preload only means the
-    first chunk imports lazily, as it always did."""
+    """Pool-worker initializer: forget the parent's ledger state, then
+    pay the heavy imports once per worker, not once per chunk.  Never
+    raises — a failed preload only means the first chunk imports
+    lazily, as it always did."""
+    drop_inherited()
     try:
         import repro.calibration  # noqa: F401  (calibration tables)
         from repro.mappings import registry
@@ -83,18 +75,12 @@ def _warm_worker() -> None:
         pass
 
 
-def _count(name: str, n: int = 1) -> None:
-    with _LOCK:
-        _STATS[name] += n
-
-
 def pool_stats() -> Dict[str, int]:
-    """The ``perf.pool`` telemetry source."""
+    """The ``perf.pool`` telemetry source: the counts, plus whether a
+    pool is held and how wide it is."""
     with _LOCK:
-        out = dict(_STATS)
-        out["alive"] = int(_POOL is not None)
-        out["persistent"] = int(persistent_enabled())
-    return out
+        held = {"alive": int(_POOL is not None), "workers": _POOL_WORKERS}
+    return {**POOL_STATS.snapshot(), **held}
 
 
 TELEMETRY.register("perf.pool", pool_stats)
@@ -103,14 +89,15 @@ TELEMETRY.register("perf.pool", pool_stats)
 def acquire(n_jobs: int):
     """A process pool with at least ``n_jobs`` workers.
 
-    Reuses the process-wide pool when persistence is enabled and the
-    held pool is wide enough; otherwise spawns.  Exceptions from the
-    spawn propagate to the caller (the Supervisor classifies them).
-    A forked child never inherits the parent's lease.
+    Reuses the process-wide pool when the held pool is wide enough;
+    otherwise spawns one and holds it.  Exceptions from the spawn
+    propagate to the caller (the Supervisor classifies them).  A forked
+    child never inherits the parent's lease.
     """
     global _POOL, _POOL_WORKERS, _PID
     import concurrent.futures
 
+    POOL_STATS.note("leases")
     with _LOCK:
         if _PID != os.getpid():
             # Forked child: the inherited handle points at the parent's
@@ -118,46 +105,33 @@ def acquire(n_jobs: int):
             _POOL = None
             _POOL_WORKERS = 0
             _PID = os.getpid()
-        _STATS["leases"] += 1
-        if (
-            persistent_enabled()
-            and _POOL is not None
-            and _POOL_WORKERS >= n_jobs
-        ):
-            _STATS["reuses"] += 1
+        if _POOL is not None and _POOL_WORKERS >= n_jobs:
+            POOL_STATS.note("reuses")
             return _POOL
     if _POOL is not None:
-        # Wrong width or persistence switched off: retire the held pool.
+        # Too narrow: retire the held pool.
         discard(wait=False)
     pool = concurrent.futures.ProcessPoolExecutor(
         max_workers=n_jobs, initializer=_warm_worker
     )
-    _count("spawns")
+    POOL_STATS.note("spawns")
+    record("pool.spawn", jobs=n_jobs)
     with _LOCK:
-        _STATS["workers"] = n_jobs
-    _record_event("pool.spawn", jobs=n_jobs)
-    if persistent_enabled():
-        with _LOCK:
-            _POOL = pool
-            _POOL_WORKERS = n_jobs
+        _POOL = pool
+        _POOL_WORKERS = n_jobs
     return pool
 
 
 def release(pool) -> None:
-    """Return a leased pool.  Persistent pools stay warm for the next
-    sweep; a non-persistent (or foreign) pool is shut down."""
+    """Return a leased pool.  The held pool stays warm for the next
+    sweep; one retired while it was leased is shut down."""
     with _LOCK:
-        held = pool is _POOL
-    if held and persistent_enabled():
-        return
+        if pool is _POOL:
+            return
     try:
         pool.shutdown(wait=False, cancel_futures=True)
     except Exception:
         pass
-    with _LOCK:
-        if pool is _POOL:
-            globals()["_POOL"] = None
-            globals()["_POOL_WORKERS"] = 0
 
 
 def discard(pool=None, wait: bool = False) -> None:
@@ -165,7 +139,7 @@ def discard(pool=None, wait: bool = False) -> None:
 
     The supervisor calls this instead of :func:`release` when the pool
     transport failed — the next :func:`acquire` spawns fresh workers.
-    With ``pool=None`` the held persistent pool (if any) is retired.
+    With ``pool=None`` the held pool (if any) is retired.
     """
     global _POOL, _POOL_WORKERS
     with _LOCK:
@@ -175,8 +149,8 @@ def discard(pool=None, wait: bool = False) -> None:
             _POOL_WORKERS = 0
     if target is None:
         return
-    _count("discards")
-    _record_event("pool.discard")
+    POOL_STATS.note("discards")
+    record("pool.discard")
     try:
         target.shutdown(wait=wait, cancel_futures=True)
     except Exception:
@@ -184,17 +158,8 @@ def discard(pool=None, wait: bool = False) -> None:
 
 
 def shutdown(wait: bool = True) -> None:
-    """Tear down the persistent pool (tests, clean process exit)."""
+    """Tear down the held pool (tests, clean process exit)."""
     discard(wait=wait)
-
-
-def _record_event(name: str, **args: Any) -> None:
-    try:
-        from repro.obs.ledger import record
-
-        record(name, **args)
-    except Exception:
-        pass
 
 
 # -- request interning -------------------------------------------------

@@ -1,4 +1,4 @@
-"""Nested wall-time timers and counters for the simulator itself.
+"""Nested wall-time timers for the simulator itself.
 
 The cycle models measure the *modelled* machines; this module measures
 the *simulator* — where its own wall-clock time goes — so perf work on
@@ -9,7 +9,6 @@ the reproduction has data to stand on.  Usage::
     with timers.timer("report"):
         with timers.timer("table3"):
             ...
-    timers.count("cache.hit")
     print(timers.render())
 
 Timers nest: a ``timer`` opened inside another accumulates under the
@@ -21,6 +20,10 @@ thread, not the main thread) attach under a ``worker/<n>`` prefix — one
 ``n`` per thread, assigned on first use — so a parallel stage's spans
 are attributed to their worker instead of silently colliding with the
 main thread's open path.
+
+This module holds wall time only; counts live in their owners'
+:class:`~repro.trace.telemetry.Counters` tallies (the planner's is
+:data:`repro.perf.planner.PLANNER_STATS`).
 
 Everything is wall-clock observation only — nothing here may influence
 modelled results, and the report CLI prints it to stderr so cached and
@@ -44,8 +47,6 @@ _local = threading.local()
 
 #: path -> [total_seconds, calls]
 _timings: Dict[Path, list] = {}
-#: name -> count
-_counters: Dict[str, int] = {}
 
 #: Monotonic worker-thread numbering; never reset, so a long session's
 #: prefixes stay unique even across :func:`reset` calls.
@@ -84,41 +85,28 @@ def timer(name: str) -> Iterator[None]:
             entry[1] += 1
 
 
-def count(name: str, n: int = 1) -> None:
-    """Increment a named counter by ``n``."""
-    with _lock:
-        _counters[name] = _counters.get(name, 0) + n
-
-
 def reset() -> None:
-    """Clear all timings and counters (the per-thread nesting stacks of
-    other threads are untouched; they rebuild on next use)."""
+    """Clear all timings (the per-thread nesting stacks of other
+    threads are untouched; they rebuild on next use)."""
     with _lock:
         _timings.clear()
-        _counters.clear()
 
 
-def snapshot() -> Dict[str, object]:
-    """Timings and counters as plain data (for tests and JSON export)."""
+def snapshot() -> Dict[str, Dict[str, float]]:
+    """Timings as plain data, ``{"a/b": {"seconds", "calls"}}``."""
     with _lock:
         return {
-            "timings": {
-                "/".join(path): {"seconds": entry[0], "calls": entry[1]}
-                for path, entry in _timings.items()
-            },
-            "counters": dict(_counters),
+            "/".join(path): {"seconds": entry[0], "calls": entry[1]}
+            for path, entry in _timings.items()
         }
 
 
 def _telemetry() -> Dict[str, object]:
     """The ``perf.timers`` telemetry source: the snapshot, flattened."""
-    snap = snapshot()
     out: Dict[str, object] = {}
-    for path, entry in snap["timings"].items():
+    for path, entry in snapshot().items():
         out[f"timings.{path}.seconds"] = entry["seconds"]
         out[f"timings.{path}.calls"] = entry["calls"]
-    for name, value in snap["counters"].items():
-        out[f"counters.{name}"] = value
     return out
 
 
@@ -127,10 +115,9 @@ TELEMETRY.register("perf.timers", _telemetry)
 
 def render() -> str:
     """Indented tree of timers (children under parents, sorted by total
-    time) followed by the counters."""
+    time)."""
     with _lock:
         timings = {path: tuple(entry) for path, entry in _timings.items()}
-        counters = dict(_counters)
     lines = ["perf timers (wall time):"]
     if not timings:
         lines.append("  (none recorded)")
@@ -184,8 +171,4 @@ def render() -> str:
             walk(path, depth + 1)
 
     walk((), 0)
-    if counters:
-        lines.append("counters:")
-        for name in sorted(counters):
-            lines.append(f"  {name:<34s} {counters[name]}")
     return "\n".join(lines)

@@ -6,31 +6,33 @@ quarantined file — which means the only external evidence that anything
 happened is telemetry.  :data:`RESILIENCE` is that evidence: a
 :class:`~repro.trace.telemetry.Counters` tally of retries,
 degradations, crashes, deadline misses, pool resurrections, broken
-locks, and quarantines, plus the structured incident log behind them,
-registered with :data:`~repro.trace.telemetry.TELEMETRY` as the
-``resilience.*`` namespace and printed by ``repro report --perf``.
+locks, and quarantines, plus the last degradation's reason, registered
+with :data:`~repro.trace.telemetry.TELEMETRY` as the ``resilience.*``
+namespace and printed by ``repro report --perf``.  The incidents
+themselves are the session ledger's ``supervisor.*`` events.
 
 The acceptance contract of the chaos harness reads these directly:
 under an injected worker kill a healthy supervisor shows
 ``resilience.retries >= 1`` and ``resilience.degradations == 0`` —
 recovered in place, never silently downgraded to serial.  The embedded
-checks that stage a degradation or a quarantine on purpose do it inside
-``RESILIENCE.scoped()``, so those staged events never reach this tally.
+check that stages a quarantine on purpose does it inside
+``repro.obs.ledger.recording(RESILIENCE)``, so it never reaches this
+tally.
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
-from typing import Any, Dict, Iterator, List
+from typing import Any, Dict, Iterator
 
 from repro.trace.telemetry import TELEMETRY, Counters
 from repro.trace.tracer import active_tracer
 
 #: The service job (by id) on whose behalf the current thread is
-#: working, or ``""`` outside any job.  Supervisor events and
-#: degradation incidents stamp this into their payloads so ledger
-#: events, journal records, and incident JSON are joinable.
+#: working, or ``""`` outside any job.  Supervisor events stamp this
+#: into their payloads so ledger events and journal records are
+#: joinable.
 _JOB_CONTEXT: contextvars.ContextVar[str] = contextvars.ContextVar(
     "repro_service_job", default=""
 )
@@ -69,11 +71,15 @@ COUNTERS = (
 )
 
 
-class ResilienceStats(Counters):
-    """The resilience tally plus its structured incident log.
+#: The snapshot key naming the newest degradation's cause.
+REASON = "last_degradation_reason"
 
-    The snapshot adds ``last_degradation_reason``, read from the newest
-    ``degradation`` incident, so a scope covers it with the log.
+
+class ResilienceStats(Counters):
+    """The resilience tally, plus the last degradation's reason.
+
+    The reason is kept in the tally the calling context sees, so a
+    scope covers it with the counts.
     """
 
     def note_degradation(self, reason: str) -> None:
@@ -85,11 +91,12 @@ class ResilienceStats(Counters):
         would have scrolled away.
         """
         self.note("degradations")
+        with self._lock:
+            self._tally()[REASON] = reason
         payload = {"reason": reason}
         job = current_job()
         if job:
             payload["job"] = job
-        self.log_incident("degradation", payload)
         tracer = active_tracer()
         if tracer is not None:
             tracer.instant(
@@ -101,35 +108,9 @@ class ResilienceStats(Counters):
 
         record("supervisor.degradation", **payload)
 
-    def log_incident(self, kind: str, payload: Dict[str, Any]) -> None:
-        """Keep one supervisor event's structured payload.
-
-        The *same* payload object the supervisor mirrors onto the
-        tracer and the flight-recorder ledger, so the chaos acceptance
-        tests can compare the ledger's ``supervisor.*`` events against
-        this log byte-for-byte (``json.dumps(..., sort_keys=True)``).
-        """
-        with self._lock:
-            self._tally().incidents.append(
-                {"kind": kind, "payload": dict(payload)}
-            )
-
-    def incidents(self) -> List[Dict[str, Any]]:
-        """The structured incident log, in occurrence order."""
-        with self._lock:
-            return [
-                {"kind": i["kind"], "payload": dict(i["payload"])}
-                for i in self._tally().incidents
-            ]
-
     def snapshot(self) -> Dict[str, Any]:
         snap = super().snapshot()
-        reasons = [
-            i["payload"]["reason"]
-            for i in self.incidents()
-            if i["kind"] == "degradation"
-        ]
-        snap["last_degradation_reason"] = reasons[-1] if reasons else ""
+        snap.setdefault(REASON, "")
         return snap
 
 

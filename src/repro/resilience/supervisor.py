@@ -34,9 +34,11 @@ killed worker's counts die with it, which is right: its chunk re-runs.
 Every transition is counted in :data:`~repro.resilience.stats.RESILIENCE`
 (``resilience.retries``, ``.worker_crashes``, ``.deadline_exceeded``,
 ``.pool_restarts``, ``.isolated_cells``, ``.failed_cells``,
-``.degradations``) and mirrored onto the active tracer's
-``resilience/supervisor`` track, so a chaos run leaves a full audit
-trail while its *output* stays byte-identical to an undisturbed run.
+``.degradations``), recorded as a ``supervisor.*`` ledger event (which
+also moves the progress line's ladder) and mirrored onto the active
+tracer's ``resilience/supervisor`` track, so a chaos run leaves a full
+audit trail while its *output* stays byte-identical to an undisturbed
+run.  Each finished chunk is recorded as ``sweep.progress``.
 
 Mapping failures (:class:`~repro.errors.ReproError` raised by the work
 itself) propagate unchanged — the supervisor recovers infrastructure,
@@ -59,6 +61,7 @@ from repro.errors import (
     TransientError,
     WorkerCrashError,
 )
+from repro.obs.ledger import record
 from repro.resilience.stats import RESILIENCE, current_job
 from repro.trace.tracer import active_tracer
 
@@ -184,8 +187,8 @@ def _deliver(output) -> List[Any]:
     """Parent side: add a chunk's worker counts to this process's
     tallies and return its results."""
     results, tallies = output
-    for owner, (counts, incidents) in zip(_carried_counters(), tallies):
-        owner.add(counts, incidents)
+    for owner, counts in zip(_carried_counters(), tallies):
+        owner.add(counts)
     return results
 
 
@@ -268,33 +271,18 @@ class Supervisor:
 
     @staticmethod
     def _event(name: str, **args: Any) -> None:
-        """Emit one supervisor event to every observer at once.
+        """Record one supervisor event (``supervisor.<name>``) and mirror
+        it onto the tracer's ``resilience/supervisor`` track.
 
-        The *same* payload dict goes to the structured incident log,
-        the flight-recorder ledger (``supervisor.<name>``), and the
-        tracer's ``resilience/supervisor`` track — the chaos acceptance
-        tests compare the first two byte-for-byte, so the payload must
-        be built exactly once.  Events raised while a service job is
-        executing carry that job's id (``job``), making incident JSON,
-        ledger events, and journal records joinable in postmortems.
+        Events raised while a service job is executing carry that job's
+        id (``job``), making ledger events and journal records joinable
+        in postmortems.
         """
-        from repro.obs.ledger import record
-
-        from repro.obs.progress import current_reporter
-
         payload = dict(args)
         job = current_job()
         if job:
             payload.setdefault("job", job)
-        RESILIENCE.log_incident(name, payload)
         record(f"supervisor.{name}", **payload)
-        reporter = current_reporter()
-        if reporter is not None:
-            if name == "retry":
-                reporter.note_retry(int(payload.get("chunks", 1)))
-                reporter.note_ladder("fresh-pool")
-            elif name == "isolate":
-                reporter.note_ladder("isolating")
         tracer = active_tracer()
         if tracer is not None:
             tracer.instant(
@@ -304,25 +292,12 @@ class Supervisor:
             )
 
     @staticmethod
-    def _chunk_census(chunk: Sequence[Any]) -> Tuple[int, int]:
-        """``(cells, units)`` a finished chunk contributes to progress.
-
-        Dispatch-unit chunks count each unit's cell positions; plain
-        request chunks count one cell per item.
-        """
-        cells = 0
-        for item in chunk:
-            positions = getattr(item, "positions", None)
-            cells += len(positions) if positions else 1
-        return cells, len(chunk)
-
-    def _advance(self, chunk: Sequence[Any]) -> None:
-        from repro.obs.progress import current_reporter
-
-        reporter = current_reporter()
-        if reporter is not None:
-            cells, units = self._chunk_census(chunk)
-            reporter.advance(cells=cells, units=units)
+    def _progress(chunk: Sequence[Any]) -> None:
+        """Record one finished chunk as ``sweep.progress``: its dispatch
+        units, and their cells (an item without ``positions`` is one
+        cell)."""
+        cells = sum(len(getattr(item, "positions", (item,))) for item in chunk)
+        record("sweep.progress", cells=cells, units=len(chunk))
 
     # -- supervised execution -------------------------------------------
 
@@ -423,7 +398,7 @@ class Supervisor:
             if pool_broken:
                 # The pool is gone; every unresolved sibling retries.
                 if self._harvest(fut, ci, results):
-                    self._advance(chunks[ci])
+                    self._progress(chunks[ci])
                 else:
                     failed[ci] = submit_error or WorkerCrashError(
                         "worker crashed"
@@ -433,7 +408,7 @@ class Supervisor:
                 results[ci] = _deliver(
                     fut.result(timeout=self._policy.deadline)
                 )
-                self._advance(chunks[ci])
+                self._progress(chunks[ci])
             except cf.TimeoutError:
                 RESILIENCE.note("deadline_exceeded")
                 self._event(
@@ -513,7 +488,7 @@ class Supervisor:
                 value, n_attempts, err = self._run_cell_alone(ci, j, cell)
                 if err is None:
                     out.append(value)
-                    self._advance([cell])
+                    self._progress([cell])
                 else:
                     RESILIENCE.note("failed_cells")
                     self._event("cell_failed", chunk=ci, cell=j)

@@ -7,7 +7,8 @@ their words and cycles, plus ``stage.<kernel>`` and ``handoff.<level>``
 counts noted on first use.  It is registered with
 :data:`~repro.trace.telemetry.TELEMETRY`, so ``--perf`` output and
 metrics history see it.  The fast tier's pipeline checks compose inside
-``SCENARIO_STATS.scoped()``: a report composes no pipeline of its own.
+``repro.obs.ledger.recording(SCENARIO_STATS, ...)``: a report composes
+no pipeline of its own.
 """
 
 from __future__ import annotations

@@ -252,15 +252,16 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(200, payload)
 
     def _telemetry(self) -> None:
-        from repro.perf import timers
+        from repro.perf.planner import PLANNER_STATS
         from repro.resilience.stats import RESILIENCE
 
+        planner = PLANNER_STATS.snapshot()
         self._send_json(
             200,
             {
                 "service": SERVICE_STATS.snapshot(),
                 "resilience": RESILIENCE.snapshot(),
-                "counters": timers.snapshot()["counters"],
+                "counters": {f"planner.{k}": v for k, v in planner.items()},
             },
         )
 

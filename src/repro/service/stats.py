@@ -9,8 +9,8 @@ is a :class:`~repro.trace.telemetry.Counters` tally registered with
 the dedup-conservation invariant and the chaos service scenarios assert
 against it (N identical submissions show ``deduped == N - 1`` and
 exactly one planner execution).  The fast tier's scratch-runtime
-experiment counts inside ``SERVICE_STATS.scoped()``, so a report or a
-service job's validation adds nothing here.
+experiment counts inside ``repro.obs.ledger.recording(SERVICE_STATS)``,
+so a report or a service job's validation adds nothing here.
 """
 
 from __future__ import annotations

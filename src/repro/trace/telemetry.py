@@ -1,4 +1,4 @@
-"""Unified metrics registry: one namespaced read/snapshot/export API.
+"""Unified metrics registry: one namespaced snapshot of every tally.
 
 *Sources* (zero-argument callables returning a flat ``{key: value}``
 mapping) register under a dotted namespace, and
@@ -10,8 +10,11 @@ Each owner registers its source beside the singleton it reads, so a
 namespace appears once its owner is imported and a snapshot never
 imports anything.  The namespaces and their owners:
 
-* ``perf.timers`` — the wall-time tree and counters, flattened
+* ``perf.timers`` — the wall-time tree, flattened
   (:mod:`repro.perf.timers`; non-deterministic);
+* ``perf.timers.counters.planner`` — the planner's request partition,
+  one count per ``sweep.plan`` field (:mod:`repro.perf.planner`; the
+  name is the one these counts had when the timers kept them);
 * ``perf.cache`` — memory-tier run-cache entries/hits/misses/bypasses
   (:mod:`repro.perf.cache`);
 * ``perf.diskcache`` and ``perf.index`` — the persistent tier's
@@ -32,22 +35,21 @@ imports anything.  The namespaces and their owners:
 * ``trace`` — the active tracer's counters and event census (this
   module; empty when tracing is off).
 
-The tallies the program keeps for itself (``perf.tensor``,
-``resilience``, ``scenario``, ``service``, and the disk store's counts
-behind ``perf.diskcache``) are :class:`Counters`.  A
-source that raises reports ``<namespace>.error`` instead of killing the
-snapshot.
+The tallies the program keeps for itself (the planner's, ``perf.pool``,
+``perf.tensor``, ``resilience``, ``scenario``, ``service``, and the
+disk store's counts behind ``perf.diskcache``) are :class:`Counters`.
+A source that raises reports ``<namespace>.error`` instead of killing
+the snapshot.
 """
 
 from __future__ import annotations
 
 import contextvars
-import json
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
 from typing import (
-    Any, Callable, Dict, Iterator, List, Mapping, Sequence, Tuple, Union,
+    Any, Callable, Dict, Iterator, Mapping, Sequence, Tuple, Union,
 )
 
 from repro.trace.tracer import active_tracer
@@ -102,49 +104,14 @@ class TelemetryRegistry:
                 out[f"{namespace}.{key}"] = value
         return out
 
-    def read(self, name: str) -> Any:
-        """One metric by its full dotted name (raises ``KeyError``)."""
-        return self.snapshot()[name]
 
-    def export_json(self, indent: int = 2) -> str:
-        """The snapshot as stable (sorted-key) JSON text."""
-        return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
-
-    def render(self) -> str:
-        """Aligned ``name value`` lines, sorted, for the ``--perf`` view.
-
-        Total-emptiness is reported precisely: an empty *registry* reads
-        differently from registered sources that currently have nothing
-        to say (every source returned an empty mapping).
-        """
-        snap = self.snapshot()
-        if not snap:
-            if not self.namespaces():
-                return "telemetry: (no sources registered)"
-            return "telemetry: (no values)"
-        width = max(len(name) for name in snap)
-        lines = ["telemetry:"]
-        for name in sorted(snap):
-            lines.append(f"  {name:<{width}s}  {snap[name]}")
-        return "\n".join(lines)
-
-
-class _Tally:
-    """One set of counts, plus the incident log that
-    :class:`~repro.resilience.stats.ResilienceStats` keeps beside them
-    (empty in every other tally), so a scope swaps both at once."""
-
-    __slots__ = ("counts", "incidents")
-
-    def __init__(self, names: Sequence[str]) -> None:
-        self.counts: Dict[str, Union[int, float]] = dict.fromkeys(names, 0)
-        self.incidents: List[Dict[str, Any]] = []
-
+#: A set of counts by name.
+Tally = Dict[str, Union[int, float]]
 
 #: The tallies of the :meth:`Counters.scoped` blocks the current
 #: context is inside, by owner.  Context-local, so a scope on one
 #: thread never hides another thread's counts.
-_SCOPES: contextvars.ContextVar[Mapping["Counters", _Tally]] = (
+_SCOPES: contextvars.ContextVar[Mapping["Counters", Tally]] = (
     contextvars.ContextVar("repro_counter_scopes", default={})
 )
 
@@ -159,9 +126,10 @@ class Counters:
     every increment onto the active tracer as ``<namespace>.<name>``.
 
     :meth:`scoped` gives the code inside it a fresh tally, which is how
-    a controlled experiment counts its own events without adding them
-    to the process's, and how a pool worker collects one chunk's counts
-    for :meth:`tally` to hand to the parent's :meth:`add`.
+    a staged experiment (:func:`repro.obs.ledger.recording`) counts its
+    own events without adding them to the process's, and how a pool
+    worker collects one chunk's counts for :meth:`tally` to hand to the
+    parent's :meth:`add`.
     Constructing an instance registers nothing; the
     owner registers its singleton's :meth:`snapshot` with
     :data:`TELEMETRY`.
@@ -171,16 +139,16 @@ class Counters:
         self.namespace = namespace
         self.names = tuple(names)
         self._lock = threading.Lock()
-        self._live = _Tally(self.names)
+        self._live: Tally = dict.fromkeys(self.names, 0)
 
-    def _tally(self) -> _Tally:
+    def _tally(self) -> Tally:
         return _SCOPES.get().get(self, self._live)
 
     def note(self, name: str, n: Union[int, float] = 1) -> None:
         """Add ``n`` to ``name`` (and to the active tracer's
         ``<namespace>.<name>`` counter, if tracing)."""
         with self._lock:
-            counts = self._tally().counts
+            counts = self._tally()
             counts[name] = counts.get(name, 0) + n
         tracer = active_tracer()
         if tracer is not None:
@@ -188,40 +156,34 @@ class Counters:
 
     def get(self, name: str) -> Union[int, float]:
         with self._lock:
-            return self._tally().counts.get(name, 0)
+            return self._tally().get(name, 0)
 
     def snapshot(self) -> Dict[str, Any]:
         """Every count, the telemetry-source shape."""
         with self._lock:
-            return dict(self._tally().counts)
+            return dict(self._tally())
 
     def reset(self) -> None:
         """Zero the tally the calling context sees."""
         with self._lock:
-            tally = self._tally()
-            tally.counts = dict.fromkeys(self.names, 0)
-            tally.incidents = []
+            counts = self._tally()
+            counts.clear()
+            counts.update(dict.fromkeys(self.names, 0))
 
-    def tally(self) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
-        """A copy of the counts and incidents the calling context sees:
-        what a pool worker hands back with its chunk's results."""
+    def tally(self) -> Tally:
+        """A copy of the counts the calling context sees: what a pool
+        worker hands back with its chunk's results."""
         with self._lock:
-            tally = self._tally()
-            return dict(tally.counts), [dict(i) for i in tally.incidents]
+            return dict(self._tally())
 
-    def add(
-        self,
-        counts: Mapping[str, Union[int, float]],
-        incidents: Sequence[Dict[str, Any]] = (),
-    ) -> None:
-        """Add a tally taken elsewhere (a pool worker's chunk) to the one
-        the calling context sees, mirroring the counts onto the tracer
-        as :meth:`note` does."""
+    def add(self, counts: Mapping[str, Union[int, float]]) -> None:
+        """Add counts taken elsewhere (a pool worker's chunk, a planned
+        sweep) to the tally the calling context sees, mirroring them
+        onto the tracer as :meth:`note` does."""
         with self._lock:
             tally = self._tally()
             for name, n in counts.items():
-                tally.counts[name] = tally.counts.get(name, 0) + n
-            tally.incidents.extend(incidents)
+                tally[name] = tally.get(name, 0) + n
         tracer = active_tracer()
         if tracer is not None:
             for name, n in counts.items():
@@ -247,7 +209,9 @@ class Counters:
         one.  On exit, even by an exception, the live tally is exactly
         as it was.
         """
-        token = _SCOPES.set({**_SCOPES.get(), self: _Tally(self.names)})
+        token = _SCOPES.set(
+            {**_SCOPES.get(), self: dict.fromkeys(self.names, 0)}
+        )
         try:
             yield self
         finally:

@@ -143,9 +143,8 @@ class TestSnapshots:
         assert stdout == documents[REPORT_FIXTURE]
 
         # A report on a healthy store records nothing that did not
-        # happen to it: the embedded checks stage a degradation, a
-        # quarantine, service jobs and pipelines, all in their own
-        # scopes.
+        # happen to it: the embedded checks stage a quarantine, service
+        # jobs, pipelines and planned sweeps, each in its own scope.
         assert telemetry["resilience.degradations"] == 0
         assert telemetry["resilience.last_degradation_reason"] == ""
         assert telemetry["resilience.quarantined"] == 0
@@ -154,6 +153,18 @@ class TestSnapshots:
         assert service and not any(service.values()), service
         assert telemetry["scenario.pipelines"] == 0
         assert telemetry["perf.diskcache.writes"] >= 15
+        # The report's own two sweeps request 24 cells and batch none.
+        assert telemetry["perf.timers.counters.planner.requests"] == 24
+        assert telemetry["perf.tensor.batched_cells"] == 0
+
+        # Its ledger holds the same story, and nothing staged.
+        (ledger,) = (tmp_path / "obs" / "ledger").glob("*.jsonl")
+        events = [json.loads(line) for line in ledger.read_text().splitlines()]
+        assert [e["seq"] for e in events] == list(range(len(events)))
+        assert not [e for e in events
+                    if e["kind"].split(".")[0] in ("service", "pipeline")]
+        assert sum(e["payload"]["requests"] for e in events
+                   if e["kind"] == "sweep.plan") == 24
 
         # The warm twin: a second process on the same store prints the
         # same bytes, served entirely by the disk tier.

@@ -1,19 +1,22 @@
-"""The chaos run must leave a parseable ledger whose supervisor events
-mirror the structured incident log byte-for-byte (satellite of the
-flight-recorder PR: the ledger is evidence, so chaos must not tear it).
+"""A chaos run must leave a parseable, gapless ledger.
+
+The ledger is evidence, so chaos must not tear it.  The store faults
+(``disk``, ``lock``, ``corrupt``) fire in pool workers, and a forked
+worker records nothing: its events would carry its own copy of ``seq``
+into the parent's ledger and repeat numbers the parent also writes.
 """
 
-import json
 import os
 from pathlib import Path
 
 from repro.cli import main
 from repro.ioutil import read_log
-from repro.resilience.stats import RESILIENCE
+
+SPEC = "kill=1,disk=1,lock=1,corrupt=1,service=0"
 
 
-def test_chaos_check_leaves_parseable_mirrored_ledger(capsys):
-    code = main(["check", "--chaos", "kill=1", "--fast", "--jobs", "2"])
+def test_chaos_check_leaves_a_gapless_ledger(capsys):
+    code = main(["check", "--chaos", SPEC, "--fast", "--jobs", "2"])
     out = capsys.readouterr().out
     assert code == 0, out
 
@@ -25,26 +28,15 @@ def test_chaos_check_leaves_parseable_mirrored_ledger(capsys):
     assert end == files[0].stat().st_size, "chaos must not tear the ledger"
 
     # The session is complete and the sequence gapless: no event was
-    # lost to a killed worker (workers never write the ledger).
+    # lost to a killed worker, and none came from a worker at all.
     kinds = [e["kind"] for e in events]
     assert kinds[0] == "session.start"
     assert kinds[-1] == "session.end"
     assert "chaos.check" in kinds
     assert [e["seq"] for e in events] == list(range(len(events)))
+    assert len({e["session"] for e in events}) == 1
     assert events[-1]["payload"]["exit_code"] == 0
 
-    # Injected faults produced supervisor incidents, and each incident's
-    # ledger mirror carries the identical payload (sorted-key JSON).
-    incidents = RESILIENCE.incidents()
-    assert incidents, "chaos kill=1 should have produced incidents"
-    mirrored = [
-        e for e in events if e["kind"].startswith("supervisor.")
-    ]
-    assert len(mirrored) >= len(incidents)
-    tail = mirrored[-len(incidents):]
-    for incident, event in zip(incidents, tail):
-        assert event["kind"] == f"supervisor.{incident['kind']}"
-        assert (
-            json.dumps(event["payload"], sort_keys=True)
-            == json.dumps(incident["payload"], sort_keys=True)
-        )
+    # The worker kill was recovered in place, and the ledger says so.
+    assert "supervisor.retry" in kinds
+    assert "supervisor.degradation" not in kinds

@@ -1,6 +1,9 @@
 """Tests for the flight recorder (:mod:`repro.obs.ledger`)."""
 
 import json
+import threading
+
+import pytest
 
 from repro.ioutil import read_log
 from repro.obs import ledger
@@ -14,6 +17,15 @@ from repro.obs.ledger import (
     session_id,
     start_session,
 )
+from repro.trace.telemetry import Counters
+
+
+@pytest.fixture
+def session(monkeypatch):
+    """An in-memory recorder installed as a CLI session's is."""
+    recorder = FlightRecorder("session", path=None)
+    monkeypatch.setattr(ledger, "_ACTIVE", recorder)
+    return recorder
 
 
 class TestSessionId:
@@ -97,6 +109,43 @@ class TestModuleRecord:
             with recording() as inner:
                 assert current_recorder() is inner
             assert current_recorder() is outer
+
+
+class TestStagedScope:
+    def test_staged_tallies_count_in_a_fresh_scope(self):
+        tally = Counters("demo", ("hits",))
+        tally.note("hits")
+        with pytest.raises(RuntimeError):
+            with recording(tally):
+                tally.note("hits", 5)
+                assert tally.get("hits") == 5
+                raise RuntimeError("boom")
+        assert tally.get("hits") == 1
+        assert current_recorder() is None
+
+    def test_another_threads_event_reaches_the_session(self, session):
+        # Under `repro serve`, HTTP threads record while a worker thread
+        # runs a validated report's staged checks.
+        inside, leave = threading.Event(), threading.Event()
+        staged = []
+
+        def stage():
+            with recording() as scratch:
+                inside.set()
+                leave.wait(timeout=30)
+            staged.append(scratch)
+
+        thread = threading.Thread(target=stage)
+        thread.start()
+        try:
+            assert inside.wait(timeout=30)
+            record("service.submit", job="j1")
+        finally:
+            leave.set()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert [e["kind"] for e in session.events] == ["service.submit"]
+        assert staged[0].events == ()
 
 
 class TestSessions:

@@ -20,8 +20,8 @@ def test_timer_records_total_and_calls():
         with timers.timer("work"):
             pass
     snap = timers.snapshot()
-    assert snap["timings"]["work"]["calls"] == 3
-    assert snap["timings"]["work"]["seconds"] >= 0.0
+    assert snap["work"]["calls"] == 3
+    assert snap["work"]["seconds"] >= 0.0
 
 
 def test_timers_nest_by_path():
@@ -31,9 +31,9 @@ def test_timers_nest_by_path():
         with timers.timer("inner"):
             pass
     snap = timers.snapshot()
-    assert snap["timings"]["outer"]["calls"] == 1
-    assert snap["timings"]["outer/inner"]["calls"] == 2
-    assert "inner" not in snap["timings"]
+    assert snap["outer"]["calls"] == 1
+    assert snap["outer/inner"]["calls"] == 2
+    assert "inner" not in snap
 
 
 def test_nesting_recovers_after_exception():
@@ -44,25 +44,17 @@ def test_nesting_recovers_after_exception():
         pass
     snap = timers.snapshot()
     # "after" is top-level again: the exception popped "outer" cleanly.
-    assert "after" in snap["timings"]
-    assert "outer/after" not in snap["timings"]
+    assert "after" in snap
+    assert "outer/after" not in snap
 
 
-def test_counters_accumulate():
-    timers.count("cache.hit")
-    timers.count("cache.hit", 4)
-    assert timers.snapshot()["counters"]["cache.hit"] == 5
-
-
-def test_render_shows_tree_and_counters():
+def test_render_shows_the_tree():
     with timers.timer("report"):
         with timers.timer("table3"):
             pass
-    timers.count("runs", 2)
     text = timers.render()
     assert "report" in text
     assert "table3" in text
-    assert "runs" in text
     # The child is indented under the parent.
     report_line = next(l for l in text.splitlines() if "report" in l)
     table_line = next(l for l in text.splitlines() if "table3" in l)
@@ -83,7 +75,7 @@ def _time_on_thread(name):
 
 def test_worker_thread_spans_attach_under_worker_prefix():
     _time_on_thread("task")
-    paths = list(timers.snapshot()["timings"])
+    paths = list(timers.snapshot())
     assert len(paths) == 1
     assert re.fullmatch(r"worker/\d+/task", paths[0]), paths
 
@@ -91,7 +83,7 @@ def test_worker_thread_spans_attach_under_worker_prefix():
 def test_distinct_threads_get_distinct_worker_numbers():
     _time_on_thread("task")
     _time_on_thread("task")
-    paths = sorted(timers.snapshot()["timings"])
+    paths = sorted(timers.snapshot())
     assert len(paths) == 2  # no collision into one path
     prefixes = {p.rsplit("/", 1)[0] for p in paths}
     assert len(prefixes) == 2
@@ -101,7 +93,7 @@ def test_worker_and_main_thread_paths_do_not_collide():
     with timers.timer("task"):
         pass
     _time_on_thread("task")
-    snap = timers.snapshot()["timings"]
+    snap = timers.snapshot()
     assert snap["task"]["calls"] == 1
     worker_paths = [p for p in snap if p.startswith("worker/")]
     assert len(worker_paths) == 1
@@ -123,9 +115,6 @@ def test_render_synthesizes_worker_root_as_aggregated():
 def test_reset_clears_everything():
     with timers.timer("work"):
         pass
-    timers.count("n")
     timers.reset()
-    snap = timers.snapshot()
-    assert snap["timings"] == {}
-    assert snap["counters"] == {}
+    assert timers.snapshot() == {}
     assert "(none recorded)" in timers.render()

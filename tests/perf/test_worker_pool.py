@@ -3,8 +3,7 @@
 The contract: one pool per process, spawned lazily, *leased* to one
 supervisor at a time and returned warm on clean completion — but any
 failure that escapes the recovery ladder retires it, so a suspect
-transport is never reused.  ``REPRO_POOL_PERSIST=0`` restores the old
-spawn-per-sweep behaviour exactly.
+transport is never reused.
 
 The ``perf.pool`` counters are cumulative for the life of the process
 (they feed telemetry), so every assertion here is a *delta* against a
@@ -29,6 +28,13 @@ def _delta(base, *names):
 
 def _boom(chunk):
     raise MappingError("injected work failure")
+
+
+def _ledger_state(_):
+    """What a worker's :func:`repro.obs.ledger.record` would reach."""
+    from repro.obs import ledger
+
+    return ledger.current_recorder(), ledger._LISTENER
 
 
 class TestLeaseLifecycle:
@@ -74,18 +80,6 @@ class TestLeaseLifecycle:
         finally:
             poold.release(second)
 
-    def test_persistence_disabled_spawns_each_time(self, base, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL_PERSIST", "0")
-        first = poold.acquire(2)
-        poold.release(first)  # non-persistent release shuts down
-        second = poold.acquire(2)
-        poold.release(second)
-        assert second is not first
-        assert _delta(base, "spawns", "reuses") == (2, 0)
-        stats = poold.pool_stats()
-        assert stats["persistent"] == 0
-        assert stats["alive"] == 0
-
     def test_fork_guard_drops_inherited_handle(self, base, monkeypatch):
         pool = poold.acquire(2)
         poold.release(pool)
@@ -99,6 +93,23 @@ class TestLeaseLifecycle:
             assert _delta(base, "spawns", "reuses") == (2, 0)
         finally:
             poold.release(fresh)
+
+    def test_workers_drop_the_inherited_ledger_state(self, monkeypatch):
+        # A forked worker must record nothing: its events would reach
+        # the parent's ledger file with the worker's own copy of `seq`.
+        from repro.obs import ledger
+        from repro.obs.progress import progress_reporting
+
+        monkeypatch.setattr(
+            ledger, "_ACTIVE", ledger.FlightRecorder("parent", path=None)
+        )
+        with progress_reporting("jsonl"), ledger.recording():
+            pool = poold.acquire(2)
+        try:
+            state = pool.submit(_ledger_state, None).result(timeout=60)
+        finally:
+            poold.release(pool)
+        assert state == (None, None)
 
     def test_pool_executes_after_reuse(self):
         first = poold.acquire(2)

@@ -71,12 +71,12 @@ class TestCacheTransparency:
         assert RUN_CACHE.hits >= hits_before + len(scenario.stages)
 
     def test_population_level_dedup(self):
-        from repro.perf import timers
+        from repro.perf.planner import PLANNER_STATS
 
         scenario = small_scenario("altivec")
-        before = timers.snapshot()["counters"].get("planner.duplicates", 0)
+        before = PLANNER_STATS.get("duplicates")
         run_scenarios([scenario, scenario])
-        after = timers.snapshot()["counters"].get("planner.duplicates", 0)
+        after = PLANNER_STATS.get("duplicates")
         # The twin scenario's three stages all dedup against the first.
         assert after - before >= len(scenario.stages)
 

@@ -159,17 +159,24 @@ class TestExecution:
         census = runtime.drain(timeout=10)
         assert census["done"] == 1
 
-    def test_validated_report_job_counts_only_itself(self, tmp_path):
-        # The report's embedded checks run their own scratch jobs, a
-        # staged degradation and a staged quarantine; none of that may
-        # reach the counters a live server's /v1/telemetry returns.
+    def test_validated_report_job_counts_only_itself(
+        self, tmp_path, monkeypatch
+    ):
+        # The report's embedded checks run their own scratch jobs and a
+        # staged quarantine; none of that may reach the counters a live
+        # server's /v1/telemetry returns, or the session ledger.
+        from repro.obs import ledger
         from repro.resilience.stats import RESILIENCE
 
-        incidents = len(RESILIENCE.incidents())
+        session = ledger.FlightRecorder("session", path=None)
+        monkeypatch.setattr(ledger, "_ACTIVE", session)
         before = RESILIENCE.snapshot()
         runtime = JobRuntime(ServiceConfig(root=tmp_path / "svc", workers=0))
         job = runtime.submit("report", {"validate": True}).job
         runtime.run_pending()
+        service = session.events_of("service")
+        assert service
+        assert {e["payload"]["job"] for e in service} == {job.id}
         assert job.state == DONE
         assert "verdict: OK" in runtime.result_text(job.id)
         counts = SERVICE_STATS.snapshot()
@@ -177,7 +184,6 @@ class TestExecution:
         assert counts["admitted"] == 1
         assert counts["completed"] == 1
         assert counts["deduped"] == counts["replayed"] == 0
-        assert len(RESILIENCE.incidents()) == incidents
         assert RESILIENCE.snapshot() == before
 
 

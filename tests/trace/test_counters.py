@@ -1,10 +1,11 @@
 """Tests for :class:`repro.trace.telemetry.Counters` and its users.
 
-One primitive backs the four tallies the program keeps for itself
-(``perf.tensor``, ``resilience``, ``scenario``, ``service``); these
-tests pin its counting, rendering, tracer mirroring and ``scoped()``
-semantics on throwaway instances, and the resilience incident log on
-a throwaway :class:`~repro.resilience.stats.ResilienceStats`.
+One primitive backs the tallies the program keeps for itself (the
+planner's, ``perf.pool``, ``perf.tensor``, ``resilience``,
+``scenario``, ``service``); these tests pin its counting, rendering,
+tracer mirroring and ``scoped()`` semantics on throwaway instances, and
+the degradation reason on a throwaway
+:class:`~repro.resilience.stats.ResilienceStats`.
 """
 
 import subprocess
@@ -13,6 +14,7 @@ import threading
 
 import pytest
 
+from repro.obs.ledger import recording
 from repro.resilience.stats import COUNTERS, ResilienceStats, job_scope
 from repro.trace.telemetry import TELEMETRY, Counters
 from repro.trace.tracer import tracing
@@ -158,14 +160,15 @@ class TestResilienceStats:
         assert not any(snap[name] for name in COUNTERS)
 
     def test_degradation_counts_logs_and_names_the_reason(self, resilience):
-        resilience.note_degradation("pool spawn failed")
-        resilience.note_degradation("pool broke again")
+        with recording() as recorder:
+            resilience.note_degradation("pool spawn failed")
+            resilience.note_degradation("pool broke again")
         assert resilience.get("degradations") == 2
         assert resilience.snapshot()["last_degradation_reason"] == (
             "pool broke again"
         )
-        assert resilience.incidents() == [
-            {"kind": "degradation", "payload": {"reason": reason}}
+        assert [(e["kind"], e["payload"]) for e in recorder.events] == [
+            ("supervisor.degradation", {"reason": reason})
             for reason in ("pool spawn failed", "pool broke again")
         ]
 
@@ -173,14 +176,15 @@ class TestResilienceStats:
         self, resilience
     ):
         resilience.note_degradation("first")
-        resilience.log_incident("retry", {"chunks": 1})
+        resilience.note("retries")
+        resilience.note("worker_crashes")
         assert resilience.snapshot()["last_degradation_reason"] == "first"
 
     def test_degradation_carries_the_job_id(self, resilience):
-        with job_scope("job-1"):
+        with recording() as recorder, job_scope("job-1"):
             resilience.note_degradation("why")
-        (incident,) = resilience.incidents()
-        assert incident["payload"] == {"reason": "why", "job": "job-1"}
+        (event,) = recorder.events
+        assert event["payload"] == {"reason": "why", "job": "job-1"}
 
     def test_degradation_is_mirrored_onto_the_tracer(self, resilience):
         with tracing() as tracer:
@@ -189,32 +193,20 @@ class TestResilienceStats:
         (event,) = [e for e in tracer.events if e.name == "degradation"]
         assert event.track == "resilience/supervisor"
 
-    def test_incidents_are_copies(self, resilience):
-        payload = {"chunk": 0}
-        resilience.log_incident("isolate", payload)
-        payload["chunk"] = 9
-        resilience.incidents()[0]["payload"]["chunk"] = 7
-        assert resilience.incidents()[0]["payload"] == {"chunk": 0}
-
-    def test_incident_log_is_scoped(self, resilience):
+    def test_reason_is_scoped(self, resilience):
         resilience.note_degradation("real")
         with resilience.scoped():
-            assert resilience.incidents() == []
+            assert resilience.snapshot()["last_degradation_reason"] == ""
             resilience.note_degradation("staged")
             assert resilience.snapshot()["last_degradation_reason"] == (
                 "staged"
             )
-            assert len(resilience.incidents()) == 1
         assert resilience.get("degradations") == 1
         assert resilience.snapshot()["last_degradation_reason"] == "real"
-        assert [i["payload"]["reason"] for i in resilience.incidents()] == [
-            "real"
-        ]
 
-    def test_reset_clears_the_log(self, resilience):
+    def test_reset_clears_the_reason(self, resilience):
         resilience.note_degradation("gone")
         resilience.reset()
-        assert resilience.incidents() == []
         assert resilience.snapshot()["last_degradation_reason"] == ""
 
     def test_render_lists_counters_and_reason(self, resilience):
@@ -227,14 +219,16 @@ class TestResilienceStats:
 
 class TestSingletons:
     def test_each_tally_is_registered_under_its_namespace(self):
+        from repro.perf.planner import PLANNER_STATS
+        from repro.perf.poold import POOL_STATS
         from repro.perf.tensorsweep import TENSOR_STATS
         from repro.resilience.stats import RESILIENCE
         from repro.scenarios.stats import SCENARIO_STATS
         from repro.service.stats import SERVICE_STATS
 
         snap = TELEMETRY.snapshot()
-        for tally in (TENSOR_STATS, RESILIENCE, SCENARIO_STATS,
-                      SERVICE_STATS):
+        for tally in (PLANNER_STATS, POOL_STATS, TENSOR_STATS, RESILIENCE,
+                      SCENARIO_STATS, SERVICE_STATS):
             assert isinstance(tally, Counters)
             for name, value in tally.snapshot().items():
                 assert snap[f"{tally.namespace}.{name}"] == value
