@@ -8,10 +8,13 @@ Usage::
 Every ``OBS_DIR/ledger/*.jsonl`` must parse and carry a gapless ``seq``
 from 0: a repeat means a second writer (a pool worker) appended with
 its own copy of the counter, a gap a lost event.  With ``--report``,
-each ledger must also hold no ``service.*`` or ``pipeline.*`` event
-(the report's embedded checks stage theirs), and its ``sweep.plan``
-events' ``requests`` must sum to the planner tally the same session's
-history record reads (``perf.timers.counters.planner.requests``).
+for cold reports, each ledger must also hold no ``service.*`` or
+``pipeline.*`` event (the report's embedded checks stage theirs), its
+``sweep.plan`` events' ``requests`` must sum to the planner tally the
+same session's history record reads
+(``perf.timers.counters.planner.requests``), and that record must read
+as many disk-store misses as writes (``perf.diskcache.misses`` ==
+``perf.diskcache.writes``): each executed cell reads the store once.
 
 Exits non-zero with one line per broken ledger.
 """
@@ -23,6 +26,8 @@ import sys
 from pathlib import Path
 
 PLANNER_REQUESTS = "perf.timers.counters.planner.requests"
+DISK_MISSES = "perf.diskcache.misses"
+DISK_WRITES = "perf.diskcache.writes"
 
 
 def problems(obs_dir: Path, report: bool) -> list:
@@ -52,11 +57,18 @@ def problems(obs_dir: Path, report: bool) -> list:
             event["payload"]["requests"] for event in events
             if event["kind"] == "sweep.plan"
         )
-        counted = history.get(path.stem, {}).get(PLANNER_REQUESTS)
+        telemetry = history.get(path.stem, {})
+        counted = telemetry.get(PLANNER_REQUESTS)
         if planned != counted:
             out.append(
                 f"{path.name}: sweep.plan requests sum to {planned}, "
                 f"the history record reads {counted}"
+            )
+        misses, writes = telemetry.get(DISK_MISSES), telemetry.get(DISK_WRITES)
+        if misses != writes:
+            out.append(
+                f"{path.name}: the history record reads {misses} disk "
+                f"misses for {writes} writes"
             )
     return out
 

@@ -188,9 +188,9 @@ def misdelivered_worker_results() -> Iterator[None]:
     the classic dropped/reordered-future bug a parallel executor can
     develop.  Single-result pools get their result's cycles doubled
     instead, so the fault is never a silent no-op."""
-    from repro.perf import executor
+    from repro.perf import planner
 
-    original = executor._run_unit_pool
+    original = planner._run_unit_pool
 
     def swapped(units, n_jobs, chunk_size=None):
         outcomes = original(units, n_jobs, chunk_size=chunk_size)
@@ -202,11 +202,11 @@ def misdelivered_worker_results() -> Iterator[None]:
             outcomes[0][0].breakdown = outcomes[0][0].breakdown.scaled(2.0)
         return outcomes
 
-    executor._run_unit_pool = swapped
+    planner._run_unit_pool = swapped
     try:
         yield
     finally:
-        executor._run_unit_pool = original
+        planner._run_unit_pool = original
         from repro.perf.cache import RUN_CACHE
 
         RUN_CACHE.clear()

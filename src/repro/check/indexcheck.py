@@ -7,7 +7,9 @@ load-bearing guarantees against a *scratch* store in a temporary
 directory — hermetic, deterministic, independent of whether the
 user's disk tier is enabled, and staged with
 ``repro.obs.ledger.recording(RESILIENCE)`` so its quarantine stays out
-of the process's telemetry — plus one digest sweep of the live store:
+of the process's telemetry.  The live store's digest sweep is the
+``oracle.diskcache.integrity`` row
+(:func:`repro.check.oracles.disk_integrity_check`):
 
 * ``invariant.index.roundtrip`` — ``put_many`` → ``get_many`` over a
   fresh store returns byte-equal values, the digest sweep is clean, and
@@ -19,12 +21,7 @@ of the process's telemetry — plus one digest sweep of the live store:
   (crash mid-append) still serves every complete entry, and the next
   locked writer moves the torn bytes to quarantine;
 * ``invariant.index.tombstone`` — an evicted key stays evicted across
-  reopen (the append-only log's last-record-wins rule);
-* ``invariant.index.live-verify`` — the user's live store passes the
-  digest sweep.  When the tier is off the sweep runs against the
-  scratch store's final state instead — the same fallback the
-  disk-tier oracle uses — so ``repro report`` stdout stays
-  byte-identical regardless of cache configuration.
+  reopen (the append-only log's last-record-wins rule).
 """
 
 from __future__ import annotations
@@ -51,15 +48,12 @@ def index_checks() -> List[CheckResult]:
     import tempfile
 
     from repro.obs.ledger import recording
-    from repro.perf.diskcache import DISK_CACHE
     from repro.perf.index import PackedDiskCache
     from repro.resilience.stats import RESILIENCE
 
     results: List[CheckResult] = []
     # The scratch store's healing (the torn tail's quarantine) is
-    # staged, so it is counted in the check's own scope.  The live
-    # sweep is not: a read error or retry on the user's store really
-    # happened.
+    # staged, so it is counted in the check's own scope.
     scratch = tempfile.TemporaryDirectory(prefix="repro-check-index-")
     with scratch as tmp, recording(RESILIENCE):
         store = PackedDiskCache(tmp, respect_env=False)
@@ -131,18 +125,4 @@ def index_checks() -> List[CheckResult]:
                 f"{moved} torn tails quarantined",
             )
         )
-
-        # Tier off → sweep the scratch store's final state through the
-        # identical verify path, so the row (and the report bytes) do
-        # not depend on cache configuration.
-        scratch_bad = None if DISK_CACHE.enabled else healed.verify()
-    bad = DISK_CACHE.verify() if scratch_bad is None else scratch_bad
-    results.append(
-        _result(
-            "invariant.index.live-verify",
-            not bad,
-            f"{len(bad)} live entries failed digest verification: "
-            + ", ".join(k[:12] for k in bad[:5]),
-        )
-    )
     return results

@@ -285,7 +285,7 @@ def executor_oracle(
     """
     from repro.perf.cache import RUN_CACHE
     from repro.perf.diskcache import DISK_CACHE
-    from repro.perf.executor import run_cells
+    from repro.perf.planner import execute_requests
     from repro.resilience.stats import RESILIENCE
 
     if requests is None:
@@ -305,9 +305,9 @@ def executor_oracle(
     RUN_CACHE.disable()
     try:
         with DISK_CACHE.disabled():
-            serial = run_cells(requests, jobs=1)
+            serial = execute_requests(requests, jobs=1)
             degradations_before = RESILIENCE.snapshot()["degradations"]
-            parallel = run_cells(requests, jobs=jobs)
+            parallel = execute_requests(requests, jobs=jobs)
         fell_back = (
             RESILIENCE.snapshot()["degradations"] > degradations_before
         )

@@ -801,7 +801,7 @@ def prewarm_requests(workloads=None):
 
     Covers the fifteen Table 3 cells, each :data:`VARIANTS` row's
     flipped run, and the §4.6 scaling sweep (which always uses the
-    canonical sizes).  Evaluating these through the sweep executor seeds
+    canonical sizes).  Evaluating these through the sweep planner seeds
     the run cache, so the experiments themselves — which call
     :func:`run` serially while rendering — become pure cache hits.
     """
@@ -828,10 +828,10 @@ def prewarm_requests(workloads=None):
 def prewarm(workloads=None, jobs=None) -> int:
     """Seed the run cache with the full suite's runs (``jobs > 1``:
     evaluate them on a process pool).  Returns the number of requests."""
-    from repro.perf.executor import run_cells
+    from repro.perf.planner import execute_requests
 
     requests = prewarm_requests(workloads)
-    run_cells(requests, jobs=jobs)
+    execute_requests(requests, jobs=jobs)
     return len(requests)
 
 

@@ -43,7 +43,7 @@ def full_report(
     structure passes.  ``None`` (the default) leaves the report text
     unchanged.
     """
-    from repro.perf.executor import resolve_jobs
+    from repro.perf.planner import resolve_jobs
 
     if resolve_jobs(jobs) > 1:
         prewarm(workloads, jobs=jobs)

@@ -56,10 +56,10 @@ def corner_turn_scaling(
     """
     if not sizes:
         raise ExperimentError("empty size sweep")
-    from repro.perf.executor import run_cells
+    from repro.perf.planner import execute_requests
 
     grid = [(size, machine) for size in sizes for machine in machines]
-    outcomes = run_cells(scaling_requests(sizes, machines), jobs=jobs)
+    outcomes = execute_requests(scaling_requests(sizes, machines), jobs=jobs)
     return tuple(
         ScalingPoint(
             size=size,
@@ -76,7 +76,7 @@ def scaling_requests(
     sizes: Sequence[int] = DEFAULT_SIZES,
     machines: Sequence[str] = SCALING_MACHINES,
 ) -> List[Tuple[str, str, Dict[str, object]]]:
-    """The sweep's ``run_cells`` requests, size-major.
+    """The sweep's ``execute_requests`` requests, size-major.
 
     The canonical matrix size omits ``workload`` — the kwargs Table 3
     runs it with, as :meth:`Scenario.stage_kwargs` does — so those cells

@@ -70,9 +70,9 @@ def run_table3(
         for machine in MACHINES:
             cells.append((kernel, machine, kwargs))
     if runner is run:
-        from repro.perf.executor import run_cells
+        from repro.perf.planner import execute_requests
 
-        outcomes = run_cells(cells, jobs=jobs)
+        outcomes = execute_requests(cells, jobs=jobs)
     else:
         outcomes = [
             runner(kernel, machine, **kwargs)

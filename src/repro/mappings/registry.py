@@ -9,15 +9,15 @@ Runs are memoized through two tiers: the in-process
 :data:`repro.perf.cache.RUN_CACHE` and the persistent
 :data:`repro.perf.diskcache.DISK_CACHE`.  Mappings are pure functions
 of their arguments, so a repeated ``(kernel, machine, kwargs)`` request
-is served from the first result instead of re-simulated — within this
-process from tier 1, across processes (CI jobs, fresh CLI invocations,
-pool workers) from tier 2, whose hits are promoted into tier 1.  A
-cached call returns the run's cached form
-(:func:`repro.perf.cache.cached_form`) on a miss as well as on a hit:
-``output_digest`` is set and ``output`` is ``None``.  Pass
-``cache=False`` to force a fresh simulation that carries the output
-array (also the opt-out for stateful experiments), or disable the
-tiers globally with ``REPRO_RUN_CACHE=0`` / ``REPRO_DISK_CACHE=0``.
+is served from the first result instead of re-simulated.  ``run`` is
+content key → :func:`repro.perf.cache.read_tiers` → :func:`simulate`;
+the tier rule itself lives in :mod:`repro.perf.cache`.  A cached call
+returns the run's cached form (:func:`repro.perf.cache.cached_form`) on
+a miss as well as on a hit: ``output_digest`` is set and ``output`` is
+``None``.  Pass ``cache=False`` to force a fresh simulation that
+carries the output array (also the opt-out for stateful experiments),
+or disable a tier globally with ``REPRO_RUN_CACHE=0`` /
+``REPRO_DISK_CACHE=0``.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 from repro.arch.base import KernelRun
 from repro.errors import MappingError
 from repro.perf import timers
-from repro.perf.cache import RUN_CACHE, cache_key, cached_form
-from repro.perf.diskcache import DISK_CACHE
+from repro.perf.cache import cache_key, cached_form, read_tiers, write_tiers
 from repro.trace.tracer import active_tracer
 from repro.mappings import (
     imagine_beam_steering,
@@ -144,6 +143,16 @@ def set_post_run_validator(
     return previous
 
 
+def _mapping(kernel: str, machine: str) -> Callable[..., KernelRun]:
+    try:
+        return _REGISTRY[(kernel, machine)]
+    except KeyError:
+        raise MappingError(
+            f"no mapping for kernel {kernel!r} on machine {machine!r}; "
+            f"kernels: {KERNELS}, machines: {MACHINES}"
+        ) from None
+
+
 def run(kernel: str, machine: str, *, cache: bool = True, **kwargs) -> KernelRun:
     """Run ``kernel`` on ``machine``; keyword arguments are forwarded to
     the mapping (``workload=``, ``calibration=``, ``seed=``, and any
@@ -152,60 +161,47 @@ def run(kernel: str, machine: str, *, cache: bool = True, **kwargs) -> KernelRun
 
     Results are memoized in their cached form, without the output
     array (see the module docstring); ``cache=False`` bypasses the
-    cache for this call and returns the array.
+    tiers for this call and returns the array.  A traced run bypasses
+    them too: a memoized hit would replay no events, and the tiers
+    must not absorb runs whose only difference is the observer.
     """
-    try:
-        fn = _REGISTRY[(kernel, machine)]
-    except KeyError:
-        raise MappingError(
-            f"no mapping for kernel {kernel!r} on machine {machine!r}; "
-            f"kernels: {KERNELS}, machines: {MACHINES}"
-        ) from None
-    tracer = active_tracer()
-    if tracer is not None:
-        # A traced run must actually execute — a memoized hit would
-        # replay no events — and the memo cache must not absorb runs
-        # whose only difference is the observer.  Counts as a bypass;
-        # the result is still identical to an untraced run (tracing
-        # only observes), which invariant.trace.noninterference proves.
-        RUN_CACHE.note_bypass()
-        with timers.timer(f"run:{kernel}/{machine}"):
-            result = fn(**kwargs)
-        _post_run(result, kwargs)
-        tracer.attach_run(result, run_id=cache_key(kernel, machine, kwargs))
-        return result
-    if not (cache and RUN_CACHE.enabled):
-        RUN_CACHE.note_bypass()
-        with timers.timer(f"run:{kernel}/{machine}"):
-            result = fn(**kwargs)
-        _post_run(result, kwargs)
-        return result
-    key = cache_key(kernel, machine, kwargs)
-    if key is None:
-        # An argument has no canonical content encoding; run uncached.
-        RUN_CACHE.note_bypass()
-        with timers.timer(f"run:{kernel}/{machine}"):
-            result = fn(**kwargs)
-        _post_run(result, kwargs)
-        return result
-    hit = RUN_CACHE.lookup(key)
-    if hit is not None:
-        return hit
-    if DISK_CACHE.enabled:
-        # Tier 2: a run some other process (or an earlier life of this
-        # one) already simulated.  Digest-verified by the lookup;
-        # promoted into tier 1 so the rest of this session hits there.
-        persisted = DISK_CACHE.lookup(key)
-        if persisted is not None:
-            persisted = cached_form(persisted)
-            RUN_CACHE.insert(key, persisted)
-            return persisted
+    _mapping(kernel, machine)
+    key = (
+        cache_key(kernel, machine, kwargs)
+        if cache and active_tracer() is None
+        else None
+    )
+    found, _ = read_tiers([key])
+    if key in found:
+        return found[key]
+    return simulate(kernel, machine, kwargs, key)
+
+
+def simulate(
+    kernel: str,
+    machine: str,
+    kwargs: Mapping[str, Any],
+    key: Optional[str] = None,
+) -> KernelRun:
+    """Execute one mapping without reading the tiers (the caller read
+    them): the post-run hook validates the result, and an active tracer
+    gets it attached.  With a ``key`` the run's cached form is stored
+    through :func:`repro.perf.cache.write_tiers` and returned; without
+    one the full run, output array included, is returned and nothing
+    is stored."""
+    fn = _mapping(kernel, machine)
     with timers.timer(f"run:{kernel}/{machine}"):
         result = fn(**kwargs)
     _post_run(result, kwargs)
+    tracer = active_tracer()
+    if tracer is not None:
+        # Tracing only observes; invariant.trace.noninterference proves
+        # the traced result equals the untraced one.
+        tracer.attach_run(result, run_id=cache_key(kernel, machine, kwargs))
+    if key is None:
+        return result
     result = cached_form(result)
-    RUN_CACHE.insert(key, result)
-    DISK_CACHE.insert(key, result)
+    write_tiers([(key, result)])
     return result
 
 

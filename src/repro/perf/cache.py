@@ -26,11 +26,19 @@ Returned runs are defensively independent: the cache stores and serves
 deep copies, so mutating a result (its ``metrics`` dict, its
 ``breakdown``) can never corrupt later hits.
 
-``repro.mappings.registry.run`` consults the process-wide
-:data:`RUN_CACHE`; disable it globally with ``RUN_CACHE.disable()`` or
-the ``REPRO_RUN_CACHE=0`` environment variable, or per call with
-``run(..., cache=False)`` (the opt-out for deliberately stateful or
-experimental mappings).
+The rule for the two tiers is written once, here, as two operations
+every run path shares (``registry.run``, the sweep planner, the tensor
+engine):
+
+* :func:`read_tiers` — tier 1 first, then one batched tier-2 read for
+  the rest, with tier-2 hits promoted into tier 1;
+* :func:`write_tiers` — a fresh run's cached form goes into tier 1 and
+  through one tier-2 ``put_many``.
+
+Each tier is used exactly when it is enabled: ``RUN_CACHE.disable()``
+or ``REPRO_RUN_CACHE=0`` turns off tier 1 only, ``REPRO_DISK_CACHE=0``
+tier 2 only.  Neither tier answers or stores a ``cache=False``, traced
+or uncacheable request.
 """
 
 from __future__ import annotations
@@ -41,10 +49,11 @@ import hashlib
 import os
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.perf.diskcache import DISK_CACHE
 from repro.trace.telemetry import TELEMETRY
 from repro.trace.tracer import active_tracer
 
@@ -220,8 +229,7 @@ class RunCache:
 
     Entries are kept in LRU order and bounded by ``max_entries`` so a
     long sweep session cannot grow memory without bound.  All operations
-    are lock-protected (the sweep executor's serial fallback may be
-    driven from threads).
+    are lock-protected (the service runs sweeps on executor threads).
     """
 
     def __init__(self, enabled: bool = True, max_entries: int = 256) -> None:
@@ -335,8 +343,54 @@ class RunCache:
         )
 
 
-#: Process-wide cache consulted by :func:`repro.mappings.registry.run`.
+#: The process-wide tier 1, read and written through :func:`read_tiers`
+#: and :func:`write_tiers`.
 RUN_CACHE = RunCache(
     enabled=os.environ.get("REPRO_RUN_CACHE", "1") != "0"
 )
 TELEMETRY.register("perf.cache", RUN_CACHE.stats)
+
+
+def read_tiers(
+    keys: Sequence[Optional[str]],
+) -> Tuple[Dict[str, Any], int]:
+    """The runs the tiers hold for ``keys``, and how many tier 2 served.
+
+    Tier 1 answers first; the keys it cannot answer go to tier 2 in one
+    :meth:`~repro.perf.index.PackedDiskCache.get_many`, whose hits are
+    reduced to their cached form and promoted into tier 1.  A ``None``
+    key stands for a request no tier may answer (``cache=False``,
+    traced or uncacheable).  It, and every key while tier 1 is
+    disabled, counts a tier-1 bypass; a disabled tier 2 counts its
+    own.
+    """
+    found: Dict[str, Any] = {}
+    rest: List[str] = []
+    for key in keys:
+        if key is None or not RUN_CACHE.enabled:
+            RUN_CACHE.note_bypass()
+        else:
+            hit = RUN_CACHE.lookup(key)
+            if hit is not None:
+                found[key] = hit
+                continue
+        if key is not None:
+            rest.append(key)
+    served = DISK_CACHE.get_many(rest)
+    for key, run in served.items():
+        run = cached_form(run)
+        if RUN_CACHE.enabled:
+            RUN_CACHE.insert(key, run)
+        found[key] = run
+    return found, len(served)
+
+
+def write_tiers(items: Sequence[Tuple[str, Any]]) -> None:
+    """Store fresh runs, already in their cached form, under their keys:
+    into tier 1 and through one tier-2 ``put_many``, each tier when it
+    is enabled.  A disabled tier 2 counted its bypass at the read."""
+    if RUN_CACHE.enabled:
+        for key, run in items:
+            RUN_CACHE.insert(key, run)
+    if DISK_CACHE.enabled:
+        DISK_CACHE.put_many(items)

@@ -20,8 +20,10 @@ every operation so tests and subprocesses can redirect it.  Under it:
   a generation, so the same writes leave the same bytes;
 * ``<root>/.lock`` — the advisory ``flock`` every append, tombstone and
   compaction takes;
-* ``<root>/quarantine/<key>.run`` — the bytes of a damaged entry, with
-  an incident JSON beside them.
+* ``<root>/<stamp>/store.quarantine`` — the store's one quarantine
+  log: each damaged entry and each torn tail is one record, a header
+  naming the log, the offset and the reason, with the bytes as its
+  body.
 
 A handle parses the whole log in one read on first use, then only the
 bytes appended since.  It keeps the descriptor it parsed and reads
@@ -33,11 +35,12 @@ parses afresh.
 Self-healing
 ------------
 Payload digests are verified before anything is unpickled.  A corrupt
-entry is quarantined and tombstoned — counted, never served, never
-wedging the key.  A torn tail (a writer killed mid-append) is left
-unread by readers and moved to ``store.quarantine`` by the next locked
-writer (:func:`repro.ioutil.heal_log`); :meth:`PackedDiskCache.verify`
-names its key meanwhile.  A transient read error is retried once
+entry's bytes are appended to ``store.quarantine`` and its key is
+tombstoned — counted, never served, never wedging the key.  A torn tail
+(a writer killed mid-append) is left unread by readers and moved to the
+same ``store.quarantine`` by the next locked writer
+(:func:`repro.ioutil.heal_log`); :meth:`PackedDiskCache.verify` names
+its key meanwhile.  A transient read error is retried once
 before degrading to a miss.  A stale lock file — recorded holder dead,
 file old — is broken before acquisition.  Pruning writes the surviving
 entries, least recently used first, to a new log and renames it into
@@ -343,9 +346,6 @@ class PackedDiskCache:
     def log_path(self) -> Path:
         return self.stamp_dir() / LOG_NAME
 
-    def quarantine_dir(self) -> Path:
-        return self.root() / "quarantine"
-
     def _interprocess_lock(self):
         """The store's advisory lock (appends, tombstones and prunes
         serialise on it; degrades to a no-op without fcntl)."""
@@ -474,53 +474,38 @@ class PackedDiskCache:
     ) -> None:
         """Preserve a damaged entry's bytes, tombstone the key, count.
 
-        The evidence is copied out (the log holds other live entries),
-        an incident JSON is written beside it, and the key heals on the
-        next insert.  Never raises.
+        The bytes are copied out (the log holds other live entries) into
+        the stamp's quarantine log, the one a torn tail heals into, as
+        one record under the lock; the key heals on the next insert.
+        Never raises.
         """
-        incident: Dict[str, Any] = {
-            "key": key,
-            "reason": reason,
-            "source": f"{self.log_path()}@{entry.offset}+{entry.length}",
-            "action": "quarantined",
-            "pid": os.getpid(),
-            "detected_at": time.strftime(
-                "%Y-%m-%dT%H:%M:%S%z", time.localtime()
-            ),
-            "size": entry.length,
-        }
-        try:
-            qdir = self.quarantine_dir()
-            qdir.mkdir(parents=True, exist_ok=True)
-            dest = qdir / f"{key}.run"
-            dest.write_bytes(blob if blob is not None else b"")
-            incident["quarantined_to"] = str(dest)
-            dest.with_suffix(".incident.json").write_text(
-                json.dumps(incident, indent=2, sort_keys=True) + "\n"
-            )
-        except OSError:
-            incident["action"] = "dropped"
+        header = {"at": entry.offset, "k": key, "log": LOG_NAME,
+                  "reason": reason}
+        with self._interprocess_lock():
+            try:
+                append_jsonl(
+                    self.log_path().with_suffix(".quarantine"),
+                    (header, blob or b""),
+                )
+            except OSError:
+                pass
         self.evict(key)
         self._note_quarantined()
 
     def incidents(self) -> List[Dict[str, Any]]:
-        """Every parseable incident record, sorted: the quarantined
-        entries, then the torn tails healed off each stamp's log."""
+        """Every record of each stamp's quarantine log, in order: the
+        damaged entries (with their ``key``) and the healed torn
+        tails."""
         out: List[Dict[str, Any]] = []
-        root = self.root()
-        for record in sorted(root.glob("quarantine/*.incident.json")):
-            try:
-                out.append(json.loads(record.read_text()))
-            except (OSError, ValueError):
-                continue
         quarantine = Path(LOG_NAME).with_suffix(".quarantine").name
-        for evidence in sorted(root.glob(f"*/{quarantine}")):
-            for heal in read_log(evidence)[0]:
+        for evidence in sorted(self.root().glob(f"*/{quarantine}")):
+            for record in read_log(evidence)[0]:
                 out.append({
-                    "reason": heal.get("reason", "torn tail"),
+                    "key": record.get("k"),
+                    "reason": record.get("reason", "torn tail"),
                     "source": str(evidence.with_name(LOG_NAME)),
-                    "at": heal.get("at"),
-                    "size": heal.get(BODY_FIELD),
+                    "at": record.get("at"),
+                    "size": record.get(BODY_FIELD),
                     "quarantined_to": str(evidence),
                 })
         return out

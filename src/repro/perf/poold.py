@@ -24,19 +24,13 @@ reports with the held pool's ``alive`` and ``workers``, and the pool
 lifecycle is recorded in the flight-recorder ledger (``pool.spawn`` /
 ``pool.discard``).  A worker records nothing itself: its initializer
 drops the ledger state it inherits from the parent.
-
-Request payloads shrink through :func:`intern_requests`: a sweep's
-``(kernel, machine, kwargs)`` cells repeat the same few kernel/machine
-strings and kwargs shapes, so chunks are sent as an interning table
-plus compact ``(kernel_idx, machine_idx, kwargs_delta)`` tuples and
-rebuilt worker-side by :func:`expand_requests`.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Dict
 
 from repro.obs.ledger import drop_inherited, record
 from repro.trace.telemetry import TELEMETRY, Counters
@@ -45,8 +39,6 @@ __all__ = [
     "POOL_STATS",
     "acquire",
     "discard",
-    "expand_requests",
-    "intern_requests",
     "pool_stats",
     "shutdown",
 ]
@@ -161,64 +153,3 @@ def shutdown(wait: bool = True) -> None:
     """Tear down the held pool (tests, clean process exit)."""
     discard(wait=wait)
 
-
-# -- request interning -------------------------------------------------
-#
-# A sweep chunk repeats the same few kernel and machine names, and its
-# kwargs dicts usually share every key except the one being swept.  The
-# interned form sends each distinct string once and each kwargs as a
-# delta against the chunk's most common kwargs shape, shrinking the
-# pickled payload the parent streams to each worker.
-
-#: One sweep cell: (kernel, machine, mapping kwargs).
-RunRequest = Tuple[str, str, Dict[str, Any]]
-
-#: Interned chunk: (kernel names, machine names, base kwargs,
-#: [(kernel_idx, machine_idx, kwargs_delta, dropped_keys), ...]).
-InternedChunk = Tuple[
-    List[str], List[str], Dict[str, Any],
-    List[Tuple[int, int, Dict[str, Any], Tuple[str, ...]]],
-]
-
-
-def intern_requests(requests: Sequence[RunRequest]) -> InternedChunk:
-    """Compact a chunk of run requests for pool transport."""
-    kernels: List[str] = []
-    machines: List[str] = []
-    kernel_idx: Dict[str, int] = {}
-    machine_idx: Dict[str, int] = {}
-
-    # The base kwargs: the first request's dict — sweeps perturb one
-    # constant at a time, so most cells share everything else with it.
-    base: Dict[str, Any] = dict(requests[0][2]) if requests else {}
-    cells: List[Tuple[int, int, Dict[str, Any], Tuple[str, ...]]] = []
-    for kernel, machine, kwargs in requests:
-        ki = kernel_idx.get(kernel)
-        if ki is None:
-            ki = kernel_idx[kernel] = len(kernels)
-            kernels.append(kernel)
-        mi = machine_idx.get(machine)
-        if mi is None:
-            mi = machine_idx[machine] = len(machines)
-            machines.append(machine)
-        delta = {
-            k: v
-            for k, v in kwargs.items()
-            if k not in base or base[k] is not v and base[k] != v
-        }
-        dropped = tuple(k for k in base if k not in kwargs)
-        cells.append((ki, mi, delta, dropped))
-    return kernels, machines, base, cells
-
-
-def expand_requests(chunk: InternedChunk) -> List[RunRequest]:
-    """Rebuild the full request list from its interned form."""
-    kernels, machines, base, cells = chunk
-    out: List[RunRequest] = []
-    for ki, mi, delta, dropped in cells:
-        kwargs = dict(base)
-        for key in dropped:
-            kwargs.pop(key, None)
-        kwargs.update(delta)
-        out.append((kernels[ki], machines[mi], kwargs))
-    return out

@@ -14,7 +14,7 @@ exposed through ``run_batch(calibrations, **kwargs)`` entry points in
 :data:`repro.mappings.registry._BATCH_REGISTRY`.  This module is the
 piece that lets the *planner* use them:
 
-* :func:`plan_units` partitions a pending (post-dedup, post-cache-probe)
+* :func:`plan_units` partitions a pending (post-dedup, post-tier-read)
   request list into **dispatch units**: :class:`BatchGroup` for runs of
   cells that share a batchable signature (same kernel/machine, same
   non-calibration kwargs, same structural calibration fields) and
@@ -23,11 +23,14 @@ piece that lets the *planner* use them:
   tracer is active (a traced run must execute per cell to emit its
   spans; see the ``tracer_fallbacks`` counter).
 * :func:`execute_unit` runs one unit — a batch group through its batch
-  runner, a single through ``registry.run`` — and round-trips batch
-  results into the exact per-cell cache entries the scalar path would
-  have written: each cell is validated by the post-run hook and inserted
-  under its *original* content key, so memoization, the disk tier,
-  golden snapshots, and the differential oracles observe no difference.
+  runner, a single through ``registry.simulate`` with the key the
+  planner read under — and round-trips batch results into the exact
+  per-cell cache entries the scalar path would have written: each cell
+  is validated by the post-run hook and stored through
+  :func:`~repro.perf.cache.write_tiers` under its *original* content
+  key, so memoization, the disk tier, golden snapshots, and the
+  differential oracles observe no difference.  Neither kind of unit
+  reads the tiers again.
 
 Bit-identity of the batch path is by construction — ``run()`` *is* the
 batch of one — and is continuously re-proven by the
@@ -44,8 +47,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.calibration import Calibration
 from repro.perf import timers
-from repro.perf.cache import RUN_CACHE, cache_key, cached_form
-from repro.perf.diskcache import DISK_CACHE
+from repro.perf.cache import cache_key, cached_form, write_tiers
 from repro.trace.telemetry import TELEMETRY, Counters
 from repro.trace.tracer import active_tracer
 
@@ -64,11 +66,14 @@ TELEMETRY.register("perf.tensor", TENSOR_STATS.snapshot)
 
 @dataclass
 class SingleCell:
-    """A per-cell dispatch unit; executes through ``registry.run``."""
+    """A per-cell dispatch unit; executes through ``registry.simulate``."""
 
     request: RunRequest
     #: Index into the pending list this unit's one result fills.
     positions: List[int]
+    #: The content key the result is stored under, or ``None`` to store
+    #: nothing (``cache=False``, traced or uncacheable requests).
+    key: Optional[str] = None
 
 
 @dataclass
@@ -78,9 +83,10 @@ class BatchGroup:
     All cells share ``kernel``/``machine`` and ``base_kwargs`` (the
     mapping kwargs minus ``calibration``); they differ only in the float
     calibration constants carried by ``calibrations``.  ``keys`` and
-    ``cell_kwargs`` preserve each cell's *original* content key and
-    kwargs so results round-trip into exactly the cache entries and
-    validation calls the scalar path would have produced.
+    ``cell_kwargs`` preserve each cell's *original* content key (``None``
+    stores nothing) and kwargs so results round-trip into exactly the
+    cache entries and validation calls the scalar path would have
+    produced.
     """
 
     kernel: str
@@ -123,7 +129,7 @@ def plan_units(
 
     for position, (request, key) in enumerate(pairs):
         kernel, machine, kwargs = request
-        single = SingleCell(request=request, positions=[position])
+        single = SingleCell(request=request, positions=[position], key=key)
         if tracing:
             TENSOR_STATS.note("fallback_cells")
             TENSOR_STATS.note("tracer_fallbacks")
@@ -176,6 +182,7 @@ def plan_units(
                 SingleCell(
                     request=(unit.kernel, unit.machine, unit.cell_kwargs[0]),
                     positions=unit.positions,
+                    key=unit.keys[0],
                 )
             )
             continue
@@ -193,11 +200,11 @@ def run_group(group: BatchGroup) -> List[Any]:
     The batch runner shares one structure pass across the cells; each
     result is then treated exactly as a fresh scalar run — post-run
     validated against its original kwargs, reduced to its
-    :func:`~repro.perf.cache.cached_form` and inserted into both cache
-    tiers under its original content key — so downstream consumers
-    cannot tell the paths apart.  The cells share one output array,
-    which is hashed once, and the group reaches the disk tier in one
-    ``put_many``.
+    :func:`~repro.perf.cache.cached_form` and stored through
+    :func:`~repro.perf.cache.write_tiers` under its original content
+    key — so downstream consumers cannot tell the paths apart.  The
+    cells share one output array, which is hashed once, and the group
+    reaches the disk tier in one ``put_many``.
     """
     from repro.mappings import registry
 
@@ -215,11 +222,9 @@ def run_group(group: BatchGroup) -> List[Any]:
         form = cached_form(result, digests.get(id(result.output)))
         digests[id(result.output)] = form.output_digest
         forms.append(form)
-    items = [(key, form) for key, form in zip(group.keys, forms) if key]
-    if RUN_CACHE.enabled:
-        for key, form in items:
-            RUN_CACHE.insert(key, form)
-    DISK_CACHE.put_many(items)
+    write_tiers(
+        [(key, form) for key, form in zip(group.keys, forms) if key]
+    )
     return forms
 
 
@@ -228,6 +233,9 @@ def execute_unit(unit: DispatchUnit) -> List[Any]:
     matching ``unit.positions``)."""
     if isinstance(unit, BatchGroup):
         return run_group(unit)
-    from repro.perf import executor
+    from repro.mappings import registry
 
-    return [executor._execute(unit.request)]
+    kernel, machine, kwargs = unit.request
+    # A request's own ``cache`` flag already chose ``unit.key``.
+    kwargs = {k: v for k, v in kwargs.items() if k != "cache"}
+    return [registry.simulate(kernel, machine, kwargs, unit.key)]

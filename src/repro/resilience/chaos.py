@@ -53,7 +53,7 @@ processes) from the shared state directory — the first ``N`` sites to
 reach a fault fire, every later site is a no-op.  The state directory
 defaults to ``<disk-cache root>/.chaos`` so pool workers (which inherit
 the environment) share the budget with their parent; ``dir=`` in the
-spec or ``REPRO_CHAOS_DIR`` overrides it.
+spec overrides it.
 """
 
 from __future__ import annotations
@@ -198,9 +198,6 @@ def state_dir(spec: ChaosSpec) -> Path:
     """The token directory shared by every process of the sweep."""
     if spec.state_dir:
         return Path(spec.state_dir)
-    env = os.environ.get("REPRO_CHAOS_DIR")
-    if env:
-        return Path(env)
     from repro.perf.diskcache import DISK_CACHE
 
     return DISK_CACHE.root() / ".chaos"

@@ -71,7 +71,7 @@ def _service_env(tmp: Path, tag: str) -> Dict[str, str]:
     """A subprocess environment with every stateful surface redirected
     under ``tmp`` and any inherited chaos spec stripped."""
     env = dict(os.environ)
-    for name in ("REPRO_CHAOS", "REPRO_CHAOS_DIR", "REPRO_CHUNK_DEADLINE"):
+    for name in ("REPRO_CHAOS", "REPRO_CHUNK_DEADLINE"):
         env.pop(name, None)
     env["PYTHONPATH"] = _repo_pythonpath()
     env["REPRO_SERVICE_DIR"] = str(tmp / tag / "svc")
@@ -405,8 +405,8 @@ def _corrupt_battery(tmp: Path) -> CheckResult:
     """A cache entry corrupted while its writing job was in flight must
     be quarantined and recomputed byte-identically by the next server."""
     env = _service_env(tmp, "corrupt")
-    env["REPRO_CHAOS"] = "corrupt=1"
-    env["REPRO_CHAOS_DIR"] = str(tmp / "corrupt" / "tokens")
+    tokens = tmp / "corrupt" / "tokens"
+    env["REPRO_CHAOS"] = f"corrupt=1,dir={tokens}"
     payload = {
         "kind": "run",
         "params": {"kernel": "corner_turn", "machine": "viram", "seed": 7},
@@ -420,7 +420,7 @@ def _corrupt_battery(tmp: Path) -> CheckResult:
         final_w = _poll_job(writer, jid, ("DONE", "FAILED"))
         first = _result_bytes(writer, jid)
         writer.sigterm()
-        fired = (Path(env["REPRO_CHAOS_DIR"]) / "corrupt-0.token").is_file()
+        fired = (tokens / "corrupt-0.token").is_file()
 
         # A fresh journal forces a real re-execution (no dedup), but the
         # same disk-cache root serves the now-corrupted entry.

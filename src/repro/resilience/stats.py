@@ -2,14 +2,17 @@
 
 The supervisor's whole value is that failures are *absorbed* — a killed
 worker becomes a retried chunk, a corrupt cache entry becomes a
-quarantined file — which means the only external evidence that anything
-happened is telemetry.  :data:`RESILIENCE` is that evidence: a
+quarantined record — which means the only external evidence that
+anything happened is telemetry.  :data:`RESILIENCE` is that evidence: a
 :class:`~repro.trace.telemetry.Counters` tally of retries,
 degradations, crashes, deadline misses, pool resurrections, broken
 locks, and quarantines, plus the last degradation's reason, registered
 with :data:`~repro.trace.telemetry.TELEMETRY` as the ``resilience.*``
 namespace and printed by ``repro report --perf``.  The incidents
-themselves are the session ledger's ``supervisor.*`` events.
+themselves are the session ledger's ``supervisor.*`` events: each
+supervisor transition is one :meth:`ResilienceStats.transition` call,
+which counts it, records it and mirrors it onto the tracer, so the
+counts and the ledger cannot disagree.
 
 The acceptance contract of the chaos harness reads these directly:
 under an injected worker kill a healthy supervisor shows
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-from typing import Any, Dict, Iterator
+from typing import Any, Dict, Iterator, Optional
 
 from repro.trace.telemetry import TELEMETRY, Counters
 from repro.trace.tracer import active_tracer
@@ -74,6 +77,19 @@ COUNTERS = (
 #: The snapshot key naming the newest degradation's cause.
 REASON = "last_degradation_reason"
 
+#: Each supervisor transition and the counter it moves (``None``:
+#: recorded, not counted).
+TRANSITIONS: Dict[str, Optional[str]] = {
+    "retry": "retries",
+    "degradation": "degradations",
+    "worker_crash": "worker_crashes",
+    "deadline_exceeded": "deadline_exceeded",
+    "pool_restart": "pool_restarts",
+    "isolate": "isolated_cells",
+    "cell_failed": "failed_cells",
+    "incident": None,
+}
+
 
 class ResilienceStats(Counters):
     """The resilience tally, plus the last degradation's reason.
@@ -82,31 +98,43 @@ class ResilienceStats(Counters):
     scope covers it with the counts.
     """
 
-    def note_degradation(self, reason: str) -> None:
-        """Record one parallel→serial degradation and why it happened.
+    def transition(self, kind: str, n: int = 1, **payload: Any) -> None:
+        """One supervisor transition: add ``n`` to its counter
+        (:data:`TRANSITIONS`), record ``supervisor.<kind>`` in the
+        ledger and mirror it onto the tracer's ``resilience/supervisor``
+        track as ``resilience.<kind>``.
 
-        The reason string replaces the bare ``RuntimeWarning`` the
-        executor used to emit: it survives in the telemetry snapshot,
-        the metrics manifest, and the ``--perf`` output, where a warning
-        would have scrolled away.
+        A transition inside a service job carries that job's id
+        (``job``), making ledger events and journal records joinable
+        in postmortems.
         """
-        self.note("degradations")
-        with self._lock:
-            self._tally()[REASON] = reason
-        payload = {"reason": reason}
+        from repro.obs.ledger import record
+
+        counter = TRANSITIONS[kind]
+        if counter is not None:
+            self.note(counter, n)
         job = current_job()
         if job:
-            payload["job"] = job
+            payload.setdefault("job", job)
+        record(f"supervisor.{kind}", **payload)
         tracer = active_tracer()
         if tracer is not None:
             tracer.instant(
-                "degradation",
+                f"resilience.{kind}",
                 track="resilience/supervisor",
-                args=payload,
+                args=payload or None,
             )
-        from repro.obs.ledger import record
 
-        record("supervisor.degradation", **payload)
+    def note_degradation(self, reason: str) -> None:
+        """Record one parallel→serial degradation and why it happened.
+
+        The reason survives in the telemetry snapshot, the metrics
+        manifest and the ``--perf`` output, where a warning would have
+        scrolled away.
+        """
+        with self._lock:
+            self._tally()[REASON] = reason
+        self.transition("degradation", reason=reason)
 
     def snapshot(self) -> Dict[str, Any]:
         snap = super().snapshot()

@@ -1,9 +1,9 @@
 """Supervised process-pool execution: retry, deadline, isolate, degrade.
 
-The plain executor treats the process pool as all-or-nothing: any
-infrastructure failure abandons parallelism for the whole sweep.  The
-:class:`Supervisor` turns the pool into a *supervised* resource with an
-explicit recovery ladder, applied per chunk of work:
+An unsupervised pool is all-or-nothing: any infrastructure failure
+abandons parallelism for the whole sweep.  The :class:`Supervisor`
+turns the pool into a *supervised* resource with an explicit recovery
+ladder, applied per chunk of work:
 
 1. **retry with backoff** — a chunk whose worker crashed
    (``BrokenProcessPool``) or whose result missed the per-chunk deadline
@@ -21,9 +21,10 @@ explicit recovery ladder, applied per chunk of work:
    healthy cell has completed and reached the cache tiers;
 4. **degrade** — failures of the pool *transport* itself (spawn failure,
    unpicklable payloads, a sandbox without ``fork``) raise plain
-   :class:`~repro.errors.TransientError`, which the executor converts
-   into a serial fallback, counted under ``resilience.degradations``
-   with the reason string recorded in telemetry.
+   :class:`~repro.errors.TransientError`, which the sweep planner
+   (:mod:`repro.perf.planner`) converts into a serial fallback, counted
+   under ``resilience.degradations`` with the reason string recorded in
+   telemetry.
 
 Each chunk runs in its worker inside fresh scopes of the counts a
 worker can make (:data:`~repro.resilience.stats.RESILIENCE` and the
@@ -31,14 +32,16 @@ disk store's); the worker returns them with the chunk's results, and
 the parent adds them to its own tallies, on the isolate path too.  A
 killed worker's counts die with it, which is right: its chunk re-runs.
 
-Every transition is counted in :data:`~repro.resilience.stats.RESILIENCE`
-(``resilience.retries``, ``.worker_crashes``, ``.deadline_exceeded``,
-``.pool_restarts``, ``.isolated_cells``, ``.failed_cells``,
-``.degradations``), recorded as a ``supervisor.*`` ledger event (which
-also moves the progress line's ladder) and mirrored onto the active
-tracer's ``resilience/supervisor`` track, so a chaos run leaves a full
-audit trail while its *output* stays byte-identical to an undisturbed
-run.  Each finished chunk is recorded as ``sweep.progress``.
+Every transition, an isolated cell's included, is one
+:meth:`~repro.resilience.stats.ResilienceStats.transition` call:
+counted (``resilience.retries``, ``.worker_crashes``,
+``.deadline_exceeded``, ``.pool_restarts``, ``.isolated_cells``,
+``.failed_cells``, ``.degradations``), recorded as a ``supervisor.*``
+ledger event (which also moves the progress line's ladder) and
+mirrored onto the active tracer's ``resilience/supervisor`` track, so
+a chaos run leaves a full audit trail while its *output* stays
+byte-identical to an undisturbed run.  Each finished chunk is recorded
+as ``sweep.progress``.
 
 Mapping failures (:class:`~repro.errors.ReproError` raised by the work
 itself) propagate unchanged — the supervisor recovers infrastructure,
@@ -62,8 +65,7 @@ from repro.errors import (
     WorkerCrashError,
 )
 from repro.obs.ledger import record
-from repro.resilience.stats import RESILIENCE, current_job
-from repro.trace.tracer import active_tracer
+from repro.resilience.stats import RESILIENCE
 
 __all__ = ["RetryPolicy", "Supervisor", "deadline_scope", "default_policy"]
 
@@ -122,13 +124,11 @@ class RetryPolicy:
 
 
 def default_policy() -> RetryPolicy:
-    """The environment-tunable policy the executor uses.
-
-    ``REPRO_CHUNK_DEADLINE`` (seconds, ``0`` disables),
-    ``REPRO_MAX_RETRIES``, and ``REPRO_RETRY_BACKOFF`` override the
-    defaults — the chaos harness and CI use these to shrink timescales.
-    An active :func:`deadline_scope` (a service job's per-request
-    deadline) takes precedence over the environment.
+    """The policy the sweep planner's pool uses: :class:`RetryPolicy`'s
+    defaults, with the per-chunk deadline from ``REPRO_CHUNK_DEADLINE``
+    (seconds, ``0`` disables; the chaos harness shrinks it).  An active
+    :func:`deadline_scope` (a service job's per-request deadline) takes
+    precedence over the environment.
     """
     override = _DEADLINE_OVERRIDE.get()
     deadline: Optional[float] = (
@@ -138,11 +138,7 @@ def default_policy() -> RetryPolicy:
     )
     if deadline is not None and deadline <= 0:
         deadline = None
-    return RetryPolicy(
-        max_retries=int(os.environ.get("REPRO_MAX_RETRIES", "3")),
-        backoff=float(os.environ.get("REPRO_RETRY_BACKOFF", "0.05")),
-        deadline=deadline,
-    )
+    return RetryPolicy(deadline=deadline)
 
 
 def _classify_infra(exc: BaseException) -> Optional[str]:
@@ -260,36 +256,13 @@ class Supervisor:
 
     def _restart_pool(self) -> None:
         self._discard_pool(wait=False)
-        RESILIENCE.note("pool_restarts")
-        self._event("pool_restart")
+        RESILIENCE.transition("pool_restart")
         if os.environ.get("REPRO_CHAOS"):
             from repro.resilience import chaos
 
             # The lost chunks re-run; the store faults they met must
             # meet the re-run, whose counts are the ones that arrive.
             chaos.return_tokens(self._dispatched_at)
-
-    @staticmethod
-    def _event(name: str, **args: Any) -> None:
-        """Record one supervisor event (``supervisor.<name>``) and mirror
-        it onto the tracer's ``resilience/supervisor`` track.
-
-        Events raised while a service job is executing carry that job's
-        id (``job``), making ledger events and journal records joinable
-        in postmortems.
-        """
-        payload = dict(args)
-        job = current_job()
-        if job:
-            payload.setdefault("job", job)
-        record(f"supervisor.{name}", **payload)
-        tracer = active_tracer()
-        if tracer is not None:
-            tracer.instant(
-                f"resilience.{name}",
-                track="resilience/supervisor",
-                args=payload or None,
-            )
 
     @staticmethod
     def _progress(chunk: Sequence[Any]) -> None:
@@ -330,9 +303,9 @@ class Supervisor:
                     else:
                         retryable.append(ci)
                 if retryable:
-                    RESILIENCE.note("retries", len(retryable))
-                    self._event(
-                        "retry", chunks=len(retryable), round=round_no
+                    RESILIENCE.transition(
+                        "retry", len(retryable),
+                        chunks=len(retryable), round=round_no,
                     )
                     self._restart_pool()
                     self._sleep(
@@ -392,8 +365,7 @@ class Supervisor:
         failed: Dict[int, BaseException] = {}
         pool_broken = submit_error is not None
         if pool_broken:
-            RESILIENCE.note("worker_crashes")
-            self._event("worker_crash", phase="submit")
+            RESILIENCE.transition("worker_crash", phase="submit")
         for ci, fut in futures.items():
             if pool_broken:
                 # The pool is gone; every unresolved sibling retries.
@@ -410,8 +382,7 @@ class Supervisor:
                 )
                 self._progress(chunks[ci])
             except cf.TimeoutError:
-                RESILIENCE.note("deadline_exceeded")
-                self._event(
+                RESILIENCE.transition(
                     "deadline_exceeded",
                     chunk=ci,
                     deadline=self._policy.deadline,
@@ -421,8 +392,7 @@ class Supervisor:
                     f"{self._policy.deadline:.3g}s deadline"
                 )
             except BrokenProcessPool as exc:
-                RESILIENCE.note("worker_crashes")
-                self._event("worker_crash", chunk=ci)
+                RESILIENCE.transition("worker_crash", chunk=ci)
                 submit_error = exc
                 pool_broken = True
                 failed[ci] = exc
@@ -481,8 +451,9 @@ class Supervisor:
         failures: List[Tuple[int, int, int, BaseException]] = []
         for ci in sorted(poisoned):
             chunk = chunks[ci]
-            RESILIENCE.note("isolated_cells", len(chunk))
-            self._event("isolate", chunk=ci, cells=len(chunk))
+            RESILIENCE.transition(
+                "isolate", len(chunk), chunk=ci, cells=len(chunk)
+            )
             out: List[Any] = []
             for j, cell in enumerate(chunk):
                 value, n_attempts, err = self._run_cell_alone(ci, j, cell)
@@ -490,8 +461,7 @@ class Supervisor:
                     out.append(value)
                     self._progress([cell])
                 else:
-                    RESILIENCE.note("failed_cells")
-                    self._event("cell_failed", chunk=ci, cell=j)
+                    RESILIENCE.transition("cell_failed", chunk=ci, cell=j)
                     failures.append((ci, j, n_attempts, err))
                     out.append(None)
             results[ci] = out
@@ -507,7 +477,7 @@ class Supervisor:
                     for ci, j, n, err in failures
                 ],
             }
-            self._event("incident", **incident)
+            RESILIENCE.transition("incident", **incident)
             _, _, _, first = failures[0]
             cls = (
                 DeadlineExceeded
@@ -532,7 +502,8 @@ class Supervisor:
         last: Optional[BaseException] = None
         for attempt in range(self._policy.max_retries + 1):
             if attempt:
-                RESILIENCE.note("retries")
+                # ``chunks=1``: the progress line adds up retried chunks.
+                RESILIENCE.transition("retry", chunks=1, chunk=ci, cell=j)
                 self._restart_pool()
                 self._sleep(
                     self._policy.delay(attempt - 1, token=f"cell{ci}.{j}")
@@ -544,13 +515,18 @@ class Supervisor:
                 value = _deliver(fut.result(timeout=self._policy.deadline))
                 return value[0], attempt + 1, None
             except cf.TimeoutError:
-                RESILIENCE.note("deadline_exceeded")
+                RESILIENCE.transition(
+                    "deadline_exceeded",
+                    chunk=ci,
+                    cell=j,
+                    deadline=self._policy.deadline,
+                )
                 last = DeadlineExceeded(
                     f"cell {j} of chunk {ci} exceeded its "
                     f"{self._policy.deadline:.3g}s deadline in isolation"
                 )
             except BrokenProcessPool as exc:
-                RESILIENCE.note("worker_crashes")
+                RESILIENCE.transition("worker_crash", chunk=ci, cell=j)
                 last = exc
             except ReproError:
                 raise

@@ -10,7 +10,7 @@ import pytest
 from repro.check import faults, oracles
 from repro.check.report import FAIL
 from repro.mappings import registry
-from repro.perf import executor
+from repro.perf import planner
 from repro.perf.cache import RUN_CACHE
 
 
@@ -86,10 +86,10 @@ class TestInjectorHygiene:
             assert cached.cycles == pytest.approx(2.0 * cold.cycles)
 
     def test_executor_injector_unpatches(self):
-        original = executor._run_unit_pool
+        original = planner._run_unit_pool
         with faults.misdelivered_worker_results():
-            assert executor._run_unit_pool is not original
-        assert executor._run_unit_pool is original
+            assert planner._run_unit_pool is not original
+        assert planner._run_unit_pool is original
 
     def test_dram_injector_unpatches(self):
         from repro.memory.dram import DRAM

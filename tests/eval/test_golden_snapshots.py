@@ -153,6 +153,10 @@ class TestSnapshots:
         assert service and not any(service.values()), service
         assert telemetry["scenario.pipelines"] == 0
         assert telemetry["perf.diskcache.writes"] >= 15
+        # Each executed cell reads the store once: a cold report misses
+        # exactly the entries it writes.
+        assert (telemetry["perf.diskcache.misses"]
+                == telemetry["perf.diskcache.writes"])
         # The report's own two sweeps request 24 cells and batch none.
         assert telemetry["perf.timers.counters.planner.requests"] == 24
         assert telemetry["perf.tensor.batched_cells"] == 0

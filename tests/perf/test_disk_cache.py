@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.ioutil import read_log
 from repro.mappings import registry
 from repro.perf import cache as cache_module
 from repro.perf.cache import RUN_CACHE, cache_key, model_version_stamp
@@ -83,7 +84,8 @@ class TestCorruption:
         assert disk.counters.get("misses") == 1
         # Quarantined: the record is gone, the key can be re-written.
         assert not disk.contains("ab1234")
-        assert (disk.quarantine_dir() / "ab1234.run").exists()
+        (record,) = read_log(disk.log_path().with_suffix(".quarantine"))[0]
+        assert record["k"] == "ab1234"
         disk.insert("ab1234", {"cycles": 42.0})
         assert disk.lookup("ab1234") == {"cycles": 42.0}
 

@@ -243,28 +243,3 @@ class TestByteStable:
             logs.append(log.read_bytes())
         assert len(logs[0]) > 0
         assert logs[0] == logs[1]
-
-
-class TestInterning:
-    def test_intern_expand_round_trip(self):
-        from repro.perf.poold import expand_requests, intern_requests
-
-        requests = [
-            ("corner_turn", "viram", {"points": 5, "delta": 0.1}),
-            ("corner_turn", "viram", {"points": 5, "delta": 0.2}),
-            ("cslc", "imagine", {"points": 5}),
-            ("corner_turn", "raw", {}),
-        ]
-        chunk = intern_requests(requests)
-        assert expand_requests(chunk) == requests
-        kernels, machines, base, cells = chunk
-        # The interning table really does fold the repeats.
-        assert sorted(kernels) == ["corner_turn", "cslc"]
-        assert sorted(machines) == ["imagine", "raw", "viram"]
-        # Cells sharing the base kwargs ship only their delta.
-        assert cells[1][2] == {"delta": 0.2}
-
-    def test_intern_empty(self):
-        from repro.perf.poold import expand_requests, intern_requests
-
-        assert expand_requests(intern_requests([])) == []

@@ -10,7 +10,8 @@ strictly fewer cold executions than its request count.
 import pytest
 
 from repro.eval import sensitivity
-from repro.perf import executor, planner, tensorsweep
+from repro.mappings import registry
+from repro.perf import planner, tensorsweep
 from repro.perf.cache import RUN_CACHE, cache_key
 from repro.perf.diskcache import DISK_CACHE
 from repro.perf.planner import SweepPlan, execute_requests
@@ -29,19 +30,19 @@ def count_executions(monkeypatch):
     """Count actual mapping executions (cold runs) under the planner —
     per-cell runs and tensor-batched cells alike."""
     calls = []
-    original = executor._execute
+    original = registry.simulate
     original_group = tensorsweep.run_group
 
-    def counting(request):
-        calls.append(request)
-        return original(request)
+    def counting(kernel, machine, kwargs, key=None):
+        calls.append((kernel, machine, kwargs))
+        return original(kernel, machine, kwargs, key)
 
     def counting_group(group):
         for kwargs in group.cell_kwargs:
             calls.append((group.kernel, group.machine, kwargs))
         return original_group(group)
 
-    monkeypatch.setattr(executor, "_execute", counting)
+    monkeypatch.setattr(registry, "simulate", counting)
     monkeypatch.setattr(tensorsweep, "run_group", counting_group)
     return calls
 
@@ -135,24 +136,82 @@ class TestExecuteRequests:
         assert execute_requests([]) == []
 
 
+class TestOneTierRule:
+    """Every run path reads and writes the tiers by one rule
+    (:mod:`repro.perf.cache`): an executed cell is read once, each tier
+    is used exactly when it is enabled, and a traced sweep reads
+    neither."""
+
+    def test_executed_cell_is_read_once(self, small_ct):
+        execute_requests([("corner_turn", "viram", {"workload": small_ct})])
+        assert DISK_CACHE.counters.get("misses") == 1
+        assert RUN_CACHE.stats()["misses"] == 1
+
+    def test_disk_tier_alone_persists_every_path(self, small_ct):
+        from repro.perf.index import PackedDiskCache
+
+        single = ("corner_turn", "raw", {"workload": small_ct})
+        batch = [
+            (
+                "corner_turn",
+                "viram",
+                {
+                    "workload": small_ct,
+                    "calibration": sensitivity.perturbed_calibration(
+                        "viram", "dram_row_cycle", factor
+                    ),
+                },
+            )
+            for factor in (1.05, 1.1)
+        ]
+        batched = tensorsweep.TENSOR_STATS.get("batched_cells")
+        RUN_CACHE.disable()
+        try:
+            registry.run("corner_turn", "viram", workload=small_ct)
+            execute_requests([single])
+            execute_requests(batch)
+        finally:
+            RUN_CACHE.enable()
+        assert tensorsweep.TENSOR_STATS.get("batched_cells") == batched + 2
+        assert len(RUN_CACHE) == 0
+        requests = [("corner_turn", "viram", {"workload": small_ct})]
+        requests += [single] + batch
+        fresh = PackedDiskCache(DISK_CACHE.root(), respect_env=False)
+        served = fresh.get_many([cache_key(*request) for request in requests])
+        assert len(served) == 4
+
+    def test_traced_sweep_executes_stored_cells(
+        self, small_ct, count_executions
+    ):
+        from repro.trace.tracer import tracing
+
+        request = ("corner_turn", "viram", {"workload": small_ct})
+        (stored,) = execute_requests([request])
+        with tracing() as tracer:
+            (traced,) = execute_requests([request])
+        assert len(count_executions) == 2
+        assert len(tracer.runs) == 1
+        assert traced.cycles == stored.cycles
+
+
 class TestChunking:
     def test_chunks_cover_all_requests_in_order(self):
         requests = [("k", "m", {"i": i}) for i in range(10)]
-        chunks = executor.chunked(requests, n_jobs=3)
+        chunks = planner.chunked(requests, n_jobs=3)
         flattened = [r for chunk in chunks for r in chunk]
         assert flattened == requests
         assert all(chunk for chunk in chunks)
 
     def test_explicit_chunk_size(self):
         requests = [("k", "m", {"i": i}) for i in range(7)]
-        chunks = executor.chunked(requests, n_jobs=2, chunk_size=3)
+        chunks = planner.chunked(requests, n_jobs=2, chunk_size=3)
         # chunk_size caps the batch; the 7 cells spread 3/2/2, not
         # 3/3/1 — no runt tail chunk idling a worker.
         assert [len(c) for c in chunks] == [3, 2, 2]
 
     def test_default_targets_chunks_per_worker(self):
         requests = [("k", "m", {"i": i}) for i in range(64)]
-        chunks = executor.chunked(requests, n_jobs=4)
+        chunks = planner.chunked(requests, n_jobs=4)
         # ~4 chunks per worker: 16 chunks of 4.
         assert len(chunks) == 16
 
@@ -165,13 +224,13 @@ class TestChunking:
             for n_jobs in (1, 2, 3, 4, 8):
                 sizes = [
                     len(c)
-                    for c in executor.chunked(
+                    for c in planner.chunked(
                         [("k", "m", {"i": i}) for i in range(n)], n_jobs
                     )
                 ]
                 assert sum(sizes) == n
                 assert max(sizes) - min(sizes) <= 1, (n, n_jobs, sizes)
-        explicit = executor.chunked(
+        explicit = planner.chunked(
             [("k", "m", {"i": i}) for i in range(17)], 2, chunk_size=8
         )
         sizes = [len(c) for c in explicit]
@@ -179,7 +238,7 @@ class TestChunking:
         assert max(sizes) - min(sizes) <= 1
 
     def test_chunked_empty(self):
-        assert executor.chunked([], n_jobs=4) == []
+        assert planner.chunked([], n_jobs=4) == []
 
     def test_chunked_pool_identical_to_serial(self, small_ct, small_bs):
         requests = [

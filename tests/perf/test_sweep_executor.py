@@ -1,8 +1,8 @@
-"""Tests for the parallel sweep executor (:mod:`repro.perf.executor`).
+"""Tests for the planner's sweep execution (:mod:`repro.perf.planner`).
 
-The contract under test: ``run_cells`` returns results in request order
-that are value-identical to serial execution, regardless of ``jobs``,
-cache state, or duplicate requests.
+The contract under test: ``execute_requests`` returns results in
+request order that are value-identical to serial execution, regardless
+of ``jobs``, cache state, or duplicate requests.
 """
 
 import pytest
@@ -13,7 +13,7 @@ from repro.eval.sensitivity import sweep
 from repro.eval.tables import run_table3
 from repro.perf.cache import RUN_CACHE
 from repro.perf.diskcache import DISK_CACHE
-from repro.perf.executor import resolve_jobs, run_cells
+from repro.perf.planner import execute_requests, resolve_jobs
 
 
 @pytest.fixture(autouse=True)
@@ -45,7 +45,7 @@ class TestRunCells:
             ("corner_turn", "viram", {"workload": small_ct}),
             ("beam_steering", "viram", {"workload": small_bs}),
         ]
-        results = run_cells(requests)
+        results = execute_requests(requests)
         assert [(r.kernel, r.machine) for r in results] == [
             ("beam_steering", "raw"),
             ("corner_turn", "viram"),
@@ -58,15 +58,15 @@ class TestRunCells:
             ("corner_turn", "raw", {"workload": small_ct}),
             ("beam_steering", "imagine", {"workload": small_bs}),
         ]
-        serial = run_cells(requests)
+        serial = execute_requests(requests)
         RUN_CACHE.clear()
         DISK_CACHE.clear()
-        parallel = run_cells(requests, jobs=2)
+        parallel = execute_requests(requests, jobs=2)
         assert [repr(r) for r in serial] == [repr(r) for r in parallel]
 
     def test_duplicates_evaluated_once(self, small_ct):
         request = ("corner_turn", "viram", {"workload": small_ct})
-        results = run_cells([request, request, request])
+        results = execute_requests([request, request, request])
         assert RUN_CACHE.stats()["entries"] == 1
         assert len({repr(r) for r in results}) == 1
         # Deduped copies are independent objects, not aliases.
@@ -74,17 +74,17 @@ class TestRunCells:
 
     def test_cache_seeded_for_later_calls(self, small_ct):
         request = ("corner_turn", "viram", {"workload": small_ct})
-        run_cells([request], jobs=1)
+        execute_requests([request], jobs=1)
         hits_before = RUN_CACHE.hits
-        run_cells([request])
+        execute_requests([request])
         assert RUN_CACHE.hits == hits_before + 1
 
     def test_mapping_errors_propagate(self):
         with pytest.raises(MappingError):
-            run_cells([("no_such_kernel", "viram", {})])
+            execute_requests([("no_such_kernel", "viram", {})])
 
     def test_empty_sweep(self):
-        assert run_cells([]) == []
+        assert execute_requests([]) == []
 
 
 class TestPoolFallbackTelemetry:
@@ -112,14 +112,14 @@ class TestPoolFallbackTelemetry:
             ("beam_steering", "raw", {"workload": small_bs}),
             ("beam_steering", "viram", {"workload": small_bs}),
         ]
-        serial = run_cells(requests)
+        serial = execute_requests(requests)
         RUN_CACHE.clear()
         DISK_CACHE.clear()  # force the planner back onto the pool path
         self._break_pool(
             monkeypatch, OSError("no process spawning in this sandbox")
         )
         before = RESILIENCE.get("degradations")
-        results = run_cells(requests, jobs=2)
+        results = execute_requests(requests, jobs=2)
         assert RESILIENCE.get("degradations") == before + 1
         # The original exception's type and text must be surfaced.
         reason = RESILIENCE.snapshot()["last_degradation_reason"]
@@ -131,7 +131,7 @@ class TestPoolFallbackTelemetry:
 
         self._break_pool(monkeypatch, OSError("unused"))
         before = RESILIENCE.get("degradations")
-        run_cells(
+        execute_requests(
             [("beam_steering", "raw", {"workload": small_bs})], jobs=1
         )
         assert RESILIENCE.get("degradations") == before

@@ -142,14 +142,14 @@ class TestSupervisorIntegration:
         DISK_CACHE.clear()
 
     def test_back_to_back_sweeps_reuse_one_pool(self, base, small_bs):
-        from repro.perf.executor import run_cells
+        from repro.perf.planner import execute_requests
 
         self._cold()
-        first = run_cells(self._requests(small_bs), jobs=2)
+        first = execute_requests(self._requests(small_bs), jobs=2)
         mid = poold.pool_stats()
         assert mid["alive"] == 1
         self._cold()
-        second = run_cells(self._requests(small_bs), jobs=2)
+        second = execute_requests(self._requests(small_bs), jobs=2)
         after = poold.pool_stats()
         assert after["spawns"] == mid["spawns"]
         assert after["reuses"] > mid["reuses"]

@@ -12,7 +12,6 @@ def clean_resilience(monkeypatch):
     from repro.resilience.stats import RESILIENCE
 
     monkeypatch.delenv("REPRO_CHAOS", raising=False)
-    monkeypatch.delenv("REPRO_CHAOS_DIR", raising=False)
     RESILIENCE.reset()
     yield
     RESILIENCE.reset()

@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from repro.ioutil import BODY_AT, BODY_FIELD, read_log
 from repro.perf.index import STALE_LOCK_AGE, PackedDiskCache
 from repro.resilience import chaos
 from repro.resilience.stats import RESILIENCE
@@ -51,14 +52,23 @@ class TestQuarantine:
         assert incident["reason"] == "torn tail"
 
     def test_incident_record_is_structured(self, dc):
+        entry = dc._current_view().entries[KEY]
+        payload = os.pread(dc._current_view().fd, entry.length, entry.offset)
         dc.corrupt_bytes(KEY)
         assert dc.lookup(KEY) is None
+        # One record in the stamp's quarantine log: where the entry sat,
+        # why, and its bytes as the body.
+        evidence = dc.log_path().with_suffix(".quarantine")
+        (record,) = read_log(evidence)[0]
+        assert record["k"] == KEY
+        assert record["log"] == "store.log"
+        assert record["at"] == entry.offset
+        assert "digest mismatch" in record["reason"]
+        body = evidence.read_bytes()[record[BODY_AT]:][:record[BODY_FIELD]]
+        assert len(body) == len(payload) and body != payload
         (incident,) = dc.incidents()
         assert incident["key"] == KEY
-        assert incident["action"] == "quarantined"
-        assert incident["pid"] == os.getpid()
-        assert "digest mismatch" in incident["reason"]
-        assert incident["quarantined_to"].endswith(f"{KEY}.run")
+        assert incident["quarantined_to"] == str(evidence)
 
     def test_key_recovers_after_quarantine(self, dc):
         dc.corrupt_bytes(KEY)

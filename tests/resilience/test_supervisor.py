@@ -98,13 +98,11 @@ class TestRetryPolicy:
             assert 0.075 <= delay <= 0.125
 
     def test_default_policy_reads_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MAX_RETRIES", "7")
-        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0.5")
+        # Only the deadline is environment-tunable; the retry budget
+        # and backoff are RetryPolicy's defaults.
         monkeypatch.setenv("REPRO_CHUNK_DEADLINE", "12.5")
         policy = default_policy()
-        assert policy.max_retries == 7
-        assert policy.backoff == 0.5
-        assert policy.deadline == 12.5
+        assert policy == RetryPolicy(deadline=12.5)
 
     def test_zero_deadline_disables(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHUNK_DEADLINE", "0")
@@ -156,6 +154,41 @@ class TestWorkerCrashRecovery:
             }
         ]
         assert "BrokenProcessPool" in incident["failed_cells"][0]["error"]
+
+
+class TestTransitionsAreRecorded:
+    def test_each_count_equals_what_its_events_carry(self):
+        # A poisoned cell crashes its chunk, then its isolated retries:
+        # every retry and crash, isolated ones included, is one
+        # supervisor.* event beside its count.
+        from repro.obs.ledger import recording
+
+        chunks = [["alpha", "poison", "beta"], ["gamma"]]
+        policy = RetryPolicy(max_retries=1, backoff=0.001, deadline=60.0)
+        sup = Supervisor(2, policy=policy, task=_poison_chunk,
+                         sleep=lambda s: None)
+        with recording(RESILIENCE) as recorder:
+            with pytest.raises(WorkerCrashError):
+                sup.run(chunks)
+            counts = RESILIENCE.snapshot()
+        events = [(e["kind"], e["payload"]) for e in recorder.events]
+
+        def carried(kind, field=None):
+            return sum(
+                payload[field] if field else 1
+                for k, payload in events if k == f"supervisor.{kind}"
+            )
+
+        # How many chunks the first crash takes down depends on timing;
+        # the poisoned cell's own retry and two crashes always happen.
+        assert counts["retries"] >= 2 and counts["worker_crashes"] >= 3
+        assert counts["retries"] == carried("retry", "chunks")
+        assert counts["worker_crashes"] == carried("worker_crash")
+        assert counts["pool_restarts"] == carried("pool_restart")
+        assert counts["isolated_cells"] == carried("isolate", "cells")
+        assert counts["failed_cells"] == carried("cell_failed") == 1
+        assert counts["deadline_exceeded"] == carried("deadline_exceeded")
+        assert carried("incident") == 1
 
 
 class TestDeadline:

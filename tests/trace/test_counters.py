@@ -190,7 +190,9 @@ class TestResilienceStats:
         with tracing() as tracer:
             resilience.note_degradation("traced")
         assert tracer.counters["resilience.degradations"] == 1
-        (event,) = [e for e in tracer.events if e.name == "degradation"]
+        (event,) = [
+            e for e in tracer.events if e.name == "resilience.degradation"
+        ]
         assert event.track == "resilience/supervisor"
 
     def test_reason_is_scoped(self, resilience):
