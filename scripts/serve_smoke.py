@@ -10,7 +10,11 @@ state directories, then walks the service contract:
 3. its result bytes are **identical** to ``repro run ... --json``
    stdout — the service and the CLI are the same computation;
 4. an identical second POST dedups (200, same job id);
-5. SIGTERM drains the server, which exits 0.
+5. the same pair with a second seed shares the first job's timing
+   pass (``/v1/telemetry`` reads a ``timing`` hit), and its result
+   bytes are identical to ``repro run ... --seed N --json`` from a
+   fresh process with no store, which computes every pass afresh;
+6. SIGTERM drains the server, which exits 0.
 
 Run locally with ``make serve-smoke``.  Exits non-zero with a labelled
 message on the first failed step.
@@ -31,6 +35,8 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 KERNEL, MACHINE = "corner_turn", "viram"
+#: The second job's functional seed (the first runs the default, 0).
+SECOND_SEED = 7
 
 
 def fail(step: str, detail: str) -> None:
@@ -48,6 +54,32 @@ def request(method: str, url: str, body=None, timeout=30.0):
             return response.status, response.read()
     except urllib.error.HTTPError as exc:
         return exc.code, exc.read()
+
+
+def run_job(url: str, payload) -> tuple:
+    """POST a new job, wait for DONE; returns (job id, result bytes)."""
+    step = f"seed {payload['params'].get('seed', 0)}"
+    status, body = request("POST", url + "/v1/jobs", payload)
+    record = json.loads(body)
+    if status != 202 or record.get("outcome") != "admitted":
+        fail(f"submit {step}", f"status={status} record={record}")
+    jid = record["job"]
+
+    deadline = time.monotonic() + 120
+    state = None
+    while time.monotonic() < deadline:
+        status, body = request("GET", f"{url}/v1/jobs/{jid}")
+        state = json.loads(body).get("state")
+        if state in ("DONE", "FAILED"):
+            break
+        time.sleep(0.05)
+    if state != "DONE":
+        fail(f"poll {step}", f"job ended {state!r}")
+
+    status, result = request("GET", f"{url}/v1/jobs/{jid}/result")
+    if status != 200:
+        fail(f"result {step}", f"expected 200, got {status}")
+    return jid, result
 
 
 def main() -> None:
@@ -86,28 +118,7 @@ def main() -> None:
 
         payload = {"kind": "run",
                    "params": {"kernel": KERNEL, "machine": MACHINE}}
-        status, body = request("POST", url + "/v1/jobs", payload)
-        record = json.loads(body)
-        if status != 202 or record.get("outcome") != "admitted":
-            fail("submit", f"status={status} record={record}")
-        jid = record["job"]
-
-        deadline = time.monotonic() + 120
-        state = None
-        while time.monotonic() < deadline:
-            status, body = request("GET", f"{url}/v1/jobs/{jid}")
-            state = json.loads(body).get("state")
-            if state in ("DONE", "FAILED"):
-                break
-            time.sleep(0.05)
-        if state != "DONE":
-            fail("poll", f"job ended {state!r}")
-
-        status, service_bytes = request(
-            "GET", f"{url}/v1/jobs/{jid}/result"
-        )
-        if status != 200:
-            fail("result", f"expected 200, got {status}")
+        jid, service_bytes = run_job(url, payload)
 
         cli = subprocess.run(
             [sys.executable, "-m", "repro", "run", KERNEL, MACHINE,
@@ -128,6 +139,28 @@ def main() -> None:
         if duplicate.get("job") != jid:
             fail("dedup", "duplicate request produced a different job id")
 
+        reseeded = {"kind": "run",
+                    "params": {"kernel": KERNEL, "machine": MACHINE,
+                               "seed": SECOND_SEED}}
+        _, reseeded_bytes = run_job(url, reseeded)
+        status, body = request("GET", url + "/v1/telemetry")
+        timing = json.loads(body).get("timing", {})
+        if status != 200 or timing.get("hits", 0) < 1:
+            fail("timing-memo", f"status={status} timing={timing}")
+        fresh = subprocess.run(
+            [sys.executable, "-m", "repro", "run", KERNEL, MACHINE,
+             "--seed", str(SECOND_SEED), "--json"],
+            env=dict(env, REPRO_DISK_CACHE="0"), cwd=str(tmp),
+            capture_output=True, check=True,
+        )
+        if reseeded_bytes != fresh.stdout:
+            fail(
+                "fresh-parity",
+                f"seed {SECOND_SEED} result ({len(reseeded_bytes)} bytes) "
+                f"differs from a fresh process's --json stdout "
+                f"({len(fresh.stdout)} bytes)",
+            )
+
         server.send_signal(signal.SIGTERM)
         rc = server.wait(timeout=60)
         if rc != 0:
@@ -136,7 +169,9 @@ def main() -> None:
         print(
             "serve-smoke OK: admitted -> DONE, result byte-identical "
             f"to CLI ({len(service_bytes)} bytes), duplicate deduped "
-            f"to {jid}, SIGTERM drained with exit 0"
+            f"to {jid}, seed {SECOND_SEED} shared the timing pass "
+            f"({timing['hits']} hit) and matched a fresh process, "
+            "SIGTERM drained with exit 0"
         )
     finally:
         if server.poll() is None:

@@ -3,9 +3,10 @@ claims to detect.
 
 A validation subsystem that has never seen a failure is itself
 unvalidated.  Each injector here deliberately corrupts one of the
-redundant evaluation paths — a tampered cache entry, a process pool
-that misdelivers worker results, a perturbed vectorised DRAM timing
-path — and :func:`run_injection` asserts the matching oracle flags it.
+redundant evaluation paths — a tampered cache entry or timing pass, a
+process pool that misdelivers worker results, a perturbed vectorised
+DRAM timing path — and :func:`run_injection` asserts the matching
+oracle flags it.
 An oracle that stays green under its own fault is a blind spot and is
 reported as UNDETECTED.
 
@@ -82,6 +83,43 @@ def corrupted_cache_entry(
         yield key
     finally:
         RUN_CACHE.clear()
+
+
+@contextlib.contextmanager
+def tampered_timing_pass() -> Iterator[str]:
+    """Tamper the timing memo's VIRAM corner-turn pass: fill it with a
+    keyed run, double its strided-load issue cycles, and drop the run
+    from tier 1, so the cache oracle's next keyed run is simulated on
+    the stale pass while its ``cache=False`` leg computes a fresh one.
+    The fill stores nothing on disk and the oracle runs on a scratch
+    store, so no persisted run can answer it first.  Yields the
+    tampered memo key."""
+    from repro.errors import CheckError
+    from repro.mappings import registry
+    from repro.perf.cache import RUN_CACHE, TIMING_PASSES, cache_key
+    from repro.perf.diskcache import DISK_CACHE
+
+    if not RUN_CACHE.enabled:
+        # The memo follows tier 1; the oracle will report the skip.
+        yield ""
+        return
+
+    def scale(entry) -> None:
+        entry["issue_loads"] = 2.0 * entry["issue_loads"]
+
+    with _scratch_disk_store():
+        RUN_CACHE.clear()
+        key = cache_key("corner_turn", "viram", {})
+        with DISK_CACHE.disabled():
+            registry.simulate("corner_turn", "viram", {}, key)
+        memo_keys = TIMING_PASSES.keys()
+        if not memo_keys or not TIMING_PASSES.tamper(memo_keys[-1], scale):
+            raise CheckError("could not tamper the VIRAM corner-turn pass")
+        RUN_CACHE.evict(key)
+        try:
+            yield memo_keys[-1]
+        finally:
+            RUN_CACHE.clear()
 
 
 @contextlib.contextmanager
@@ -264,6 +302,11 @@ def _disk_integrity_under_fault() -> List[CheckResult]:
 SCENARIOS: Dict[str, tuple] = {
     "cache-entry-tampered": (
         corrupted_cache_entry,
+        "cache",
+        _cache_oracle_under_fault,
+    ),
+    "timing-pass-tampered": (
+        tampered_timing_pass,
         "cache",
         _cache_oracle_under_fault,
     ),

@@ -782,6 +782,7 @@ def _cmd_report(args) -> int:
 
 def _print_perf_stats() -> None:
     from repro.perf import DISK_CACHE, RUN_CACHE, timers
+    from repro.perf.cache import TIMING_PASSES
     from repro.perf.planner import PLANNER_STATS
     from repro.perf.tensorsweep import TENSOR_STATS
     from repro.resilience.stats import RESILIENCE
@@ -789,6 +790,7 @@ def _print_perf_stats() -> None:
 
     print(timers.render(), file=sys.stderr)
     print(RUN_CACHE.format_stats(), file=sys.stderr)
+    print(TIMING_PASSES.format_stats(), file=sys.stderr)
     print(DISK_CACHE.format_stats(), file=sys.stderr)
     for tally in (PLANNER_STATS, TENSOR_STATS, SCENARIO_STATS, RESILIENCE):
         print(tally.render(), file=sys.stderr)

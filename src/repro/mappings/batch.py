@@ -10,13 +10,24 @@ single pass.  Every mapping module supports this by splitting its
   cache-trace simulation, functional reference computation.  Everything
   here is a pure function of the workload, the seed, the mapping
   options, and the *structural* calibration fields (integer geometry
-  such as TLB entry counts — see :data:`STRUCTURAL_CAL_FIELDS`).
+  such as TLB entry counts — see :data:`STRUCTURAL_CAL_FIELDS`).  It
+  has two parts.  The *timing pass* (address streams, DRAM/TLB costs,
+  cache tallies, stream programs, network delivery, op censuses) does
+  not read the seed: the kernels are data-oblivious.  The *functional
+  pass* (the seed's source data, the output, its check, functional
+  metrics such as ``cancellation_db``) does.  Where the timing pass
+  costs milliseconds the mapping computes it through
+  :func:`repro.perf.cache.timing_pass`, which shares it between stored
+  runs of one geometry; the mapping adds its functional fields to a
+  shallow copy of the shared, read-only entry.
 * ``_evaluate(structure, cals)`` — assembly of the per-cell cycle
-  ledgers from the structure.  Where calibration constants enter the
-  models only through closed-form cost expressions, this half
-  vectorises over a leading batch axis: a term like "activation
-  cycles" becomes a ``(B, S)`` numpy expression reduced along the
-  segment axis.  Imagine's ledgers are not a closed form: they come
+  ledgers from the structure.  It reads every float constant from
+  ``cals``, never from the structure's machine, which was built under
+  whichever calibration first made the pass.  Where calibration
+  constants enter the models only through closed-form cost
+  expressions, this half vectorises over a leading batch axis: a term
+  like "activation cycles" becomes a ``(B, S)`` numpy expression
+  reduced along the segment axis.  Imagine's ledgers are not a closed form: they come
   from the host stream program's schedule, whose op start times are a
   running max over dependencies and resource availability.  Its
   ``_evaluate`` replays that schedule once per cell over a compiled op

@@ -49,6 +49,7 @@ from repro.kernels.workloads import canonical_beam_steering
 from repro.mappings import batch
 from repro.mappings.base import resolve_calibration
 from repro.memory.streams import Gather, Sequential
+from repro.perf.cache import timing_pass
 from repro.sim.accounting import CycleBreakdown
 from repro.units import WORD_BYTES
 
@@ -88,10 +89,24 @@ def _structure(
     seed: int,
     tables_in_srf: bool,
 ) -> Dict:
-    """The calibration-independent pass: SRF allocation, the per-
-    invocation host stream program, its op costs (address streams
-    through the DRAM model), and the reference output."""
+    """The calibration-independent pass: the seed-independent timing
+    pass (shared through the timing memo) and the reference output."""
     workload = workload or canonical_beam_steering()
+    signature = batch.structural_signature("imagine", cal)
+    timing = timing_pass(
+        ("imagine_beam_steering", workload, signature, tables_in_srf),
+        lambda: _timing(workload, cal, tables_in_srf),
+    )
+    tables = make_tables(workload, seed)
+    return dict(timing, output=beam_steering_reference(workload, tables))
+
+
+def _timing(
+    workload: BeamSteeringWorkload, cal: Calibration, tables_in_srf: bool
+) -> Dict:
+    """SRF allocation, the per-invocation host stream program and its
+    op costs (address streams through the DRAM model): a function of
+    the workload's geometry and the option, not of the data."""
     machine = ImagineMachine(calibration=cal.imagine)
 
     elements = workload.elements
@@ -144,9 +159,6 @@ def _structure(
             )
     op_costs = cost_program(program, machine)
 
-    tables = make_tables(workload, seed)
-    output = beam_steering_reference(workload, tables)
-
     return {
         "workload": workload,
         "machine": machine,
@@ -155,7 +167,6 @@ def _structure(
         "mix_arith": ClusterOpMix(adds=mix.adds, muls=mix.muls, divs=mix.divs),
         "mix_comms": mix.comms,
         "invocations": invocations,
-        "output": output,
     }
 
 

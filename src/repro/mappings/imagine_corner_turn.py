@@ -49,6 +49,7 @@ from repro.kernels.workloads import canonical_corner_turn
 from repro.mappings import batch
 from repro.mappings.base import require, resolve_calibration
 from repro.memory.streams import Sequential, Tiled2D
+from repro.perf.cache import timing_pass
 from repro.sim.accounting import CycleBreakdown
 from repro.units import WORD_BYTES
 
@@ -92,10 +93,35 @@ def _structure(
     seed: int,
     via_network_port: bool,
 ) -> Dict:
-    """The calibration-independent pass: strip sizing, the host stream
-    program, its op costs (address streams through the DRAM model), and
-    the functional transpose."""
+    """The calibration-independent pass: the seed-independent timing
+    pass (shared through the timing memo) and the functional transpose.
+    ``via_network_port`` is read only by :func:`_evaluate`, so both
+    settings share one timing pass."""
     workload = workload or canonical_corner_turn()
+    signature = batch.structural_signature("imagine", cal)
+    timing = timing_pass(
+        ("imagine_corner_turn", workload, signature),
+        lambda: _timing(workload, cal),
+    )
+    n_strips, strip_rows = timing["n_strips"], timing["strip_rows"]
+
+    matrix = workload.make_matrix(seed)
+    output = np.empty((workload.cols, workload.rows), dtype=matrix.dtype)
+    for strip in range(n_strips):
+        r0 = strip * strip_rows
+        output[:, r0 : r0 + strip_rows] = matrix[r0 : r0 + strip_rows, :].T
+    return dict(
+        timing,
+        via_network_port=via_network_port,
+        output=output,
+        ok=is_transpose(output, matrix),
+    )
+
+
+def _timing(workload: CornerTurnWorkload, cal: Calibration) -> Dict:
+    """Strip sizing, the host stream program and its op costs (address
+    streams through the DRAM model): a function of the workload's
+    geometry, not of the data."""
     machine = ImagineMachine(calibration=cal.imagine)
 
     # Strip height: eight rows at the canonical width (the four input
@@ -187,17 +213,9 @@ def _structure(
         0, machine.dram.total_activations - read_activations
     )
 
-    matrix = workload.make_matrix(seed)
-    output = np.empty((workload.cols, workload.rows), dtype=matrix.dtype)
-    for strip in range(n_strips):
-        r0 = strip * strip_rows
-        output[:, r0 : r0 + strip_rows] = matrix[r0 : r0 + strip_rows, :].T
-    ok = is_transpose(output, matrix)
-
     return {
         "workload": workload,
         "machine": machine,
-        "via_network_port": via_network_port,
         "op_costs": op_costs,
         "route_arith": ClusterOpMix(
             adds=route_mix.adds, muls=route_mix.muls, divs=route_mix.divs
@@ -208,8 +226,6 @@ def _structure(
         "port_bound": port_bound,
         "write_activations": write_activations,
         "exceeds_srf": exceeds_srf,
-        "output": output,
-        "ok": ok,
     }
 
 

@@ -53,6 +53,7 @@ from repro.kernels.workloads import canonical_cslc
 from repro.mappings import batch
 from repro.mappings.base import functional_match, resolve_calibration
 from repro.memory.streams import Sequential
+from repro.perf.cache import timing_pass
 from repro.sim.accounting import CycleBreakdown
 from repro.units import WORD_BYTES
 
@@ -139,12 +140,36 @@ def _structure(
     seed: int,
     independent_ffts: bool,
 ) -> Dict:
-    """The calibration-independent pass: cluster op mixes, the
-    software-pipelined host stream program, its op costs (address
-    streams through the DRAM model), and the functional result."""
+    """The calibration-independent pass: the seed-independent timing
+    pass (shared through the timing memo) and the functional result."""
     workload = workload or canonical_cslc()
-    machine = ImagineMachine(calibration=cal.imagine)
+    signature = batch.structural_signature("imagine", cal)
+    timing = timing_pass(
+        ("imagine_cslc", workload, signature, independent_ffts),
+        lambda: _timing(workload, cal, independent_ffts),
+    )
     plan = FFTPlan(workload.subband_len)  # radix-4 stages + one radix-2
+    channels = make_jammed_channels(
+        workload.samples, workload.n_mains, workload.n_aux, seed=seed
+    )
+    result = cslc_reference(channels, workload, plan=plan)
+    oracle = cslc_oracle(channels, workload, result.weights)
+    return dict(
+        timing,
+        output=result.outputs,
+        ok=functional_match(result.outputs, oracle),
+        cancellation_db=result.cancellation_db,
+    )
+
+
+def _timing(
+    workload: CSLCWorkload, cal: Calibration, independent_ffts: bool
+) -> Dict:
+    """Cluster op mixes, the software-pipelined host stream program and
+    its op costs (address streams through the DRAM model): a function
+    of the workload's geometry and the options, not of the data."""
+    machine = ImagineMachine(calibration=cal.imagine)
+    plan = FFTPlan(workload.subband_len)
 
     # Working set per sub-band must fit the SRF (double-buffered).
     subband_words = (
@@ -216,13 +241,6 @@ def _structure(
             out_base += subband_words
     op_costs = cost_program(program, machine)
 
-    channels = make_jammed_channels(
-        workload.samples, workload.n_mains, workload.n_aux, seed=seed
-    )
-    result = cslc_reference(channels, workload, plan=plan)
-    oracle = cslc_oracle(channels, workload, result.weights)
-    ok = functional_match(result.outputs, oracle)
-
     free_mix = _transform_mix(plan, machine, parallel=False)
     machine.kernel_cycles(free_mix)  # emits the comm-free what-if span
 
@@ -238,9 +256,6 @@ def _structure(
         "kernel_weighted": kernel_weighted,
         "fft_flops": plan.flops() * workload.transforms,
         "ops": workload.op_counts(plan),
-        "output": result.outputs,
-        "ok": ok,
-        "cancellation_db": result.cancellation_db,
     }
 
 

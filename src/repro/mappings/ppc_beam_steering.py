@@ -36,6 +36,7 @@ from repro.kernels.beam_steering import (
 from repro.kernels.workloads import canonical_beam_steering
 from repro.mappings import batch
 from repro.mappings.base import resolve_calibration
+from repro.perf.cache import timing_pass
 from repro.sim.accounting import CycleBreakdown
 
 #: Scalar chain per output: 2 loads + 5 adds + 1 shift + 1 store + 2
@@ -71,6 +72,7 @@ def table_read_trace(workload: BeamSteeringWorkload) -> np.ndarray:
 
 def _structure(
     workload: BeamSteeringWorkload,
+    cal: Calibration,
     machine: PpcMachine,
     name: str,
     spec,
@@ -79,27 +81,36 @@ def _structure(
     seed: int,
 ) -> Dict:
     """The calibration-independent pass: the trace-driven hit/miss tally
-    (pure cache geometry) and the reference output.  Latency constants
+    (pure cache geometry, shared through the timing memo by the scalar
+    and AltiVec mappings) and the reference output.  Latency constants
     re-enter in :func:`_evaluate`."""
-    hierarchy = machine.make_hierarchy()
-    reads = hierarchy.run_trace(table_read_trace(workload))
-    write_lines = workload.outputs / machine.config.l1_line_words
-
+    signature = batch.structural_signature("ppc", cal)
+    tally = timing_pass(
+        ("ppc_beam_steering", workload, signature),
+        lambda: _tally(workload, machine),
+    )
     tables = make_tables(workload, seed)
-    output = beam_steering_reference(workload, tables)
+    return dict(
+        tally,
+        workload=workload,
+        name=name,
+        spec=spec,
+        issue=issue,
+        chain_stalls=chain_stalls,
+        output=beam_steering_reference(workload, tables),
+    )
 
+
+def _tally(workload: BeamSteeringWorkload, machine: PpcMachine) -> Dict:
+    """The table-read trace through the cold L1+L2 hierarchy, and the
+    output stream's line count: a function of the workload's geometry
+    and the cache geometry, not of the data."""
+    reads = machine.make_hierarchy().run_trace(table_read_trace(workload))
     return {
-        "workload": workload,
-        "machine": machine,
-        "name": name,
-        "spec": spec,
-        "issue": issue,
-        "chain_stalls": chain_stalls,
         "l2_hits": reads.l2.hits if reads.l2 is not None else 0,
         "memory_accesses": reads.memory_accesses,
         "l1_miss_rate": reads.l1.miss_rate,
-        "write_lines": write_lines,
-        "output": output,
+        "write_lines": workload.outputs / machine.config.l1_line_words,
     }
 
 
@@ -163,7 +174,7 @@ def _scalar_structure(
     issue = workload.outputs * SCALAR_CHAIN_INSTR
     chain_stalls = workload.outputs * LOADS_PER_OUTPUT * (LOAD_USE_LATENCY - 1)
     return _structure(
-        workload, machine, "ppc", machine.spec, issue, chain_stalls, seed
+        workload, cal, machine, "ppc", machine.spec, issue, chain_stalls, seed
     )
 
 
@@ -181,6 +192,7 @@ def _altivec_structure(
     chain_stalls = groups * (LOAD_USE_LATENCY - 1)
     return _structure(
         workload,
+        cal,
         machine,
         "altivec",
         machine.altivec_spec,

@@ -40,6 +40,7 @@ from repro.kernels.signal import make_jammed_channels
 from repro.kernels.workloads import canonical_cslc
 from repro.mappings import batch
 from repro.mappings.base import functional_match, resolve_calibration
+from repro.perf.cache import timing_pass
 from repro.sim.accounting import CycleBreakdown
 from repro.units import WORD_BYTES
 
@@ -107,10 +108,37 @@ def _structure(
     balanced: bool,
     streamed_fft: bool,
 ) -> Dict:
-    """The calibration-independent pass: the instruction-category
-    censuses, capacity allocation, dynamic-network delivery simulation,
-    and the functional result."""
+    """The calibration-independent pass: the seed-independent timing
+    pass (shared through the timing memo) and the functional result.
+    ``balanced`` is read only by :func:`_evaluate`, so both settings
+    share one timing pass."""
     workload = workload or canonical_cslc()
+    signature = batch.structural_signature("raw", cal)
+    timing = timing_pass(
+        ("raw_cslc", workload, signature, streamed_fft),
+        lambda: _timing(workload, cal, streamed_fft),
+    )
+    plan = FFTPlan(workload.subband_len, radix2_radices(workload.subband_len))
+    channels = make_jammed_channels(
+        workload.samples, workload.n_mains, workload.n_aux, seed=seed
+    )
+    result = cslc_reference(channels, workload, plan=plan)
+    oracle = cslc_oracle(channels, workload, result.weights)
+    return dict(
+        timing,
+        balanced=balanced,
+        output=result.outputs,
+        ok=functional_match(result.outputs, oracle),
+        cancellation_db=result.cancellation_db,
+    )
+
+
+def _timing(
+    workload: CSLCWorkload, cal: Calibration, streamed_fft: bool
+) -> Dict:
+    """The instruction-category censuses, capacity allocation and the
+    dynamic-network delivery simulation: a function of the workload's
+    geometry and the options, not of the data."""
     machine = RawMachine(calibration=cal.raw)
     plan = FFTPlan(workload.subband_len, radix2_radices(workload.subband_len))
 
@@ -151,20 +179,12 @@ def _structure(
         config=machine.config, words_per_set=set_words
     )
 
-    channels = make_jammed_channels(
-        workload.samples, workload.n_mains, workload.n_aux, seed=seed
-    )
-    result = cslc_reference(channels, workload, plan=plan)
-    oracle = cslc_oracle(channels, workload, result.weights)
-    ok = functional_match(result.outputs, oracle)
-
     # §4.3 compares against the radix-4 operation basis ("care should be
     # given when the performance of the Raw on CSLC is compared").
     radix4_plan = FFTPlan(workload.subband_len)
     return {
         "workload": workload,
         "machine": machine,
-        "balanced": balanced,
         "streamed_fft": streamed_fft,
         "butterflies": butterflies,
         "addr_extra": addr_extra,
@@ -176,9 +196,6 @@ def _structure(
             plan.memory_census().total / radix4_plan.memory_census().total
         ),
         "ops": workload.op_counts(plan),
-        "output": result.outputs,
-        "ok": ok,
-        "cancellation_db": result.cancellation_db,
     }
 
 

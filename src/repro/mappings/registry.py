@@ -11,13 +11,15 @@ Runs are memoized through two tiers: the in-process
 of their arguments, so a repeated ``(kernel, machine, kwargs)`` request
 is served from the first result instead of re-simulated.  ``run`` is
 content key → :func:`repro.perf.cache.read_tiers` → :func:`simulate`;
-the tier rule itself lives in :mod:`repro.perf.cache`.  A cached call
-returns the run's cached form (:func:`repro.perf.cache.cached_form`) on
-a miss as well as on a hit: ``output_digest`` is set and ``output`` is
-``None``.  Pass ``cache=False`` to force a fresh simulation that
-carries the output array (also the opt-out for stateful experiments),
-or disable a tier globally with ``REPRO_RUN_CACHE=0`` /
-``REPRO_DISK_CACHE=0``.
+the tier rule itself lives in :mod:`repro.perf.cache`.  A stored run
+with a new seed shares its mapping's seed-independent timing pass with
+earlier runs of the same geometry (the timing memo, also in
+:mod:`repro.perf.cache`).  A cached call returns the run's cached form
+(:func:`repro.perf.cache.cached_form`) on a miss as well as on a hit:
+``output_digest`` is set and ``output`` is ``None``.  Pass
+``cache=False`` to force a fresh simulation that carries the output
+array (also the opt-out for stateful experiments), or disable a tier
+globally with ``REPRO_RUN_CACHE=0`` / ``REPRO_DISK_CACHE=0``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,13 @@ from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 from repro.arch.base import KernelRun
 from repro.errors import MappingError
 from repro.perf import timers
-from repro.perf.cache import cache_key, cached_form, read_tiers, write_tiers
+from repro.perf.cache import (
+    cache_key,
+    cached_form,
+    read_tiers,
+    timing_scope,
+    write_tiers,
+)
 from repro.trace.tracer import active_tracer
 from repro.mappings import (
     imagine_beam_steering,
@@ -186,11 +194,15 @@ def simulate(
     """Execute one mapping without reading the tiers (the caller read
     them): the post-run hook validates the result, and an active tracer
     gets it attached.  With a ``key`` the run's cached form is stored
-    through :func:`repro.perf.cache.write_tiers` and returned; without
-    one the full run, output array included, is returned and nothing
+    through :func:`repro.perf.cache.write_tiers` and returned, and the
+    mapping may share its timing pass through the timing memo
+    (:func:`repro.perf.cache.timing_pass`); without one the full run,
+    output array included, is computed afresh and returned, and nothing
     is stored."""
     fn = _mapping(kernel, machine)
-    with timers.timer(f"run:{kernel}/{machine}"):
+    with timers.timer(f"run:{kernel}/{machine}"), timing_scope(
+        key is not None
+    ):
         result = fn(**kwargs)
     _post_run(result, kwargs)
     tracer = active_tracer()

@@ -57,6 +57,7 @@ from repro.kernels.workloads import canonical_corner_turn
 from repro.mappings import batch
 from repro.mappings.base import require, resolve_calibration
 from repro.memory.dram import PIECE_WORDS
+from repro.perf.cache import timing_pass
 from repro.sim.accounting import CycleBreakdown
 from repro.units import WORD_BYTES
 
@@ -90,12 +91,26 @@ def _structure(
     cal: Calibration,
     seed: int,
 ) -> Dict:
-    """The calibration-independent pass: build and cost the blocked
-    load/store address stream piece by piece, walk the TLB, compute the
-    functional output and check it against the exact transpose.
-    Everything here depends only on the workload, the seed, and the
-    structural calibration fields (TLB geometry)."""
+    """The calibration-independent pass: the seed-independent timing
+    pass (shared through the timing memo), then the functional output,
+    checked against the exact transpose.  Everything here depends only
+    on the workload, the seed, and the structural calibration fields
+    (TLB geometry)."""
     workload = workload or canonical_corner_turn()
+    signature = batch.structural_signature("viram", cal)
+    timing = timing_pass(
+        ("viram_corner_turn", workload, signature),
+        lambda: _timing(workload, cal),
+    )
+    matrix = workload.make_matrix(seed)
+    output = blocked_corner_turn(matrix, BLOCK)
+    return dict(timing, output=output, ok=is_transpose(output, matrix))
+
+
+def _timing(workload: CornerTurnWorkload, cal: Calibration) -> Dict:
+    """Build and cost the blocked load/store address stream piece by
+    piece and walk the TLB: a function of the workload's geometry and
+    the TLB geometry, not of the data."""
     machine = ViramMachine(calibration=cal.viram)
     require(
         workload.rows % BLOCK == 0 and workload.cols % BLOCK == 0,
@@ -150,10 +165,6 @@ def _structure(
 
     cost = machine.stream_batch(pieces())
 
-    matrix = workload.make_matrix(seed)
-    output = blocked_corner_turn(matrix, BLOCK)
-    ok = is_transpose(output, matrix)
-
     return {
         "workload": workload,
         "machine": machine,
@@ -166,8 +177,6 @@ def _structure(
         "worst": cost.worst,
         "activations": int(cost.activations.sum()),
         "tlb_misses": machine.tlb.misses,
-        "output": output,
-        "ok": ok,
     }
 
 

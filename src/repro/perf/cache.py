@@ -36,25 +36,45 @@ engine):
   through one tier-2 ``put_many``.
 
 Each tier is used exactly when it is enabled: ``RUN_CACHE.disable()``
-or ``REPRO_RUN_CACHE=0`` turns off tier 1 only, ``REPRO_DISK_CACHE=0``
-tier 2 only.  Neither tier answers or stores a ``cache=False``, traced
-or uncacheable request.
+or ``REPRO_RUN_CACHE=0`` turns off tier 1 (and the timing memo below),
+``REPRO_DISK_CACHE=0`` tier 2 only.  Neither tier answers or stores a
+``cache=False``, traced or uncacheable request.
+
+Beside tier 1 sits a third, smaller store that holds no runs: the
+*timing memo* (:data:`TIMING_PASSES`).  The kernels are data-oblivious,
+so a mapping's address streams, DRAM/TLB costs, cache tallies and
+stream-program costs depend on the workload geometry, the structural
+calibration fields and the options that shape the streams, never on
+the seed.  The mappings whose timing half costs milliseconds compute
+it through :func:`timing_pass`, keyed by the content digest of those
+fields; a run with a new seed then re-computes only its data.  The
+memo answers only inside :func:`timing_scope`, which
+``registry.simulate`` and ``tensorsweep.run_group`` open exactly when
+the run will be stored and tier 1 is on: ``cache=False``, traced and
+uncacheable requests, pool workers and ``REPRO_RUN_CACHE=0`` compute
+every pass afresh, so the differential oracles' cold legs never read
+it.  ``RUN_CACHE.clear()`` empties it with tier 1.
 """
 
 from __future__ import annotations
 
+import contextvars
 import copy
 import dataclasses
 import hashlib
 import os
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from types import MappingProxyType
+from typing import (
+    Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
 from repro.perf.diskcache import DISK_CACHE
-from repro.trace.telemetry import TELEMETRY
+from repro.trace.telemetry import TELEMETRY, Counters
 from repro.trace.tracer import active_tracer
 
 
@@ -320,12 +340,14 @@ class RunCache:
             return True
 
     def clear(self) -> None:
-        """Drop all entries and reset the counters."""
+        """Drop all entries and reset the counters, the timing memo's
+        included."""
         with self._lock:
             self._store.clear()
             self.hits = 0
             self.misses = 0
             self.bypasses = 0
+        TIMING_PASSES.clear()
 
     def stats(self) -> Dict[str, int]:
         return {
@@ -349,6 +371,137 @@ RUN_CACHE = RunCache(
     enabled=os.environ.get("REPRO_RUN_CACHE", "1") != "0"
 )
 TELEMETRY.register("perf.cache", RUN_CACHE.stats)
+
+
+#: Timing passes the memo holds at most.  A 2048^2 corner-turn pass is
+#: about 0.5 MB of per-segment costs; a cold report fills 16 entries
+#: and a dense sweep one per batch group.
+TIMING_ENTRIES = 64
+
+
+class TimingPasses:
+    """Keyed LRU of mappings' seed-independent timing passes.
+
+    An entry is read-only: its arrays are made unwritable and the dict
+    is served as a :class:`~types.MappingProxyType`, so a mapping adds
+    its functional fields to a shallow copy and no run can change what
+    the next one reads.  Lookups count ``hits`` and ``misses`` in the
+    ``perf.timing`` namespace.
+    """
+
+    def __init__(self, max_entries: int = TIMING_ENTRIES) -> None:
+        self._store: "OrderedDict[str, Mapping[str, Any]]" = OrderedDict()
+        self._lock = threading.Lock()
+        self.max_entries = int(max_entries)
+        self.counts = Counters("perf.timing", ("hits", "misses"))
+
+    def __len__(self) -> int:
+        return len(self._store)
+
+    def lookup(self, key: str) -> Optional[Mapping[str, Any]]:
+        with self._lock:
+            entry = self._store.get(key)
+            if entry is not None:
+                self._store.move_to_end(key)
+        self.counts.note("hits" if entry is not None else "misses")
+        return entry
+
+    def insert(self, key: str, entry: Mapping[str, Any]) -> Mapping[str, Any]:
+        """Store ``entry`` read-only under ``key``; returns the stored
+        form."""
+        for value in entry.values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        frozen = MappingProxyType(dict(entry))
+        with self._lock:
+            self._store[key] = frozen
+            self._store.move_to_end(key)
+            while len(self._store) > self.max_entries:
+                self._store.popitem(last=False)
+        return frozen
+
+    def keys(self) -> List[str]:
+        """The stored keys, oldest first (LRU order)."""
+        with self._lock:
+            return list(self._store)
+
+    def tamper(self, key: str, mutate: Callable[[Dict[str, Any]], None]) -> bool:
+        """Replace the entry under ``key`` with a copy ``mutate`` has
+        changed; returns whether the key was present.  For
+        ``repro.check.faults`` only, as :meth:`RunCache.tamper` is."""
+        with self._lock:
+            if key not in self._store:
+                return False
+            changed = dict(self._store[key])
+            mutate(changed)
+            self._store[key] = MappingProxyType(changed)
+            return True
+
+    def clear(self) -> None:
+        """Drop all entries and reset the counts."""
+        with self._lock:
+            self._store.clear()
+        self.counts.reset()
+
+    def stats(self) -> Dict[str, int]:
+        return {**self.counts.snapshot(), "entries": len(self._store)}
+
+    def format_stats(self) -> str:
+        s = self.stats()
+        return (
+            f"timing memo: {s['hits']} hits, {s['misses']} misses, "
+            f"{s['entries']} entries"
+        )
+
+
+#: The process-wide timing memo, answered through :func:`timing_pass`.
+TIMING_PASSES = TimingPasses()
+TELEMETRY.register("perf.timing", TIMING_PASSES.stats)
+
+#: Whether the mapping call running in this context may share timing
+#: passes (see :func:`timing_scope`).
+_TIMING_SCOPE: "contextvars.ContextVar[bool]" = contextvars.ContextVar(
+    "repro_timing_scope", default=False
+)
+
+
+@contextmanager
+def timing_scope(stored: bool) -> Iterator[None]:
+    """Let the mapping calls inside read and fill the timing memo when
+    ``stored`` (their runs will be written to the tiers under a key)."""
+    token = _TIMING_SCOPE.set(bool(stored))
+    try:
+        yield
+    finally:
+        _TIMING_SCOPE.reset(token)
+
+
+def timing_pass(
+    parts: Any, compute: Callable[[], Mapping[str, Any]]
+) -> Mapping[str, Any]:
+    """A mapping's timing pass: ``compute()``, shared through the memo
+    under the :func:`content_digest` of ``parts``.
+
+    ``parts`` names everything the pass reads: the mapping, the
+    workload, the structural calibration fields and the options that
+    change its address streams, never the seed.  Outside a
+    :func:`timing_scope`, with tier 1 off, under a tracer (whose spans
+    the pass emits) or for parts without an encoding, ``compute()``
+    runs and nothing is stored.  A served entry is read-only.
+    """
+    if not (
+        _TIMING_SCOPE.get()
+        and RUN_CACHE.enabled
+        and active_tracer() is None
+    ):
+        return compute()
+    key = content_digest(parts)
+    if key is None:
+        return compute()
+    entry = TIMING_PASSES.lookup(key)
+    if entry is None:
+        entry = TIMING_PASSES.insert(key, compute())
+    return entry
 
 
 def read_tiers(

@@ -10,7 +10,8 @@ measurements draw for host↔accelerator dispatch).  This module keeps
 
 * lazily spawned on first use, with an initializer that preloads the
   calibration tables and the mapping registry so the first chunk a
-  worker receives does not pay the import bill;
+  worker receives does not pay the import bill, and turns the worker's
+  tier 1 and timing memo off (the parent holds what workers return);
 * *leased* to one :class:`~repro.resilience.supervisor.Supervisor` at a
   time — the supervisor's recovery ladder still owns failure handling:
   a crashed pool is discarded (and counted) exactly as before, and the
@@ -53,15 +54,20 @@ POOL_STATS = Counters("perf.pool", ("spawns", "leases", "reuses", "discards"))
 
 
 def _warm_worker() -> None:
-    """Pool-worker initializer: forget the parent's ledger state, then
-    pay the heavy imports once per worker, not once per chunk.  Never
-    raises — a failed preload only means the first chunk imports
-    lazily, as it always did."""
+    """Pool-worker initializer: forget the parent's ledger state, turn
+    tier 1 (and with it the timing memo) off and empty it, then pay the
+    heavy imports once per worker, not once per chunk.  Nothing in a
+    worker reads tier 1: the parent answers repeats and stores what its
+    workers return.  Never raises — a failed preload only means the
+    first chunk imports lazily, as it always did."""
     drop_inherited()
     try:
         import repro.calibration  # noqa: F401  (calibration tables)
         from repro.mappings import registry
+        from repro.perf.cache import RUN_CACHE
 
+        RUN_CACHE.disable()
+        RUN_CACHE.clear()
         registry.available()  # materialise the mapping registry
     except Exception:
         pass

@@ -47,7 +47,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.calibration import Calibration
 from repro.perf import timers
-from repro.perf.cache import cache_key, cached_form, write_tiers
+from repro.perf.cache import cache_key, cached_form, timing_scope, write_tiers
 from repro.trace.telemetry import TELEMETRY, Counters
 from repro.trace.tracer import active_tracer
 
@@ -204,7 +204,9 @@ def run_group(group: BatchGroup) -> List[Any]:
     :func:`~repro.perf.cache.write_tiers` under its original content
     key — so downstream consumers cannot tell the paths apart.  The
     cells share one output array, which is hashed once, and the group
-    reaches the disk tier in one ``put_many``.
+    reaches the disk tier in one ``put_many``.  When every cell is
+    stored, the structure pass may share its timing pass through the
+    timing memo, as a keyed ``registry.simulate`` does.
     """
     from repro.mappings import registry
 
@@ -213,7 +215,9 @@ def run_group(group: BatchGroup) -> List[Any]:
         raise RuntimeError(
             f"no batch runner for {group.kernel}/{group.machine}"
         )
-    with timers.timer(f"batch:{group.kernel}/{group.machine}"):
+    with timers.timer(f"batch:{group.kernel}/{group.machine}"), timing_scope(
+        all(group.keys)
+    ):
         results = runner(group.calibrations, **group.base_kwargs)
     digests: Dict[int, Optional[str]] = {}
     forms: List[Any] = []

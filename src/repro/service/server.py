@@ -23,6 +23,7 @@ API (see docs/service.md for the full contract)::
     GET  /v1/telemetry           service.* / resilience.* / planner
                                  counters (what the chaos scenarios and
                                  the dedup invariant assert against)
+                                 and the timing memo's perf.timing
 
 Handler threads never crash the server: a client that disconnects
 mid-request is counted (``service.client_disconnects``) and the thread
@@ -252,6 +253,7 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(200, payload)
 
     def _telemetry(self) -> None:
+        from repro.perf.cache import TIMING_PASSES
         from repro.perf.planner import PLANNER_STATS
         from repro.resilience.stats import RESILIENCE
 
@@ -262,6 +264,7 @@ class _Handler(BaseHTTPRequestHandler):
                 "service": SERVICE_STATS.snapshot(),
                 "resilience": RESILIENCE.snapshot(),
                 "counters": {f"planner.{k}": v for k, v in planner.items()},
+                "timing": TIMING_PASSES.stats(),
             },
         )
 

@@ -17,6 +17,8 @@ imports anything.  The namespaces and their owners:
   name is the one these counts had when the timers kept them);
 * ``perf.cache`` — memory-tier run-cache entries/hits/misses/bypasses
   (:mod:`repro.perf.cache`);
+* ``perf.timing`` — the timing memo's hits/misses/entries
+  (:mod:`repro.perf.cache`);
 * ``perf.diskcache`` and ``perf.index`` — the persistent tier's
   hits/misses/writes/evictions/corrupt-entry detections/quarantines/
   bypasses, and its log's shape (:mod:`repro.perf.diskcache`);
@@ -36,8 +38,9 @@ imports anything.  The namespaces and their owners:
   module; empty when tracing is off).
 
 The tallies the program keeps for itself (the planner's, ``perf.pool``,
-``perf.tensor``, ``resilience``, ``scenario``, ``service``, and the
-disk store's counts behind ``perf.diskcache``) are :class:`Counters`.
+``perf.tensor``, ``perf.timing``, ``resilience``, ``scenario``,
+``service``, and the disk store's counts behind ``perf.diskcache``)
+are :class:`Counters`.
 A source that raises reports ``<namespace>.error`` instead of killing
 the snapshot.
 """

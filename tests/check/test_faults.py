@@ -85,6 +85,25 @@ class TestInjectorHygiene:
             cold = registry.run("corner_turn", "viram", cache=False)
             assert cached.cycles == pytest.approx(2.0 * cold.cycles)
 
+    def test_timing_injector_corrupts_while_active(self):
+        from repro.perf.cache import TIMING_PASSES
+
+        with faults.tampered_timing_pass() as key:
+            assert key in TIMING_PASSES.keys()
+            served = registry.run("corner_turn", "viram")
+            cold = registry.run("corner_turn", "viram", cache=False)
+            assert served.breakdown.get("strided loads") == (
+                2.0 * cold.breakdown.get("strided loads")
+            )
+        assert len(TIMING_PASSES) == 0
+        assert len(RUN_CACHE) == 0
+
+    def test_timing_injector_restores_clean_state(self):
+        with faults.tampered_timing_pass():
+            pass
+        results = oracles.cache_oracle(pairs=[("corner_turn", "viram")])
+        assert all(r.status != FAIL for r in results)
+
     def test_executor_injector_unpatches(self):
         original = planner._run_unit_pool
         with faults.misdelivered_worker_results():

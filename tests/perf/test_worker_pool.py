@@ -37,6 +37,14 @@ def _ledger_state(_):
     return ledger.current_recorder(), ledger._LISTENER
 
 
+def _tier_one_state(_):
+    """A worker's tier 1: whether it is on, and what it and the timing
+    memo hold."""
+    from repro.perf.cache import RUN_CACHE, TIMING_PASSES
+
+    return RUN_CACHE.enabled, len(RUN_CACHE), len(TIMING_PASSES)
+
+
 class TestLeaseLifecycle:
     def test_acquire_release_reuses_pool(self, base):
         first = poold.acquire(2)
@@ -110,6 +118,33 @@ class TestLeaseLifecycle:
         finally:
             poold.release(pool)
         assert state == (None, None)
+
+    def test_workers_keep_tier_one_off(self, small_ct):
+        # Nothing in a worker reads tier 1 or the timing memo: the
+        # parent answers repeats and stores what the workers return.
+        from repro.perf.cache import RUN_CACHE
+        from repro.perf.planner import execute_requests
+
+        requests = [
+            ("corner_turn", "viram", {"workload": small_ct, "seed": seed})
+            for seed in range(10)
+        ]
+        RUN_CACHE.enable()
+        RUN_CACHE.clear()
+        try:
+            execute_requests(requests, jobs=2)
+            execute_requests(requests, jobs=2)
+            pool = poold.acquire(2)
+            try:
+                states = [
+                    pool.submit(_tier_one_state, None).result(timeout=60)
+                    for _ in range(4)
+                ]
+            finally:
+                poold.release(pool)
+        finally:
+            RUN_CACHE.clear()
+        assert set(states) == {(False, 0, 0)}
 
     def test_pool_executes_after_reuse(self):
         first = poold.acquire(2)
