@@ -18,8 +18,8 @@ every operation so tests and subprocesses can redirect it.  Under it:
   followed by the pickled run; a tombstone is ``{"k": key, "x": 1}``.
   The last record for a key wins.  No record carries a time, a pid or
   a generation, so the same writes leave the same bytes;
-* ``<root>/.lock`` — the advisory ``flock`` every append, tombstone and
-  compaction takes;
+* ``<root>/.lock`` — an empty file whose advisory ``flock`` every
+  append, tombstone and compaction takes;
 * ``<root>/<stamp>/store.quarantine`` — the store's one quarantine
   log: each damaged entry and each torn tail is one record, a header
   naming the log, the offset and the reason, with the bytes as its
@@ -41,10 +41,10 @@ tombstoned — counted, never served, never wedging the key.  A torn tail
 same ``store.quarantine`` by the next locked writer
 (:func:`repro.ioutil.heal_log`); :meth:`PackedDiskCache.verify` names
 its key meanwhile.  A transient read error is retried once
-before degrading to a miss.  A stale lock file — recorded holder dead,
-file old — is broken before acquisition.  Pruning writes the surviving
-entries, least recently used first, to a new log and renames it into
-place under the lock.
+before degrading to a miss.  The lock needs no healing: the kernel
+drops a ``flock`` when its holder exits, however it exits.  Pruning
+writes the surviving entries, least recently used first, to a new log
+and renames it into place under the lock.
 
 ``REPRO_DISK_CACHE=0`` disables the tier globally; the CLI's
 ``--no-disk-cache`` calls :meth:`PackedDiskCache.disable` for one
@@ -71,7 +71,6 @@ from typing import (
 from repro.errors import ConfigError
 from repro.ioutil import BODY_AT, BODY_FIELD, append_jsonl, heal_log, read_log
 from repro.trace.telemetry import Counters
-from repro.trace.tracer import active_tracer
 
 #: The record log under each stamp directory.
 LOG_NAME = "store.log"
@@ -85,11 +84,6 @@ PRUNE_INTERVAL = 128
 
 #: Probe-latency reservoir size (per process, newest samples win).
 _LATENCY_SAMPLES = 512
-
-#: A lock file whose recorded holder is dead counts as stale once it is
-#: this many seconds old (age guards against breaking a lock whose
-#: holder pid we simply failed to observe mid-handoff).
-STALE_LOCK_AGE = 60.0
 
 #: The store's counts: the ``perf.diskcache`` telemetry keys first,
 #: then the log's own (reported under ``perf.index``).
@@ -105,20 +99,6 @@ def _chaos_active() -> bool:
     return bool(os.environ.get("REPRO_CHAOS"))
 
 
-def _pid_alive(pid: int) -> bool:
-    """Whether ``pid`` names a live process (conservative: unknown
-    errors are treated as alive — never break a lock on a guess)."""
-    if pid <= 0:
-        return False
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except OSError:
-        return True
-    return True
-
-
 def _default_root() -> Path:
     env = os.environ.get("REPRO_DISK_CACHE_DIR")
     if env:
@@ -129,100 +109,32 @@ def _default_root() -> Path:
 
 
 class _FlockGuard:
-    """Context manager: ``fcntl.flock`` on a lock file, best-effort.
+    """Context manager: ``fcntl.flock(LOCK_EX)`` on a lock file,
+    best-effort.
 
-    The holder records ``{"pid", "time"}`` into the lock file once the
-    flock is held.  Before acquiring, a lock file whose *recorded*
-    holder is dead and whose mtime is older than :data:`STALE_LOCK_AGE`
-    is broken (unlinked) — the leftover of a SIGKILLed or rebooted
-    process cannot wedge the store forever.  The break is deliberately
-    conservative: an empty or unparseable record is left alone (the
-    kernel releases a real ``flock`` with its holder anyway), and a
-    live recorded pid is never broken.
+    The kernel releases the flock when its holder exits, however it
+    exits, so a dead writer never wedges the store and the file carries
+    no record.  Without ``fcntl`` (or when the file cannot be opened or
+    locked) the guard is a no-op and ``_fh`` stays ``None``; ``repro
+    doctor``'s lock probe reports that.
     """
 
     def __init__(self, path: Path) -> None:
         self._path = path
         self._fh: Optional[io.IOBase] = None
 
-    def _break_if_stale(self) -> None:
-        """Unlink the lock file iff its recorded holder is provably
-        dead and the file has not been touched recently."""
-        try:
-            raw = self._path.read_bytes()
-            age = time.time() - self._path.stat().st_mtime
-        except OSError:
-            return
-        try:
-            record = json.loads(raw)
-            pid = int(record["pid"])
-        except (KeyError, TypeError, ValueError):
-            return  # no recorded holder: nothing provable, leave it
-        if _pid_alive(pid) or age < STALE_LOCK_AGE:
-            return
-        try:
-            self._path.unlink()
-        except OSError:
-            return
-        from repro.resilience.stats import RESILIENCE
-
-        RESILIENCE.note("locks_broken")
-        tracer = active_tracer()
-        if tracer is not None:
-            tracer.count("perf.diskcache.lock_broken")
-
-    #: Fixed width of the holder record: rewriting the same bytes in
-    #: place (space-padded, JSON ignores trailing whitespace) never
-    #: changes the file size, so taking the lock costs no journal
-    #: commit — an ftruncate per acquisition dominated the cold path.
-    _HOLDER_BYTES = 64
-
-    def _record_holder(self) -> None:
-        """Write our pid into the held lock file (flock is exclusive,
-        so the in-place overwrite cannot race another holder)."""
-        try:
-            data = json.dumps(
-                {"pid": os.getpid(), "time": time.time()}
-            ).encode("ascii").ljust(self._HOLDER_BYTES)
-            self._fh.seek(0, os.SEEK_END)
-            size = self._fh.tell()
-            self._fh.seek(0)
-            self._fh.write(data)
-            if size > len(data):
-                # A longer legacy record: shrink once, then the fixed
-                # width holds forever.
-                self._fh.truncate(len(data))
-            self._fh.flush()
-        except OSError:
-            pass
-
     def __enter__(self) -> "_FlockGuard":
-        fd = None
         try:
             import fcntl
 
             self._path.parent.mkdir(parents=True, exist_ok=True)
-            if _chaos_active():
-                from repro.resilience import chaos
-
-                chaos.on_lock_acquire(self._path)
-            self._break_if_stale()
-            # O_RDWR, not append mode: append-mode writes land at the
-            # end regardless of seek position, which would grow the
-            # lock file on every acquisition.
-            fd = os.open(str(self._path), os.O_RDWR | os.O_CREAT, 0o644)
-            self._fh = os.fdopen(fd, "r+b")
-            fd = None  # owned by the file object now
-            fcntl.flock(self._fh.fileno(), fcntl.LOCK_EX)
-            self._record_holder()
+            self._fh = open(self._path, "ab")
         except (ImportError, OSError):
-            if fd is not None:
-                try:
-                    os.close(fd)
-                except OSError:
-                    pass
-            if self._fh is not None:
-                self._fh.close()
+            return self
+        try:
+            fcntl.flock(self._fh.fileno(), fcntl.LOCK_EX)
+        except OSError:
+            self._fh.close()
             self._fh = None
         return self
 
@@ -231,6 +143,8 @@ class _FlockGuard:
             try:
                 import fcntl
 
+                # Unlock explicitly: a child forked meanwhile shares
+                # the open file, so closing ours would not release it.
                 fcntl.flock(self._fh.fileno(), fcntl.LOCK_UN)
             except (ImportError, OSError):
                 pass
@@ -623,15 +537,12 @@ class PackedDiskCache:
             self._touch(header["k"])
         written = len(records)
         self.counters.note("writes", written)
-        last = view.entries.get(records[-1][0]["k"])
-        if last is not None and _chaos_active():
+        if _chaos_active():
             from repro.resilience import chaos
 
-            # The hook may flip the last payload byte; the digest check
-            # catches it on the next read.
-            chaos.on_disk_insert(
-                self.log_path(), last.offset + last.length - 1
-            )
+            # The hook may flip the last entry's last payload byte; the
+            # digest check catches it on the next read.
+            chaos.on_disk_insert(self, records[-1][0]["k"])
         self._unpruned += written
         if self._unpruned >= PRUNE_INTERVAL:
             self._unpruned = 0

@@ -13,13 +13,12 @@ executor and disk cache without touching modelled numbers:
   every transition counted under ``resilience.*`` telemetry;
 * :mod:`repro.resilience.chaos` — deterministic fault injection for the
   live runtime (``REPRO_CHAOS=<spec>`` / ``repro check --chaos``):
-  worker SIGKILL, task hangs, disk I/O errors, stale locks, entry
-  corruption, with the bar that report output stays byte-identical;
+  worker SIGKILL, task hangs, disk I/O errors, entry corruption, with
+  the bar that report output stays byte-identical;
 * disk-cache self-healing (in :mod:`repro.perf.index`): a corrupt
   entry's bytes are *quarantined* with a structured incident record and
-  the key tombstoned, a torn manifest tail is truncated, stale
-  interprocess locks are broken by pid+age, and ``lookup`` never
-  raises on a damaged store;
+  the key tombstoned, a torn log tail is moved to quarantine, and
+  ``lookup`` never raises on a damaged store;
 * :mod:`repro.resilience.doctor` — the ``repro doctor`` health probes
   (pool spawn, store round-trip, digest sweep, lock, telemetry).
 

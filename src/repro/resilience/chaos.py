@@ -4,16 +4,16 @@
 module proves the *runtime* can survive it.  Activated by the
 ``REPRO_CHAOS`` environment variable (or ``repro check --chaos``), it
 injects a budgeted number of real failures into a live sweep — worker
-SIGKILL, task hangs, disk I/O errors, stale lock files, cache-entry
-corruption — and the acceptance bar is strict: the sweep completes and
-its report output is **byte-identical** to an undisturbed run, with the
-recoveries visible only in the ``resilience.*`` telemetry.
+SIGKILL, task hangs, disk I/O errors, cache-entry corruption — and the
+acceptance bar is strict: the sweep completes and its report output is
+**byte-identical** to an undisturbed run, with the recoveries visible
+only in the ``resilience.*`` telemetry.
 
 Spec grammar (comma-separated ``name=value`` tokens)::
 
     REPRO_CHAOS="kill=1,disk=1"            # one worker kill, one read error
     REPRO_CHAOS="hang=1,hang_s=2.5"        # one 2.5 s task hang
-    REPRO_CHAOS="lock=1,corrupt=1"         # stale lock + bit-flipped entry
+    REPRO_CHAOS="corrupt=1"                # one bit-flipped entry
     REPRO_CHAOS="kill=1,service=0"         # skip the service scenarios
 
 Faults (each value is an *injection budget* for the whole sweep):
@@ -31,10 +31,6 @@ Faults (each value is an *injection budget* for the whole sweep):
     a failed read once, so ``disk=1`` is a *transient* error (healed by
     the retry) while ``disk=2`` can make both attempts of one read fail
     (*persistent* for that lookup, degrading to a recomputed miss).
-``lock``
-    A stale lock file (dead pid, hour-old mtime) is planted immediately
-    before a lock acquisition; the acquirer must detect it by pid+age
-    and break it safely.
 ``corrupt``
     A just-published cache entry has one payload byte flipped on disk
     (digest left stale); the next reader must quarantine it and
@@ -62,8 +58,6 @@ import dataclasses
 import json
 import os
 import signal
-import subprocess
-import sys
 import time
 from pathlib import Path
 from typing import Dict, Mapping, Optional
@@ -82,17 +76,15 @@ __all__ = [
     "on_worker_chunk",
     "on_disk_read",
     "on_disk_insert",
-    "on_lock_acquire",
-    "dead_pid",
     "run_chaos_check",
 ]
 
 #: Recognised fault names (values are injection budgets).
-FAULTS = ("kill", "hang", "disk", "lock", "corrupt")
+FAULTS = ("kill", "hang", "disk", "corrupt")
 
 #: The faults that land on the shared disk store, recovered (and
 #: counted) by the process that meets them.
-STORE_FAULTS = ("disk", "lock", "corrupt")
+STORE_FAULTS = ("disk", "corrupt")
 
 #: Recognised parameter names (values are floats/strings).
 PARAMS = ("hang_s", "dir", "service")
@@ -237,7 +229,7 @@ def claim(fault: str, spec: Optional[ChaosSpec] = None) -> bool:
 
 
 def return_tokens(since: float) -> None:
-    """Return to the budget the store-fault tokens (``disk``, ``lock``,
+    """Return to the budget the store-fault tokens (``disk``,
     ``corrupt``) other processes claimed at or after ``since``.
 
     The supervisor calls this after a pool crash, before the lost
@@ -327,54 +319,14 @@ def on_disk_read(path: os.PathLike) -> None:
         raise OSError(f"chaos: injected disk read error for {path}")
 
 
-def on_disk_insert(path: os.PathLike, offset: int) -> None:
-    """Disk-cache publish hook: may flip the byte at ``offset`` of the
-    store log, the last payload byte just written (digest left stale —
-    the read path must quarantine it)."""
+def on_disk_insert(store, key: str) -> None:
+    """Disk-cache publish hook: may flip the last payload byte of the
+    entry ``key`` just written to ``store`` (a
+    :class:`~repro.perf.index.PackedDiskCache`), digest left stale — the
+    read path must quarantine it."""
     if claim("corrupt"):
         _note("chaos_injections", fault="corrupt")
-        try:
-            with open(path, "r+b") as fh:
-                fh.seek(offset)
-                byte = fh.read(1)
-                fh.seek(offset)
-                fh.write(bytes((byte[0] ^ 0xFF,)))
-        except (OSError, IndexError):
-            pass
-
-
-def on_lock_acquire(path: os.PathLike) -> None:
-    """Lock-acquisition hook: may plant a stale lock file (dead pid,
-    hour-old mtime) that the acquirer must detect and break."""
-    if claim("lock"):
-        _note("chaos_injections", fault="lock")
-        path = Path(path)
-        staged = path.with_name(f"{path.name}.chaos-{os.getpid()}")
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            staged.write_text(
-                f'{{"pid": {dead_pid()}, "time": {time.time() - 3600}}}\n'
-            )
-            old = time.time() - 3600
-            os.utime(staged, (old, old))
-            # Renamed into place: a process already holding (or waiting
-            # for) the old lock file records itself into that file, so
-            # it cannot overwrite the stale record before the acquirer
-            # that planted it reads it.
-            os.replace(staged, path)
-        except OSError:
-            pass
-
-
-def dead_pid() -> int:
-    """A pid guaranteed dead right now (a just-reaped child's)."""
-    proc = subprocess.Popen(
-        [sys.executable, "-c", "pass"],
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-    )
-    proc.wait()
-    return proc.pid
+        store.corrupt_bytes(key)
 
 
 # -- the chaos convergence check --------------------------------------
@@ -568,14 +520,6 @@ def run_chaos_check(
             PASS if retried >= 1 else FAIL,
             f"resilience.io_retries={retried}"
             + ("" if retried else " — injected read error never retried"),
-        )
-    if spec.budget("lock"):
-        broken = int(snap.get("locks_broken", 0))
-        report.add(
-            "chaos.diskcache.lock-broken",
-            PASS if broken >= 1 else FAIL,
-            f"resilience.locks_broken={broken}"
-            + ("" if broken else " — stale lock never detected"),
         )
 
     if spec.service:

@@ -5,8 +5,8 @@ worker becomes a retried chunk, a corrupt cache entry becomes a
 quarantined record — which means the only external evidence that
 anything happened is telemetry.  :data:`RESILIENCE` is that evidence: a
 :class:`~repro.trace.telemetry.Counters` tally of retries,
-degradations, crashes, deadline misses, pool resurrections, broken
-locks, and quarantines, plus the last degradation's reason, registered
+degradations, crashes, deadline misses, pool resurrections, read
+retries and quarantines, plus the last degradation's reason, registered
 with :data:`~repro.trace.telemetry.TELEMETRY` as the ``resilience.*``
 namespace and printed by ``repro report --perf``.  The incidents
 themselves are the session ledger's ``supervisor.*`` events: each
@@ -68,7 +68,6 @@ COUNTERS = (
     "failed_cells",
     "io_errors",
     "io_retries",
-    "locks_broken",
     "quarantined",
     "chaos_injections",
 )

@@ -1,9 +1,9 @@
 """A chaos run must leave a parseable, gapless ledger.
 
 The ledger is evidence, so chaos must not tear it.  The store faults
-(``disk``, ``lock``, ``corrupt``) fire in pool workers, and a forked
-worker records nothing: its events would carry its own copy of ``seq``
-into the parent's ledger and repeat numbers the parent also writes.
+(``disk``, ``corrupt``) fire in pool workers, and a forked worker
+records nothing: its events would carry its own copy of ``seq`` into
+the parent's ledger and repeat numbers the parent also writes.
 """
 
 import os
@@ -12,7 +12,7 @@ from pathlib import Path
 from repro.cli import main
 from repro.ioutil import read_log
 
-SPEC = "kill=1,disk=1,lock=1,corrupt=1,service=0"
+SPEC = "kill=1,disk=1,corrupt=1,service=0"
 
 
 def test_chaos_check_leaves_a_gapless_ledger(capsys):

@@ -13,11 +13,10 @@ of the store is tested elsewhere, always against
   stamp, registry integration, opt-outs, prune/clear, and prune under
   multi-process contention;
 * ``tests/resilience/test_diskcache_healing.py`` — quarantine and its
-  incident records, read retry under injected I/O errors, and
-  stale-lock breaking on the store's lock;
+  incident records, and read retry under injected I/O errors;
 * ``tests/resilience/test_ioutil.py`` — the record log itself, cut at
   every byte;
-* ``test_stale_lock.py`` — the lock between two live processes.
+* ``test_store_lock.py`` — the store's lock under contention.
 """
 
 from __future__ import annotations

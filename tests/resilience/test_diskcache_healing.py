@@ -1,18 +1,14 @@
 """Tests for the disk cache's self-healing paths: quarantine of
-damaged entries, read-retry under injected I/O errors, and stale-lock
-breaking on the store's own lock."""
+damaged entries and read-retry under injected I/O errors."""
 
 from __future__ import annotations
 
-import json
 import os
-import time
 
 import pytest
 
 from repro.ioutil import BODY_AT, BODY_FIELD, read_log
-from repro.perf.index import STALE_LOCK_AGE, PackedDiskCache
-from repro.resilience import chaos
+from repro.perf.index import PackedDiskCache
 from repro.resilience.stats import RESILIENCE
 
 KEY = "deadbeef" * 8
@@ -118,47 +114,3 @@ class TestReadRetry:
         # The entry itself is fine: with chaos off the key still serves.
         monkeypatch.delenv("REPRO_CHAOS")
         assert dc.lookup(KEY) == {"answer": 42}
-
-
-class TestStaleLock:
-    def _plant(self, dc, pid, age=2 * STALE_LOCK_AGE, raw=None):
-        lock = dc.root() / ".lock"
-        lock.parent.mkdir(parents=True, exist_ok=True)
-        lock.write_bytes(
-            raw if raw is not None
-            else json.dumps({"pid": pid, "time": time.time() - age}).encode()
-        )
-        old = time.time() - age
-        os.utime(lock, (old, old))
-        return lock
-
-    def test_dead_pid_lock_is_broken(self, dc):
-        self._plant(dc, chaos.dead_pid())
-        before = RESILIENCE.get("locks_broken")
-        with dc._interprocess_lock():
-            pass
-        assert RESILIENCE.get("locks_broken") == before + 1
-        # The new holder recorded itself into the fresh lock file.
-        record = json.loads((dc.root() / ".lock").read_bytes())
-        assert record["pid"] == os.getpid()
-
-    def test_live_pid_lock_is_not_broken(self, dc):
-        self._plant(dc, os.getpid())
-        before = RESILIENCE.get("locks_broken")
-        with dc._interprocess_lock():
-            pass
-        assert RESILIENCE.get("locks_broken") == before
-
-    def test_young_lock_is_not_broken(self, dc):
-        self._plant(dc, chaos.dead_pid(), age=1.0)
-        before = RESILIENCE.get("locks_broken")
-        with dc._interprocess_lock():
-            pass
-        assert RESILIENCE.get("locks_broken") == before
-
-    def test_unparseable_lock_is_not_broken(self, dc):
-        self._plant(dc, 0, raw=b"not json at all")
-        before = RESILIENCE.get("locks_broken")
-        with dc._interprocess_lock():
-            pass
-        assert RESILIENCE.get("locks_broken") == before
